@@ -49,7 +49,7 @@ from .planner import (
     plan_S,
     plan_T,
 )
-from .simnet import ErrorTrace, SimConfig, SimWorld, run, spectral_norms
+from .simnet import ErrorTrace, SimConfig, run, spectral_norms
 
 __version__ = "0.1.0"
 
@@ -68,7 +68,6 @@ __all__ = [
     "Schedule",
     "SeededStream",
     "SimConfig",
-    "SimWorld",
     "SinusoidMean",
     "StoppingTimeNotReachable",
     "WeightMatrix",

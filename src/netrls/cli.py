@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -69,6 +70,20 @@ def _json_text(value, indent: int = 0) -> str:
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it into
+    place, so ``path`` never holds a partly written file."""
+    tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _matrix_flat(a: np.ndarray) -> str:
@@ -134,8 +149,7 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
             str(int(trace.comm_fired[idx])),
             _f12(trace.pre_invertible_count[idx]),
         ]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _resolve_schedule(cfg: ResolvedConfig) -> tuple[Schedule, PlanResult | None]:
@@ -166,8 +180,7 @@ def cmd_plan(config_path: str, out_path: str) -> int:
         "c3": result.c3,
         "config": config_to_dict(cfg),
     }
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json_text(payload) + "\n")
+    _write_atomic(out_path, _json_text(payload) + "\n")
     print(f"consensus steps per phase: T = {result.T}")
     print(f"stopping time: S = {result.S} (first communication at t = {result.t_first})")
     print(f"mixing rate rho = {_f12(result.rho)}, period zeta = {result.zeta}")

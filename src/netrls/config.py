@@ -9,6 +9,7 @@ Validation errors carry the dotted path of the offending field.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -68,6 +69,13 @@ class ResolvedConfig:
     run: RunParams | None
 
 
+def _finite(arr: np.ndarray, path: str) -> np.ndarray:
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ConfigError(path, f"entries must be finite, got {float(bad[0])!r}")
+    return arr
+
+
 class _Section:
     """Typed accessors over one config dict, tracking dotted paths."""
 
@@ -93,7 +101,13 @@ class _Section:
         v = self.data[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(self.sub(key), f"expected a number, got {v!r}")
-        return float(v)
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigError(self.sub(key), f"must be a finite number, got {x!r}")
+        return x
 
     def integer(self, key: str, default=None) -> int:
         if key not in self.data:
@@ -119,7 +133,7 @@ class _Section:
             raise ConfigError(path, f"expected an array, got {type(raw).__name__}")
         try:
             arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(path, "expected numeric entries") from None
         if arr.ndim == 1:
             if arr.size != rows * cols:
@@ -129,18 +143,18 @@ class _Section:
             arr = arr.reshape(rows, cols)
         if arr.shape != (rows, cols):
             raise ConfigError(path, f"has shape {arr.shape}, expected {(rows, cols)}")
-        return arr
+        return _finite(arr, path)
 
     def vector(self, key: str, length: int) -> np.ndarray:
         raw = self.require(key)
         path = self.sub(key)
         try:
             arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(path, "expected numeric entries") from None
         if arr.shape != (length,):
             raise ConfigError(path, f"has shape {arr.shape}, expected {(length,)}")
-        return arr
+        return _finite(arr, path)
 
     def unknown_keys(self, allowed: set[str]) -> None:
         extra = set(self.data) - allowed

@@ -34,7 +34,7 @@ class WeightMatrixError(ValueError):
     """Raised when a candidate weight matrix fails validation.
 
     ``clause`` identifies the failed requirement: one of ``"shape"``,
-    ``"nonnegative"``, ``"row_stochastic"``, ``"symmetric"``,
+    ``"finite"``, ``"nonnegative"``, ``"row_stochastic"``, ``"symmetric"``,
     ``"spectral_gap"``.
     """
 
@@ -71,6 +71,9 @@ def validate_weights(w) -> WeightMatrix:
     arr = np.asarray(w, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise WeightMatrixError("shape", f"weight matrix must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise WeightMatrixError("finite", f"non-finite weight {arr[i, j]!r} at ({i}, {j})")
     if np.any(arr < 0):
         i, j = np.argwhere(arr < 0)[0]
         raise WeightMatrixError(
@@ -125,7 +128,9 @@ def run_comm_phase(
 
     Every round replaces agent ``i``'s matrices by ``sum_j w[i, j] *``
     (agent ``j``'s matrices), all reads from the previous round's snapshot.
-    ``on_step(k, alphas, betas)`` observes the state after round ``k``.
+    Without ``on_step`` the phase is one multiplication by ``W**steps``;
+    with it, the rounds run one by one and ``on_step(k, alphas, betas)``
+    observes the state after round ``k``.
     """
     if steps < 1:
         raise ValueError("a communication phase needs at least one step")
@@ -136,10 +141,14 @@ def run_comm_phase(
     m = weights.m
     if a.shape[0] != m or b.shape[0] != m:
         raise ValueError(f"expected statistics for {m} agents, got {a.shape[0]}/{b.shape[0]}")
-    for k in range(steps):
-        a = np.tensordot(weights.w, a, axes=(1, 0))
-        b = np.tensordot(weights.w, b, axes=(1, 0))
-        if on_step is not None:
+    if on_step is None:
+        wp = np.linalg.matrix_power(weights.w, steps)
+        a = np.tensordot(wp, a, axes=(1, 0))
+        b = np.tensordot(wp, b, axes=(1, 0))
+    else:
+        for k in range(steps):
+            a = np.tensordot(weights.w, a, axes=(1, 0))
+            b = np.tensordot(weights.w, b, axes=(1, 0))
             on_step(k + 1, a, b)
     return CommPhaseResult(alphas=a, betas=b, steps=steps)
 

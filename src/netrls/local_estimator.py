@@ -11,12 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AgentState", "init_agent", "RANK_TOL", "REFACTOR_EVERY"]
+__all__ = ["AgentState", "init_agent", "full_rank", "RANK_TOL", "REFACTOR_EVERY"]
 
 # beta counts as invertible once its smallest singular value exceeds
 # RANK_TOL times the largest
 RANK_TOL = 1e-8
 REFACTOR_EVERY = 10_000
+
+
+def full_rank(beta: np.ndarray) -> np.ndarray:
+    """The invertibility test on ``(..., n, n)`` matrices, one flag per matrix."""
+    sv = np.linalg.svd(beta, compute_uv=False)
+    return (sv[..., 0] > 0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
 
 
 class AgentState:
@@ -71,15 +77,11 @@ class AgentState:
 
         self.beta += np.outer(x, x)
         self.sample_count += 1
-        sv = np.linalg.svd(self.beta, compute_uv=False)
-        if sv[0] > 0 and sv[-1] > RANK_TOL * sv[0]:
+        if full_rank(self.beta):
             self.beta_inv = np.linalg.inv(self.beta)
             self.theta_local = self.alpha @ self.beta_inv
         else:
             self.theta_local = self.alpha @ np.linalg.pinv(self.beta)
-
-    def ingest_pair(self, pair) -> None:
-        self.ingest(pair.x, pair.y)
 
     def local_estimate(self) -> np.ndarray:
         """Estimate recomputed from the raw statistics: ``alpha @ pinv(beta)``."""
@@ -91,8 +93,7 @@ class AgentState:
             raise ValueError("replacement statistics have mismatched shapes")
         self.alpha = np.array(alpha, dtype=float)
         self.beta = np.array(beta, dtype=float)
-        sv = np.linalg.svd(self.beta, compute_uv=False)
-        if sv[0] > 0 and sv[-1] > RANK_TOL * sv[0]:
+        if full_rank(self.beta):
             self.beta_inv = np.linalg.inv(self.beta)
             self.theta_local = self.alpha @ self.beta_inv
         else:

@@ -7,6 +7,11 @@ post-communication estimate, which otherwise carries over unchanged. The
 consensus rounds complete atomically between data steps. A central pooled
 estimator over all agents' statistics is recorded as an oracle column;
 errors are spectral norms against the ground truth.
+
+The engine computes a run in batches over agents and steps rather than one
+sample at a time: the running sums ``alpha`` and ``beta`` are cumulative
+sums of the per-sample terms, and the estimates are batched inverses.
+``AgentState`` is the per-sample online form of the same recursion.
 """
 
 from __future__ import annotations
@@ -17,12 +22,16 @@ from functools import partial
 
 import numpy as np
 
-from .consensus import WeightMatrix, comm_estimate, run_comm_phase
-from .local_estimator import AgentState, init_agent
+from .consensus import WeightMatrix, run_comm_phase
+from .local_estimator import full_rank
 from .model_gen import ModelSpec, SeededStream, sample_block
 from .planner import Schedule
 
-__all__ = ["SimConfig", "ErrorTrace", "SimWorld", "run", "spectral_norms"]
+__all__ = ["SimConfig", "ErrorTrace", "run", "spectral_norms"]
+
+# steps per block of draws; a block is the engine's largest working set, so
+# memory does not grow with the horizon
+BLOCK = 512
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
@@ -68,93 +77,112 @@ class ErrorTrace:
     pre_invertible_count: np.ndarray
 
 
-class SimWorld:
-    """Mutable state of a single run, advanced one data step at a time."""
+def _block_increments(config: SimConfig, stream: SeededStream, run_index: int,
+                      t_start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample terms ``y x^T`` and ``x x^T`` for steps ``t_start ..``, as
+    ``(count, m, l, n)`` and ``(count, m, n, n)`` arrays."""
+    # streams are keyed by agent, so each agent's block is one draw
+    draws = [sample_block(config.model, stream, run_index, i, t_start, count)
+             for i in range(config.model.m)]
+    x = np.stack([d[0] for d in draws], axis=1)
+    y = np.stack([d[1] for d in draws], axis=1)
+    return y[..., :, None] * x[..., None, :], x[..., :, None] * x[..., None, :]
 
-    def __init__(self, config: SimConfig, run_index: int = 0):
-        self.config = config
-        self.run_index = run_index
-        self.t = 0
-        model = config.model
-        self.agents: list[AgentState] = [init_agent(model.n, model.l) for _ in range(model.m)]
-        stream = SeededStream(config.seed)
-        # whole-horizon draws per agent; identical to stepwise sampling
-        self._draws = [
-            sample_block(model, stream, run_index, i, 1, config.horizon)
-            for i in range(model.m)
-        ]
 
-    def step(self) -> bool:
-        """Advance one data step; returns True when a communication phase ran."""
-        t = self.t + 1
-        if t > self.config.horizon:
-            raise RuntimeError("stepped past the configured horizon")
-        for i, agent in enumerate(self.agents):
-            x, y = self._draws[i]
-            agent.ingest(x[t - 1], y[t - 1])
+def _sticky_full_rank(beta: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Invertibility flags of a ``(steps, k, n, n)`` run of running sums.
 
-        fired = self.config.schedule.fires_at(t)
-        if fired:
-            result = run_comm_phase(
-                self.config.weights,
-                np.stack([a.alpha for a in self.agents]),
-                np.stack([a.beta for a in self.agents]),
-                self.config.schedule.T,
-            )
-            for i, agent in enumerate(self.agents):
-                agent.theta_comm = comm_estimate(result, i)
-                if self.config.writeback_mixed:
-                    agent.replace_statistics(result.alphas[i], result.betas[i])
-        self.t = t
-        return fired
+    A lane is invertible from the first step whose ``beta`` passes
+    :func:`full_rank` on, and throughout when ``start`` already holds for it,
+    the rule ``AgentState`` applies between write-backs.
+    """
+    flags = np.broadcast_to(start, beta.shape[:2]).copy()
+    pending = ~start
+    if pending.any():
+        flags[:, pending] = np.logical_or.accumulate(full_rank(beta[:, pending]), axis=0)
+    return flags
 
-    def pooled_statistics(self) -> tuple[np.ndarray, np.ndarray]:
-        alpha = np.sum([a.alpha for a in self.agents], axis=0)
-        beta = np.sum([a.beta for a in self.agents], axis=0)
-        return alpha, beta
 
-    @property
-    def pooled_invertible(self) -> bool:
-        alpha, beta = self.pooled_statistics()
-        sv = np.linalg.svd(beta, compute_uv=False)
-        return bool(sv[0] > 0 and sv[-1] > 1e-8 * sv[0])
-
-    def global_estimate(self) -> np.ndarray:
-        """Pooled least-squares estimate over all agents' statistics."""
-        alpha, beta = self.pooled_statistics()
-        return alpha @ np.linalg.pinv(beta)
-
-    def pre_invertible_count(self) -> int:
-        return sum(1 for a in self.agents if a.pre_invertible)
+def _estimates(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray) -> np.ndarray:
+    """``alpha @ beta^-1``: ``inv`` where ``invertible`` holds, ``pinv`` elsewhere."""
+    if invertible.all():
+        return alpha @ np.linalg.inv(beta)
+    out = np.empty_like(alpha)
+    for mask, inverse in ((invertible, np.linalg.inv), (~invertible, np.linalg.pinv)):
+        if mask.any():
+            out[mask] = alpha[mask] @ inverse(beta[mask])
+    return out
 
 
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
-    world = SimWorld(config, run_index)
-    model = config.model
-    horizon, m = config.horizon, model.m
-    local = np.empty((horizon, m, model.l, model.n))
-    comm = np.empty((horizon, m, model.l, model.n))
-    pooled = np.empty((horizon, model.l, model.n))
-    fired = np.zeros(horizon, dtype=bool)
-    pre_count = np.zeros(horizon, dtype=np.int64)
+    """One run, batched over agents and over the steps between cuts.
 
-    for t in range(1, horizon + 1):
-        fired[t - 1] = world.step()
-        for i, agent in enumerate(world.agents):
-            local[t - 1, i] = agent.theta_local
-            comm[t - 1, i] = agent.theta_comm
-        pooled[t - 1] = world.global_estimate()
-        pre_count[t - 1] = world.pre_invertible_count()
-
+    The horizon is cut every ``BLOCK`` steps and after every communication
+    time. Within a piece the running sums are cumulative sums seeded with the
+    carried sums, the local and pooled estimates follow ``AgentState``'s
+    invertibility rule, and each piece is reduced to its error columns at once.
+    """
+    model, schedule = config.model, config.schedule
+    horizon, m, l, n = config.horizon, model.m, model.l, model.n
     theta = model.theta
-    return ErrorTrace(
+    stream = SeededStream(config.seed)
+    comm_times = schedule.comm_times(horizon)
+    trace = ErrorTrace(
         t=np.arange(1, horizon + 1),
-        local_err=spectral_norms(local - theta).mean(axis=1),
-        comm_err=spectral_norms(comm - theta).mean(axis=1),
-        global_err=spectral_norms(pooled - theta),
-        comm_fired=fired,
-        pre_invertible_count=pre_count,
+        local_err=np.empty(horizon),
+        comm_err=np.empty(horizon),
+        global_err=np.empty(horizon),
+        comm_fired=np.zeros(horizon, dtype=bool),
+        pre_invertible_count=np.empty(horizon, dtype=np.int64),
     )
+    trace.comm_fired[np.asarray(comm_times, dtype=np.int64) - 1] = True
+
+    # carried state: running sums after the last step, their invertibility,
+    # and the communicated error (zero estimates before the first phase)
+    alpha, beta = np.zeros((m, l, n)), np.zeros((m, n, n))
+    invertible, pooled_invertible = np.zeros(m, dtype=bool), np.zeros(1, dtype=bool)
+    comm_err = spectral_norms(np.zeros((m, l, n)) - theta).mean()
+
+    start = 0
+    for end in sorted(set(comm_times).union(range(BLOCK, horizon, BLOCK), [horizon])):
+        if start % BLOCK == 0:
+            inc_alpha, inc_beta = _block_increments(
+                config, stream, run_index, start + 1, min(BLOCK, horizon - start))
+        rows = slice(start % BLOCK, start % BLOCK + end - start)
+        a, b = inc_alpha[rows], inc_beta[rows]
+        # same addition order as ``alpha += outer(y, x)`` step by step
+        a[0] += alpha
+        b[0] += beta
+        np.cumsum(a, axis=0, out=a)
+        np.cumsum(b, axis=0, out=b)
+        flags = _sticky_full_rank(b, invertible)
+        local = _estimates(a, b, flags)
+        pooled_a, pooled_b = a.sum(axis=1, keepdims=True), b.sum(axis=1, keepdims=True)
+        pooled_flags = _sticky_full_rank(pooled_b, pooled_invertible)
+        pooled = _estimates(pooled_a, pooled_b, pooled_flags)
+        alpha, beta = a[-1], b[-1]
+        invertible, pooled_invertible = flags[-1], pooled_flags[-1]
+        piece = slice(start, end)
+        trace.comm_err[piece] = comm_err
+
+        if trace.comm_fired[end - 1]:
+            phase = run_comm_phase(config.weights, alpha, beta, schedule.T)
+            comm_err = spectral_norms(
+                phase.alphas @ np.linalg.pinv(phase.betas) - theta).mean()
+            trace.comm_err[end - 1] = comm_err
+            if config.writeback_mixed:
+                # W is doubly stochastic, so mixing keeps the pooled sums and
+                # only the agents' rows change
+                alpha, beta = phase.alphas, phase.betas
+                invertible = full_rank(beta)
+                flags[-1] = invertible
+                local[-1] = _estimates(alpha, beta, invertible)
+
+        trace.local_err[piece] = spectral_norms(local - theta).mean(axis=1)
+        trace.global_err[piece] = spectral_norms(pooled[:, 0] - theta)
+        trace.pre_invertible_count[piece] = m - flags.sum(axis=1)
+        start = end
+    return trace
 
 
 def run(config: SimConfig, parallel: int = 1) -> tuple[list[ErrorTrace], ErrorTrace]:

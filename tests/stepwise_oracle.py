@@ -1,0 +1,104 @@
+"""Stepwise reference simulator: one ``AgentState`` per agent, one sample at a time.
+
+This is the literal reading of the two-time-scale loop and the oracle the
+batched engine in ``netrls.simnet`` is checked against. Every data step each
+agent ingests one pair through ``AgentState.ingest``; at communication times
+a phase of ``T`` rounds mixes the statistics and refreshes the
+post-communication estimate, which otherwise carries over unchanged. The
+pooled estimate is ``sum(alpha) @ pinv(sum(beta))`` at every step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import netrls as nr
+from netrls.local_estimator import AgentState, full_rank, init_agent
+
+
+class SimWorld:
+    """Mutable state of a single run, advanced one data step at a time."""
+
+    def __init__(self, config: nr.SimConfig, run_index: int = 0):
+        self.config = config
+        self.run_index = run_index
+        self.t = 0
+        model = config.model
+        self.agents: list[AgentState] = [init_agent(model.n, model.l) for _ in range(model.m)]
+        stream = nr.SeededStream(config.seed)
+        # whole-horizon draws per agent; identical to stepwise sampling
+        self._draws = [
+            nr.sample_block(model, stream, run_index, i, 1, config.horizon)
+            for i in range(model.m)
+        ]
+
+    def step(self) -> bool:
+        """Advance one data step; returns True when a communication phase ran."""
+        t = self.t + 1
+        if t > self.config.horizon:
+            raise RuntimeError("stepped past the configured horizon")
+        for i, agent in enumerate(self.agents):
+            x, y = self._draws[i]
+            agent.ingest(x[t - 1], y[t - 1])
+
+        fired = self.config.schedule.fires_at(t)
+        if fired:
+            result = nr.run_comm_phase(
+                self.config.weights,
+                np.stack([a.alpha for a in self.agents]),
+                np.stack([a.beta for a in self.agents]),
+                self.config.schedule.T,
+            )
+            for i, agent in enumerate(self.agents):
+                agent.theta_comm = nr.comm_estimate(result, i)
+                if self.config.writeback_mixed:
+                    agent.replace_statistics(result.alphas[i], result.betas[i])
+        self.t = t
+        return fired
+
+    def pooled_statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        alpha = np.sum([a.alpha for a in self.agents], axis=0)
+        beta = np.sum([a.beta for a in self.agents], axis=0)
+        return alpha, beta
+
+    @property
+    def pooled_invertible(self) -> bool:
+        return bool(full_rank(self.pooled_statistics()[1]))
+
+    def global_estimate(self) -> np.ndarray:
+        """Pooled least-squares estimate over all agents' statistics."""
+        alpha, beta = self.pooled_statistics()
+        return alpha @ np.linalg.pinv(beta)
+
+    def pre_invertible_count(self) -> int:
+        return sum(1 for a in self.agents if a.pre_invertible)
+
+
+def simulate_run(config: nr.SimConfig, run_index: int) -> nr.ErrorTrace:
+    """Error trace of one run, stepped one sample at a time."""
+    world = SimWorld(config, run_index)
+    model = config.model
+    horizon, m = config.horizon, model.m
+    local = np.empty((horizon, m, model.l, model.n))
+    comm = np.empty((horizon, m, model.l, model.n))
+    pooled = np.empty((horizon, model.l, model.n))
+    fired = np.zeros(horizon, dtype=bool)
+    pre_count = np.zeros(horizon, dtype=np.int64)
+
+    for t in range(1, horizon + 1):
+        fired[t - 1] = world.step()
+        for i, agent in enumerate(world.agents):
+            local[t - 1, i] = agent.theta_local
+            comm[t - 1, i] = agent.theta_comm
+        pooled[t - 1] = world.global_estimate()
+        pre_count[t - 1] = world.pre_invertible_count()
+
+    theta = model.theta
+    return nr.ErrorTrace(
+        t=np.arange(1, horizon + 1),
+        local_err=nr.spectral_norms(local - theta).mean(axis=1),
+        comm_err=nr.spectral_norms(comm - theta).mean(axis=1),
+        global_err=nr.spectral_norms(pooled - theta),
+        comm_fired=fired,
+        pre_invertible_count=pre_count,
+    )

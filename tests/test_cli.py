@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,53 @@ def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment)
     assert path_fragment in capsys.readouterr().err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _set_mean(data: dict, mean: dict) -> None:
+    data["model"]["mean_schedule"] = mean
+
+
+NON_FINITE_FIELDS = [
+    ("model.theta", lambda d: d["model"].update(theta=[[1.6, INF], [0.8, 0.3]])),
+    ("model.sigma_x", lambda d: d["model"].update(sigma_x=INF)),
+    ("model.sigma_eta", lambda d: d["model"].update(sigma_eta=NAN)),
+    ("model.mean_schedule.vectors", lambda d: _set_mean(
+        d, {"kind": "constant", "vectors": [[NAN, 0.0]] + [[0.0, 0.0]] * 5})),
+    ("model.mean_schedule.amplitudes", lambda d: _set_mean(
+        d, {"kind": "sinusoid", "amplitudes": [[-INF, 0.0]] + [[0.0, 0.0]] * 5,
+            "periods": [10.0] * 6})),
+    ("model.mean_schedule.periods", lambda d: _set_mean(
+        d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
+            "periods": [10.0] * 5 + [INF]})),
+    ("network.weights", lambda d: d["network"]["weights"][2].__setitem__(2, NAN)),
+    ("network.self_weight", lambda d: d.update(
+        network={"topology": "ring", "self_weight": NAN})),
+    ("bounds.delta", lambda d: d["bounds"].update(delta=NAN)),
+    ("bounds.delta_hat", lambda d: d["bounds"].update(delta_hat=NAN)),
+    ("bounds.sigma_x_lower", lambda d: d["bounds"].update(sigma_x_lower=NAN)),
+    ("bounds.sigma_x_upper", lambda d: d["bounds"].update(sigma_x_upper=INF)),
+    ("bounds.sigma_eta_upper", lambda d: d["bounds"].update(sigma_eta_upper=INF)),
+    ("bounds.mu_hat_upper", lambda d: d["bounds"].update(mu_hat_upper=NAN)),
+    ("bounds.theta_norm_upper", lambda d: d["bounds"].update(theta_norm_upper=INF)),
+    ("plan.epsilon", lambda d: d["plan"].update(epsilon=INF)),
+    ("plan.epsilon_N", lambda d: d["plan"].update(epsilon_N=NAN)),
+]
+
+
+@pytest.mark.parametrize(
+    "field, mutate", [pytest.param(f, mutate, id=f) for f, mutate in NON_FINITE_FIELDS]
+)
+def test_non_finite_field_exits_2_naming_it(tmp_path, capsys, field, mutate):
+    data = paper_config_dict()
+    mutate(data)
+    cfg = write_config(tmp_path, data)
+    assert main(["bounds", cfg, "--at", "200"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err
+    assert "finite" in err
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -160,6 +208,25 @@ def test_parallel_runs_do_not_change_output(tmp_path):
     assert main(["simulate", cfg, "-o", str(out1)]) == 0
     assert main(["simulate", cfg, "-o", str(out2), "--parallel-runs", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, command):
+    data = small_config_dict() if command == "simulate" else paper_config_dict()
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, cfg, "-o", str(out)]) == 0
+    before = out.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    data["run"]["seed"] += 1
+    write_config(tmp_path, data)
+    monkeypatch.setattr(os, "replace", fail)
+    assert main([command, cfg, "-o", str(out)]) == 3
+    assert out.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
 def test_seed_env_override_changes_trace(tmp_path, monkeypatch):

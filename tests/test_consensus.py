@@ -59,6 +59,11 @@ def test_validation_clauses_are_distinct():
         nr.validate_weights([[1.5, -0.5], [-0.5, 1.5]])
     assert e.value.clause == "nonnegative"
 
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(nr.WeightMatrixError) as e:
+            nr.validate_weights([[0.5, 0.5], [0.5, bad]])
+        assert e.value.clause == "finite"
+
     with pytest.raises(nr.WeightMatrixError) as e:
         nr.validate_weights([[0.5, 0.4], [0.4, 0.5]])
     assert e.value.clause == "row_stochastic"
@@ -92,13 +97,15 @@ def test_phase_equals_explicit_matrix_power():
     alphas = rng.normal(size=(7, 2, 3))
     betas = rng.normal(size=(7, 3, 3))
     for steps in (1, 5, 17, 64):
-        res = nr.run_comm_phase(wm, alphas, betas, steps)
         wp = np.linalg.matrix_power(wm.w, steps)
         exp_a = np.tensordot(wp, alphas, axes=(1, 0))
         exp_b = np.tensordot(wp, betas, axes=(1, 0))
         scale = np.linalg.norm(exp_a)
-        assert np.linalg.norm(res.alphas - exp_a) <= 1e-10 * scale
-        assert np.linalg.norm(res.betas - exp_b) <= 1e-10 * np.linalg.norm(exp_b)
+        # one W**steps product, and the round-by-round loop run for on_step
+        for on_step in (None, lambda k, a, b: None):
+            res = nr.run_comm_phase(wm, alphas, betas, steps, on_step=on_step)
+            assert np.linalg.norm(res.alphas - exp_a) <= 1e-10 * scale
+            assert np.linalg.norm(res.betas - exp_b) <= 1e-10 * np.linalg.norm(exp_b)
 
 
 def test_phase_preserves_network_average():

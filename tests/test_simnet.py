@@ -8,6 +8,7 @@ import pytest
 import netrls as nr
 
 from conftest import reference_model
+from stepwise_oracle import SimWorld
 
 
 def _small_config(**kw) -> nr.SimConfig:
@@ -33,7 +34,7 @@ def test_single_agent_comm_equals_local():
         runs=1,
         seed=2,
     )
-    world = nr.SimWorld(config)
+    world = SimWorld(config)
     for t in range(1, 31):
         fired = world.step()
         assert fired == (t % 5 == 0)
@@ -49,7 +50,7 @@ def test_complete_averaging_matches_pooled_estimator():
         weights=nr.complete_weights(6),
         schedule=nr.Schedule(zeta=10, T=1, S=100),
     )
-    world = nr.SimWorld(config)
+    world = SimWorld(config)
     for t in range(1, 101):
         if world.step():
             pooled = world.global_estimate()
@@ -60,7 +61,7 @@ def test_complete_averaging_matches_pooled_estimator():
 
 def test_comm_estimate_carries_over_bit_identical():
     config = _small_config(schedule=nr.Schedule(zeta=20, T=38, S=100))
-    world = nr.SimWorld(config)
+    world = SimWorld(config)
     for _ in range(20):
         world.step()
     frozen = [a.theta_comm.copy() for a in world.agents]
@@ -77,7 +78,7 @@ def test_comm_estimate_carries_over_bit_identical():
 
 def test_ring_phase_brings_agents_into_agreement():
     config = _small_config(horizon=200, schedule=nr.Schedule(zeta=200, T=38, S=200), runs=1)
-    world = nr.SimWorld(config)
+    world = SimWorld(config)
     for _ in range(200):
         world.step()
     comms = np.stack([a.theta_comm for a in world.agents])
@@ -96,7 +97,7 @@ def test_noiseless_global_estimate_recovers_truth():
         runs=1,
         seed=5,
     )
-    world = nr.SimWorld(config)
+    world = SimWorld(config)
     for _ in range(10):
         world.step()
     assert np.linalg.norm(world.global_estimate() - model.theta, 2) <= 1e-10
@@ -105,7 +106,7 @@ def test_noiseless_global_estimate_recovers_truth():
 
 def test_global_estimate_matches_batch_over_union():
     config = _small_config(runs=1, horizon=500, schedule=nr.Schedule(zeta=20, T=5, S=0))
-    world = nr.SimWorld(config, run_index=0)
+    world = SimWorld(config, run_index=0)
     for _ in range(500):
         world.step()
 
@@ -124,7 +125,7 @@ def test_global_estimate_matches_batch_over_union():
 
 def test_error_decomposition_triangle():
     config = _small_config(runs=1, horizon=40, schedule=nr.Schedule(zeta=20, T=38, S=40))
-    world = nr.SimWorld(config)
+    world = SimWorld(config)
     for _ in range(40):
         world.step()
     pooled = world.global_estimate()
@@ -140,7 +141,7 @@ def test_longer_phase_tightens_agreement():
     def max_mixing_gap(steps: int) -> float:
         config = _small_config(runs=1, horizon=20,
                                schedule=nr.Schedule(zeta=20, T=steps, S=20))
-        world = nr.SimWorld(config)
+        world = SimWorld(config)
         for _ in range(20):
             world.step()
         pooled = world.global_estimate()
@@ -193,8 +194,8 @@ def test_trace_flags_and_shapes():
 def test_writeback_mixed_replaces_accumulators():
     schedule = nr.Schedule(zeta=10, T=1, S=100)
     weights = nr.complete_weights(6)
-    plain = nr.SimWorld(_small_config(runs=1, weights=weights, schedule=schedule))
-    mixed = nr.SimWorld(_small_config(runs=1, weights=weights, schedule=schedule,
+    plain = SimWorld(_small_config(runs=1, weights=weights, schedule=schedule))
+    mixed = SimWorld(_small_config(runs=1, weights=weights, schedule=schedule,
                                       writeback_mixed=True))
     for _ in range(10):
         plain.step()
