@@ -7,12 +7,18 @@ the post-communication estimate, together with their burn-in times. All
 logarithms are natural. Inputs are the *assumed* parameter bounds: lower
 bound on ``sigma_x`` in denominators, upper bounds everywhere else, so the
 reports stay valid when only bounds on the true scalars are known.
+
+The time ``t`` of ``local_bound``, ``global_bound`` and ``comm_bound`` may be
+a scalar or a numpy array of times; each element of an array result equals
+the scalar evaluation at that time, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "BoundInputs",
@@ -106,7 +112,8 @@ class BoundReport:
     """One evaluated bound plus the constants and burn-ins behind it.
 
     ``value = network_term + noise_term``; the network term is zero for the
-    local and global regimes.
+    local and global regimes. The three terms are arrays when the bound was
+    evaluated on an array of times.
     """
 
     t1: float
@@ -116,11 +123,11 @@ class BoundReport:
     c1: float
     c2: float
     c3: float
-    value: float
+    value: float | np.ndarray
     regime: str
     valid_from: int
-    network_term: float
-    noise_term: float
+    network_term: float | np.ndarray
+    noise_term: float | np.ndarray
 
 
 def _delta_of(inputs: BoundInputs, which: str) -> float:
@@ -185,14 +192,22 @@ def _c3(inputs: BoundInputs) -> float:
             + 64.0 * m32 * root * inputs.mu_hat_upper**2 / inputs.sigma_x_lower**4)
 
 
-def _C0(inputs: BoundInputs, t: float, steps: int) -> float:
+def _C0(inputs: BoundInputs, t, steps: int):
     """Amplitude of the network-convergence error before the rho**T decay."""
-    g = _c1(inputs) + _c2(inputs, inputs.delta_hat) / math.sqrt(t)
+    g = _c1(inputs) + _c2(inputs, inputs.delta_hat) / np.sqrt(t)
     m32_rl = inputs.m**1.5 * math.sqrt(inputs.l)
     c3 = _c3(inputs)
     return (c3 * g
             + 8.0 * m32_rl * g / inputs.sigma_x_lower**2
             + inputs.rho**steps * m32_rl * c3 * g)
+
+
+def _check_burn_in(t, threshold: float, regime: str) -> int:
+    """First valid time of a bound; raises if any of ``t`` is below ``threshold``."""
+    valid_from = max(1, math.ceil(threshold))
+    if np.any(t < threshold):
+        raise BurnInError(f"t = {np.min(t)} below {regime} burn-in {threshold:.6g}", valid_from)
+    return valid_from
 
 
 def _constants(inputs: BoundInputs) -> dict:
@@ -204,7 +219,7 @@ def _constants(inputs: BoundInputs) -> dict:
     )
 
 
-def local_bound(inputs: BoundInputs, t: float, mu_bar_lambda_min: float = 1.0) -> BoundReport:
+def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for one agent's purely local estimate after ``t`` samples.
 
     Decays like ``1/sqrt(t)``; ``mu_bar_lambda_min`` is the smallest
@@ -213,36 +228,31 @@ def local_bound(inputs: BoundInputs, t: float, mu_bar_lambda_min: float = 1.0) -
     if mu_bar_lambda_min < 1.0:
         raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     bi = burn_in(inputs, "delta")
-    valid_from = max(1, math.ceil(bi.threshold))
-    if t < bi.threshold:
-        raise BurnInError(f"t = {t} below local burn-in {bi.threshold:.6g}", valid_from)
+    valid_from = _check_burn_in(t, bi.threshold, "local")
     value = _C1(inputs, inputs.delta) / (
-        math.sqrt(t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
+        np.sqrt(t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
     )
     return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, **_constants(inputs),
                        value=value, regime="local", valid_from=valid_from,
                        network_term=0.0, noise_term=value)
 
 
-def global_bound(inputs: BoundInputs, t: float, mu_bar_lambda_min: float = 1.0) -> BoundReport:
+def global_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for the pooled all-agent estimate; local bound with
     ``t`` replaced by ``m * t`` and burn-in divided by ``m``."""
     if mu_bar_lambda_min < 1.0:
         raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     bi = burn_in(inputs, "delta")
-    threshold = bi.threshold / inputs.m
-    valid_from = max(1, math.ceil(threshold))
-    if t < threshold:
-        raise BurnInError(f"t = {t} below global burn-in {threshold:.6g}", valid_from)
+    valid_from = _check_burn_in(t, bi.threshold / inputs.m, "global")
     value = _C1(inputs, inputs.delta) / (
-        math.sqrt(inputs.m * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
+        np.sqrt(inputs.m * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
     )
     return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, **_constants(inputs),
                        value=value, regime="global", valid_from=valid_from,
                        network_term=0.0, noise_term=value)
 
 
-def comm_bound(inputs: BoundInputs, t: float, steps: int,
+def comm_bound(inputs: BoundInputs, t, steps: int,
                mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for the post-communication estimate after ``steps``
     consensus rounds.
@@ -257,12 +267,10 @@ def comm_bound(inputs: BoundInputs, t: float, steps: int,
     if mu_bar_lambda_min < 1.0:
         raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     bi = burn_in(inputs, "delta_hat")
-    valid_from = max(1, math.ceil(bi.threshold))
-    if t < bi.threshold:
-        raise BurnInError(f"t = {t} below communicated burn-in {bi.threshold:.6g}", valid_from)
+    valid_from = _check_burn_in(t, bi.threshold, "communicated")
     network = inputs.rho**steps * _C0(inputs, t, steps)
     noise = _C1(inputs, inputs.delta) / (
-        math.sqrt(inputs.m * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
+        np.sqrt(inputs.m * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
     )
     return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, **_constants(inputs),
                        value=network + noise, regime="communicated", valid_from=valid_from,

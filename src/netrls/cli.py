@@ -15,13 +15,14 @@ The environment variable ``NETRLS_SEED`` overrides the configured seed.
 from __future__ import annotations
 
 import argparse
-import math
+import itertools
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
-from .bounds import BoundInputs, BurnInError, burn_in, comm_bound, global_bound, local_bound
+from .bounds import BoundInputs, BurnInError, comm_bound, global_bound, local_bound
 from .config import (
     ConfigError,
     ResolvedConfig,
@@ -72,13 +73,13 @@ def _json_text(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a temporary file beside ``path``, then rename it into
-    place, so ``path`` never holds a partly written file."""
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Stream ``chunks`` into a temporary file beside ``path``, then rename it
+    into place, so ``path`` never holds a partly written file."""
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,33 +124,43 @@ def _trace_meta(cfg: ResolvedConfig, schedule: Schedule, planned: PlanResult | N
     return meta
 
 
+def _past_burn_in(bound, ts: np.ndarray):
+    """``(keep, report)``: ``bound`` evaluated in one call on the times of
+    ``ts`` at or past its burn-in, and the mask of those times."""
+    try:
+        return np.ones(ts.shape, dtype=bool), bound(ts)
+    except BurnInError as e:
+        keep = ts >= e.valid_from
+        return keep, bound(ts[keep])
+
+
+def _bound_cells(bound, ts: np.ndarray):
+    """Formatted values of ``bound`` at ``ts``, empty below its burn-in."""
+    keep, report = _past_burn_in(bound, ts)
+    values = iter(report.value)
+    return (_f12(next(values)) if k else "" for k in keep)
+
+
 def write_trace(path: str, trace: ErrorTrace, meta: dict,
                 bound_inputs: BoundInputs, schedule: Schedule) -> None:
     """Write the averaged trace as CSV with a ``# key=value`` header block.
 
     Bound columns are evaluated in the conservative mode (mean second
-    moments replaced by zero) and left empty below their burn-in.
+    moments replaced by zero) and left empty below their burn-in. Rows are
+    formatted as they are written, so no copy of the file is held.
     """
-    lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
-    lines.append("t,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
-                 "comm_fired,pre_invertible_count")
-    local_from = max(1, math.ceil(burn_in(bound_inputs, "delta").threshold))
-    comm_from = max(1, math.ceil(burn_in(bound_inputs, "delta_hat").threshold))
-    for idx, t in enumerate(trace.t):
-        t = int(t)
-        lb = _f12(local_bound(bound_inputs, t).value) if t >= local_from else ""
-        cb = _f12(comm_bound(bound_inputs, t, schedule.T).value) if t >= comm_from else ""
-        lines.append(",".join([
-            str(t),
-            _f12(trace.local_err[idx]),
-            _f12(trace.comm_err[idx]),
-            _f12(trace.global_err[idx]),
-            lb,
-            cb,
-            str(int(trace.comm_fired[idx])),
-            _f12(trace.pre_invertible_count[idx]),
-        ]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    header = [f"# {k}={meta[k]}\n" for k in sorted(meta)]
+    header.append("t,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
+                  "comm_fired,pre_invertible_count\n")
+    local = _bound_cells(lambda ts: local_bound(bound_inputs, ts), trace.t)
+    comm = _bound_cells(lambda ts: comm_bound(bound_inputs, ts, schedule.T), trace.t)
+    rows = (
+        f"{int(t)},{_f12(le)},{_f12(ce)},{_f12(ge)},{lb},{cb},{int(fired)},{_f12(pre)}\n"
+        for t, le, ce, ge, lb, cb, fired, pre in zip(
+            trace.t, trace.local_err, trace.comm_err, trace.global_err, local, comm,
+            trace.comm_fired, trace.pre_invertible_count)
+    )
+    _write_atomic(path, itertools.chain(header, rows))
 
 
 def _resolve_schedule(cfg: ResolvedConfig) -> tuple[Schedule, PlanResult | None]:
@@ -180,7 +191,7 @@ def cmd_plan(config_path: str, out_path: str) -> int:
         "c3": result.c3,
         "config": config_to_dict(cfg),
     }
-    _write_atomic(out_path, _json_text(payload) + "\n")
+    _write_atomic(out_path, [_json_text(payload), "\n"])
     print(f"consensus steps per phase: T = {result.T}")
     print(f"stopping time: S = {result.S} (first communication at t = {result.t_first})")
     print(f"mixing rate rho = {_f12(result.rho)}, period zeta = {result.zeta}")
@@ -212,35 +223,42 @@ def cmd_bounds(config_path: str, at: str) -> int:
     cfg = load_config(config_path)
     try:
         ts = [int(part) for part in at.split(",") if part.strip()]
-    except ValueError:
+        times = np.array(ts, dtype=float)
+    except (ValueError, OverflowError):
         raise ConfigError("--at", f"expected comma-separated integers, got {at!r}") from None
     if not ts:
         raise ConfigError("--at", "needs at least one time step")
     schedule, _ = _resolve_schedule(cfg)
     bi = cfg.bound_inputs
 
+    local_keep, local = _past_burn_in(lambda t: local_bound(bi, t), times)
+    global_keep, glob = _past_burn_in(lambda t: global_bound(bi, t), times)
+    comm_keep, comm = _past_burn_in(lambda t: comm_bound(bi, t, schedule.T), times)
+    local_values, global_values = iter(local.value), iter(glob.value)
+    comm_values = zip(comm.value, comm.network_term, comm.noise_term)
+
     header = (f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "
               f"{'network':>12}  {'noise':>12}  note")
     print(header)
-    for t in ts:
+    for i, t in enumerate(ts):
         cells = []
         notes = []
-        try:
-            cells.append(_f12(local_bound(bi, t).value).rjust(12))
-        except BurnInError:
+        if local_keep[i]:
+            cells.append(_f12(next(local_values)).rjust(12))
+        else:
             cells.append("-".rjust(12))
             notes.append("local")
-        try:
-            cells.append(_f12(global_bound(bi, t).value).rjust(12))
-        except BurnInError:
+        if global_keep[i]:
+            cells.append(_f12(next(global_values)).rjust(12))
+        else:
             cells.append("-".rjust(12))
             notes.append("global")
-        try:
-            rep = comm_bound(bi, t, schedule.T)
-            cells.append(_f12(rep.value).rjust(14))
-            cells.append(_f12(rep.network_term).rjust(12))
-            cells.append(_f12(rep.noise_term).rjust(12))
-        except BurnInError:
+        if comm_keep[i]:
+            value, network, noise = next(comm_values)
+            cells.append(_f12(value).rjust(14))
+            cells.append(_f12(network).rjust(12))
+            cells.append(_f12(noise).rjust(12))
+        else:
             cells.extend(["-".rjust(14), "-".rjust(12), "-".rjust(12)])
             notes.append("communicated")
         note = f"below burn-in: {', '.join(notes)}" if notes else ""

@@ -88,41 +88,56 @@ def _first_multiple_at_or_after(value: float, step: int) -> int:
     return max(1, math.ceil(value / step)) * step
 
 
-def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float,
-           max_steps: int = 100_000) -> tuple[int, int]:
+def _first_true(pred, last: float = math.inf) -> int | None:
+    """Smallest ``k`` in ``0..last`` with ``pred(k)``, for a ``pred`` that is
+    false up to some ``k`` and true from there on; None when there is none.
+    Brackets by doubling, then bisects, so it returns what a scan from 0
+    would return."""
+    if last < 0:
+        return None
+    lo, hi = -1, 0  # pred is false at lo, or lo is below the range
+    while not pred(hi):
+        if hi == last:
+            return None
+        lo, hi = hi, min(2 * hi + 1, last)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float) -> tuple[int, int]:
     """Smallest consensus depth keeping the network error below ``epsilon_N``.
 
     Evaluated at ``t_first``, the earliest communication time past the
     ``delta_hat`` burn-in; the network term decreases in ``t``, so meeting
     the tolerance there meets it at every later communication time.
-    Returns ``(T, t_first)``.
+    The network term also decreases in ``T`` and reaches 0.0 once
+    ``rho**T`` underflows, so the search always ends. Returns
+    ``(T, t_first)``.
     """
     if zeta < 1:
         raise ValueError("zeta must be >= 1")
     if epsilon_N <= 0:
         raise ValueError("epsilon_N must be positive")
     t_first = _first_multiple_at_or_after(burn_in(inputs, "delta_hat").threshold, zeta)
-    steps = 1
-    while comm_bound(inputs, t_first, steps).network_term > epsilon_N:
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(
-                f"no T <= {max_steps} meets epsilon_N = {epsilon_N} (rho = {inputs.rho})"
-            )
-    return steps, t_first
+    k = _first_true(lambda k: comm_bound(inputs, t_first, 1 + k).network_term <= epsilon_N)
+    return 1 + k, t_first
 
 
 def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
-           max_t: int = 10**6, local_lambda_min: float = 1.0,
-           pooled_lambda_min: float = 1.0) -> int:
+           max_t: int = 10**6) -> int:
     """Earliest communication time at which the running error guarantee
     drops strictly below ``epsilon``.
 
     The guarantee at time ``t`` is ``min(local, communicated)`` evaluated
-    past both burn-ins; both bounds decrease in ``t``, so the first hit is
-    minimal. Raises :class:`StoppingTimeNotReachable` when no ``t <= max_t``
-    qualifies (``epsilon`` below the bounds' asymptote for any practical
-    horizon).
+    past both burn-ins; both bounds decrease in ``t``, so the search over
+    communication times bisects to the first hit. Raises
+    :class:`StoppingTimeNotReachable` when no ``t <= max_t`` qualifies
+    (``epsilon`` below the bounds' asymptote for any practical horizon).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -130,19 +145,18 @@ def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
         max(burn_in(inputs, "delta").threshold, burn_in(inputs, "delta_hat").threshold),
         zeta,
     )
-    t = start
-    while t <= max_t:
-        guarantee = min(
-            local_bound(inputs, t, local_lambda_min).value,
-            comm_bound(inputs, t, T, pooled_lambda_min).value,
+
+    def reached(k: int) -> bool:
+        t = start + k * zeta
+        return min(local_bound(inputs, t).value, comm_bound(inputs, t, T).value) < epsilon
+
+    k = _first_true(reached, last=(max_t - start) // zeta)
+    if k is None:
+        raise StoppingTimeNotReachable(
+            f"error guarantee never drops below {epsilon} for t <= {max_t}",
+            epsilon=epsilon, max_t=max_t,
         )
-        if guarantee < epsilon:
-            return t
-        t += zeta
-    raise StoppingTimeNotReachable(
-        f"error guarantee never drops below {epsilon} for t <= {max_t}",
-        epsilon=epsilon, max_t=max_t,
-    )
+    return start + k * zeta
 
 
 def plan(inputs: BoundInputs, zeta: int, epsilon: float, epsilon_N: float,

@@ -257,3 +257,56 @@ def test_inputs_validation_and_from_model(paper_model, ring6):
     widened = nr.BoundInputs.from_model(paper_model, ring6, sigma_x_upper=4.0, delta=0.1)
     assert widened.sigma_x_upper == 4.0
     assert widened.delta == 0.1
+
+
+def _sinusoid_inputs() -> nr.BoundInputs:
+    """Reference model with oscillating means, so the burn-in term t2 is nonzero."""
+    model = nr.ModelSpec(
+        theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6,
+        mean=nr.SinusoidMean(amplitudes=[[0.5, 0.0], [0.0, 0.4]] * 3, periods=[50.0] * 6),
+    )
+    return nr.BoundInputs.from_model(model, nr.ring_weights(6), delta=0.05, delta_hat=0.001)
+
+
+@pytest.mark.parametrize("which", ["paper", "sinusoid"])
+def test_array_times_equal_scalar_calls_exactly(paper_inputs, which):
+    inputs = paper_inputs if which == "paper" else _sinusoid_inputs()
+    if which == "sinusoid":
+        assert inputs.mu_hat_upper > 0 and nr.burn_in(inputs, "delta").t2 > 0
+    cases = [
+        (lambda t: nr.local_bound(inputs, t), "delta", 1),
+        (lambda t: nr.global_bound(inputs, t), "delta", inputs.m),
+        (lambda t: nr.comm_bound(inputs, t, 1), "delta_hat", 1),
+        (lambda t: nr.comm_bound(inputs, t, 38), "delta_hat", 1),
+    ]
+    for bound, which_delta, divisor in cases:
+        first = max(1, math.ceil(nr.burn_in(inputs, which_delta).threshold / divisor))
+        ts = np.arange(first, first + 3000)
+        curve = bound(ts)
+        assert curve.valid_from == first
+        columns = [np.broadcast_to(getattr(curve, name), ts.shape)
+                   for name in ("value", "network_term", "noise_term")]
+        for i, t in enumerate(ts):
+            point = bound(int(t))
+            assert (columns[0][i], columns[1][i], columns[2][i]) == (
+                point.value, point.network_term, point.noise_term), t
+
+
+def test_array_with_one_time_below_burn_in_is_rejected(paper_inputs):
+    cases = [
+        (lambda t: nr.local_bound(paper_inputs, t), [400, 75, 1620], 76),
+        (lambda t: nr.global_bound(paper_inputs, t), [400, 12, 1620], 13),
+        (lambda t: nr.comm_bound(paper_inputs, t, 38), [1620, 137, 400], 138),
+    ]
+    for bound, ts, valid_from in cases:
+        with pytest.raises(nr.BurnInError) as e:
+            bound(np.array(ts))
+        assert e.value.valid_from == valid_from
+        assert f"t = {min(ts)} below" in str(e.value)
+        assert bound(np.array([t for t in ts if t >= valid_from])).valid_from == valid_from
+
+
+def test_empty_array_of_times_gives_empty_bounds(paper_inputs):
+    empty = np.array([], dtype=np.int64)
+    assert nr.local_bound(paper_inputs, empty).value.shape == (0,)
+    assert nr.comm_bound(paper_inputs, empty, 38).network_term.shape == (0,)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import netrls as nr
-from netrls.cli import main
+from netrls.cli import _f12, main
 from netrls.config import config_to_dict, load_config, resolve_config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -247,6 +247,45 @@ def test_simulate_with_plan_section_covers_stopping_time(tmp_path, capsys):
     assert "run.horizon" in capsys.readouterr().err
 
 
+def _trace_rows(path: Path) -> list[list[str]]:
+    """Data rows of a trace CSV, split into cells."""
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("horizon", [40, 60])
+def test_horizon_ending_before_burn_in_leaves_bound_columns_blank(tmp_path, horizon):
+    # local bound valid from t = 56; communicated bound from t = 130
+    data = small_config_dict()
+    data["bounds"]["delta_hat"] = 0.001
+    data["run"]["horizon"] = horizon
+    data["schedule"]["S"] = 40
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", cfg, "-o", str(out)]) == 0
+    rows = _trace_rows(out)
+    assert len(rows) == horizon
+    inputs = load_config(cfg).bound_inputs
+    for row in rows:
+        t = int(row[0])
+        assert row[4] == (_f12(nr.local_bound(inputs, t).value) if t >= 56 else "")
+        assert row[5] == ""
+
+
+def test_paper_trace_bound_columns_equal_scalar_calls(tmp_path):
+    cfg = load_config(str(CONFIGS_DIR / "paper.json"))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", str(CONFIGS_DIR / "paper.json"), "-o", str(out)]) == 0
+    rows = _trace_rows(out)
+    assert len(rows) == cfg.run.horizon
+    plan = nr.plan(cfg.bound_inputs, cfg.plan.zeta, cfg.plan.epsilon, cfg.plan.epsilon_N)
+    for row in rows:
+        t = int(row[0])
+        local = _f12(nr.local_bound(cfg.bound_inputs, t).value) if t >= 76 else ""
+        comm = _f12(nr.comm_bound(cfg.bound_inputs, t, plan.T).value) if t >= 138 else ""
+        assert row[4:6] == [local, comm], t
+
+
 def test_golden_trace_schema_stability(tmp_path):
     cfg = str(DATA_DIR / "golden_config.json")
     out = tmp_path / "golden.csv"
@@ -266,6 +305,24 @@ def test_bounds_command_table(tmp_path, capsys):
     row1620 = next(ln for ln in lines if ln.lstrip().startswith("1620"))
     assert "0.499799871624" in row1620
     assert "below burn-in" not in row1620
+
+    # unsorted, with duplicates and times below each burn-in: input order,
+    # one row per time, each cell equal to the scalar bound call
+    assert main(["bounds", cfg, "--at", "1620,5,100,5,1,13,12"]) == 0
+    rows = [ln.split() for ln in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [1620, 5, 100, 5, 1, 13, 12]
+    all_below = ["below", "burn-in:", "local,", "global,", "communicated"]
+    assert rows[1][6:] == rows[3][6:] == rows[4][6:] == rows[6][6:] == all_below
+    assert rows[2][6:] == ["below", "burn-in:", "communicated"]
+    assert rows[5][6:] == ["below", "burn-in:", "local,", "communicated"]
+    inputs = load_config(cfg).bound_inputs
+    comm = nr.comm_bound(inputs, 1620, 38)
+    assert rows[0][1:] == [_f12(nr.local_bound(inputs, 1620).value),
+                           _f12(nr.global_bound(inputs, 1620).value),
+                           _f12(comm.value), _f12(comm.network_term), _f12(comm.noise_term)]
+    assert rows[2][1:3] == [_f12(nr.local_bound(inputs, 100).value),
+                            _f12(nr.global_bound(inputs, 100).value)]
+    assert rows[5][2] == _f12(nr.global_bound(inputs, 13).value)
 
 
 def test_bounds_command_rejects_bad_at(tmp_path, capsys):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netrls as nr
 
@@ -107,3 +111,78 @@ def test_schedule_validation():
     never = nr.Schedule(zeta=5, T=2, S=0)
     assert never.comm_times(100) == []
     assert not never.fires_at(5)
+
+
+def test_slow_mixing_plans_past_one_hundred_thousand_steps(paper_inputs):
+    slow = replace(paper_inputs, rho=0.9999)
+    T, t_first = nr.plan_T(slow, zeta=20, epsilon_N=0.01)
+    assert T > 100_000
+    assert nr.comm_bound(slow, t_first, T).network_term <= 0.01
+    assert nr.comm_bound(slow, t_first, T - 1).network_term > 0.01
+
+
+# the linear scans the bisecting searches replaced, kept as their oracle
+def _scan_T(inputs, zeta, epsilon_N):
+    t_first = max(1, math.ceil(nr.burn_in(inputs, "delta_hat").threshold / zeta)) * zeta
+    steps = 1
+    while nr.comm_bound(inputs, t_first, steps).network_term > epsilon_N:
+        steps += 1
+    return steps, t_first
+
+
+def _scan_S(inputs, zeta, T, epsilon, max_t):
+    start = max(1, math.ceil(max(nr.burn_in(inputs, "delta").threshold,
+                                 nr.burn_in(inputs, "delta_hat").threshold) / zeta)) * zeta
+    for t in range(start, max_t + 1, zeta):
+        if min(nr.local_bound(inputs, t).value, nr.comm_bound(inputs, t, T).value) < epsilon:
+            return t
+    return None
+
+
+def _random_case(rng):
+    """Random bound inputs, period, tolerances relative to the bounds at the
+    first candidates (so both searches end anywhere from that candidate to
+    hundreds of steps on) and a horizon ``max_t`` around the stopping time."""
+    sx = float(rng.uniform(0.5, 4.0))
+    inputs = nr.BoundInputs(
+        n=int(rng.integers(1, 5)),
+        l=int(rng.integers(1, 4)),
+        m=int(rng.integers(1, 65)),
+        sigma_x_lower=sx,
+        sigma_x_upper=sx * float(rng.uniform(1.0, 1.5)),
+        sigma_eta_upper=0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 3.0)),
+        mu_hat_upper=0.0 if rng.random() < 0.4 else float(rng.uniform(0.01, 2.0)),
+        theta_norm_upper=float(rng.uniform(0.1, 5.0)),
+        delta=float(rng.uniform(0.01, 0.3)),
+        delta_hat=float(rng.uniform(0.0005, 0.05)),
+        rho=0.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 0.995)),
+    )
+    zeta = int(rng.integers(1, 61))
+    t_first = _scan_T(inputs, zeta, math.inf)[1]
+    epsilon_N = 10.0 ** rng.uniform(-6.0, 0.3) * nr.comm_bound(inputs, t_first, 1).network_term
+    T = _scan_T(inputs, zeta, epsilon_N)[0]
+    start = _scan_S(inputs, zeta, T, math.inf, 10**9)
+    epsilon = 10.0 ** rng.uniform(-1.3, 0.2) * min(nr.local_bound(inputs, start).value,
+                                                   nr.comm_bound(inputs, start, T).value)
+    max_t = start + int(rng.integers(-1, 301)) * zeta
+    return inputs, zeta, epsilon_N or 1.0, epsilon or 1.0, max_t
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_bisection_matches_linear_scan(seed):
+    inputs, zeta, epsilon_N, epsilon, max_t = _random_case(np.random.default_rng(seed))
+    T, t_first = nr.plan_T(inputs, zeta, epsilon_N)
+    assert (T, t_first) == _scan_T(inputs, zeta, epsilon_N)
+
+    S = _scan_S(inputs, zeta, T, epsilon, max_t)
+    if S is None:
+        with pytest.raises(nr.StoppingTimeNotReachable) as e:
+            nr.plan_S(inputs, zeta, T, epsilon, max_t=max_t)
+        assert e.value.max_t == max_t
+    else:
+        assert nr.plan_S(inputs, zeta, T, epsilon, max_t=max_t) == S
+        # a horizon ending at S still reaches it; one step shorter does not
+        assert nr.plan_S(inputs, zeta, T, epsilon, max_t=S) == S
+        with pytest.raises(nr.StoppingTimeNotReachable):
+            nr.plan_S(inputs, zeta, T, epsilon, max_t=S - 1)
