@@ -15,10 +15,8 @@ from .bounds import (
     local_bound,
 )
 from .consensus import (
-    CommPhaseResult,
     WeightMatrix,
     WeightMatrixError,
-    comm_estimate,
     complete_weights,
     mixing_deficit,
     ring_weights,
@@ -59,7 +57,6 @@ __all__ = [
     "BoundReport",
     "BurnIn",
     "BurnInError",
-    "CommPhaseResult",
     "ConstantMean",
     "DataPair",
     "ErrorTrace",
@@ -75,7 +72,6 @@ __all__ = [
     "ZeroMean",
     "burn_in",
     "comm_bound",
-    "comm_estimate",
     "complete_weights",
     "difference_transform",
     "differenced_model",

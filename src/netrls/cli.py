@@ -35,6 +35,10 @@ from .simnet import ErrorTrace, SimConfig, run
 
 __all__ = ["main"]
 
+# trace rows are formatted from Python lists of this many rows at a time;
+# lists of whole columns would add megabytes to long runs
+ROWS_PER_CHUNK = 256
+
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -138,7 +142,12 @@ def _bound_cells(bound, ts: np.ndarray):
     """Formatted values of ``bound`` at ``ts``, empty below its burn-in."""
     keep, report = _past_burn_in(bound, ts)
     values = iter(report.value)
-    return (_f12(next(values)) if k else "" for k in keep)
+    return (f"{next(values):.12g}" if k else "" for k in keep)
+
+
+def _aligned(values: np.ndarray, width: int):
+    """``values`` formatted to 12 significant digits, right-aligned to ``width``."""
+    return (f"{v:.12g}".rjust(width) for v in values.tolist())
 
 
 def write_trace(path: str, trace: ErrorTrace, meta: dict,
@@ -154,12 +163,15 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
                   "comm_fired,pre_invertible_count\n")
     local = _bound_cells(lambda ts: local_bound(bound_inputs, ts), trace.t)
     comm = _bound_cells(lambda ts: comm_bound(bound_inputs, ts, schedule.T), trace.t)
-    rows = (
-        f"{int(t)},{_f12(le)},{_f12(ce)},{_f12(ge)},{lb},{cb},{int(fired)},{_f12(pre)}\n"
-        for t, le, ce, ge, lb, cb, fired, pre in zip(
-            trace.t, trace.local_err, trace.comm_err, trace.global_err, local, comm,
-            trace.comm_fired, trace.pre_invertible_count)
-    )
+    columns = (trace.t, trace.local_err, trace.comm_err, trace.global_err,
+               trace.comm_fired, trace.pre_invertible_count)
+    chunks = ([c[start:start + ROWS_PER_CHUNK].tolist() for c in columns]
+              for start in range(0, len(trace.t), ROWS_PER_CHUNK))
+    # the bound cells run over all rows, so they come after a chunk's lists:
+    # zip stops at the end of the chunk without taking a cell from them
+    rows = ("".join(f"{t:d},{le:.12g},{ce:.12g},{ge:.12g},{lb},{cb},{fired:d},{pre:.12g}\n"
+                    for t, le, ce, ge, fired, pre, lb, cb in zip(*chunk, local, comm))
+            for chunk in chunks)
     _write_atomic(path, itertools.chain(header, rows))
 
 
@@ -202,6 +214,8 @@ def cmd_plan(config_path: str, out_path: str) -> int:
 
 
 def cmd_simulate(config_path: str, out_path: str, parallel: int) -> int:
+    if parallel < 1:
+        raise ConfigError("--parallel-runs", "must be >= 1")
     cfg = load_config(config_path)
     if cfg.run is None:
         raise ConfigError("run", "the simulate command needs a 'run' section")
@@ -234,35 +248,28 @@ def cmd_bounds(config_path: str, at: str) -> int:
     local_keep, local = _past_burn_in(lambda t: local_bound(bi, t), times)
     global_keep, glob = _past_burn_in(lambda t: global_bound(bi, t), times)
     comm_keep, comm = _past_burn_in(lambda t: comm_bound(bi, t, schedule.T), times)
-    local_values, global_values = iter(local.value), iter(glob.value)
-    comm_values = zip(comm.value, comm.network_term, comm.noise_term)
+    # per bound: its mask, its value columns, their cell widths, its note
+    columns = [
+        (local_keep.tolist(), [local.value], (12,), "local"),
+        (global_keep.tolist(), [glob.value], (12,), "global"),
+        (comm_keep.tolist(), [comm.value, comm.network_term, comm.noise_term], (14, 12, 12),
+         "communicated"),
+    ]
+    # per bound, its joined cells of each row past its burn-in, made as printed
+    cells = [map("  ".join, zip(*map(_aligned, values, widths)))
+             for _, values, widths, _ in columns]
 
-    header = (f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "
-              f"{'network':>12}  {'noise':>12}  note")
-    print(header)
+    print(f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "
+          f"{'network':>12}  {'noise':>12}  note")
     for i, t in enumerate(ts):
-        cells = []
-        notes = []
-        if local_keep[i]:
-            cells.append(_f12(next(local_values)).rjust(12))
-        else:
-            cells.append("-".rjust(12))
-            notes.append("local")
-        if global_keep[i]:
-            cells.append(_f12(next(global_values)).rjust(12))
-        else:
-            cells.append("-".rjust(12))
-            notes.append("global")
-        if comm_keep[i]:
-            value, network, noise = next(comm_values)
-            cells.append(_f12(value).rjust(14))
-            cells.append(_f12(network).rjust(12))
-            cells.append(_f12(noise).rjust(12))
-        else:
-            cells.extend(["-".rjust(14), "-".rjust(12), "-".rjust(12)])
-            notes.append("communicated")
-        note = f"below burn-in: {', '.join(notes)}" if notes else ""
-        print(f"{t:>8}  " + "  ".join(cells) + (f"  {note}" if note else ""))
+        parts, notes = [f"{t:>8}"], []
+        for (keep, _, widths, name), row_cells in zip(columns, cells):
+            if keep[i]:
+                parts.append(next(row_cells))
+            else:
+                parts.extend("-".rjust(w) for w in widths)
+                notes.append(name)
+        print("  ".join(parts) + (f"  below burn-in: {', '.join(notes)}" if notes else ""))
     return 0
 
 

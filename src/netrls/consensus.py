@@ -2,25 +2,23 @@
 
 The weight matrix must be entrywise nonnegative, row stochastic and
 symmetric (hence doubly stochastic), with second-largest eigenvalue
-magnitude ``rho < 1``; ``rho`` governs the geometric mixing speed. The
-communication phase applies ``steps`` synchronous rounds of neighbor
-averaging to every agent's ``alpha`` and ``beta``.
+magnitude ``rho < 1``; ``rho`` governs the geometric mixing speed. A
+communication phase of ``steps`` synchronous rounds of neighbor averaging is
+one multiplication of every agent's ``alpha`` and ``beta`` by ``W**steps``,
+and returns the mixed arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "WeightMatrix",
     "WeightMatrixError",
-    "CommPhaseResult",
     "validate_weights",
     "run_comm_phase",
-    "comm_estimate",
     "mixing_deficit",
     "ring_weights",
     "complete_weights",
@@ -53,12 +51,6 @@ class WeightMatrix:
     @property
     def m(self) -> int:
         return self.w.shape[0]
-
-    @property
-    def adjacency(self) -> frozenset[tuple[int, int]]:
-        """Implied edge set: off-diagonal positions with positive weight."""
-        idx = np.argwhere(self.w > 0)
-        return frozenset((int(i), int(j)) for i, j in idx if i != j)
 
 
 def validate_weights(w) -> WeightMatrix:
@@ -108,56 +100,23 @@ def validate_weights(w) -> WeightMatrix:
     return WeightMatrix(w=out, rho=rho)
 
 
-@dataclass(frozen=True)
-class CommPhaseResult:
-    """Mixed statistics after a communication phase of ``steps`` rounds."""
+def run_comm_phase(weights: WeightMatrix, alphas: np.ndarray, betas: np.ndarray,
+                   steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed ``(alphas, betas)`` after ``steps`` synchronous rounds of
+    weighted neighbor averaging.
 
-    alphas: np.ndarray  # (m, l, n)
-    betas: np.ndarray  # (m, n, n)
-    steps: int
-
-
-def run_comm_phase(
-    weights: WeightMatrix,
-    alphas,
-    betas,
-    steps: int,
-    on_step: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-) -> CommPhaseResult:
-    """Run ``steps`` synchronous rounds of weighted neighbor averaging.
-
-    Every round replaces agent ``i``'s matrices by ``sum_j w[i, j] *``
-    (agent ``j``'s matrices), all reads from the previous round's snapshot.
-    Without ``on_step`` the phase is one multiplication by ``W**steps``;
-    with it, the rounds run one by one and ``on_step(k, alphas, betas)``
-    observes the state after round ``k``.
+    A round replaces agent ``i``'s matrices by ``sum_j w[i, j] *`` (agent
+    ``j``'s matrices), all read from the previous round, so ``steps`` rounds
+    are one multiplication by ``W**steps`` along the agent axis.
     """
     if steps < 1:
         raise ValueError("a communication phase needs at least one step")
-    a = np.array(np.stack(list(alphas)) if not isinstance(alphas, np.ndarray) else alphas,
-                 dtype=float)
-    b = np.array(np.stack(list(betas)) if not isinstance(betas, np.ndarray) else betas,
-                 dtype=float)
     m = weights.m
-    if a.shape[0] != m or b.shape[0] != m:
-        raise ValueError(f"expected statistics for {m} agents, got {a.shape[0]}/{b.shape[0]}")
-    if on_step is None:
-        wp = np.linalg.matrix_power(weights.w, steps)
-        a = np.tensordot(wp, a, axes=(1, 0))
-        b = np.tensordot(wp, b, axes=(1, 0))
-    else:
-        for k in range(steps):
-            a = np.tensordot(weights.w, a, axes=(1, 0))
-            b = np.tensordot(weights.w, b, axes=(1, 0))
-            on_step(k + 1, a, b)
-    return CommPhaseResult(alphas=a, betas=b, steps=steps)
-
-
-def comm_estimate(result: CommPhaseResult, agent: int) -> np.ndarray:
-    """Post-communication estimate for one agent: mixed alpha @ pinv(mixed beta)."""
-    if not 0 <= agent < result.alphas.shape[0]:
-        raise ValueError(f"agent index {agent} out of range")
-    return result.alphas[agent] @ np.linalg.pinv(result.betas[agent])
+    if alphas.shape[0] != m or betas.shape[0] != m:
+        raise ValueError(f"expected statistics for {m} agents, "
+                         f"got {alphas.shape[0]}/{betas.shape[0]}")
+    wp = np.linalg.matrix_power(weights.w, steps)
+    return np.tensordot(wp, alphas, axes=(1, 0)), np.tensordot(wp, betas, axes=(1, 0))
 
 
 def mixing_deficit(weights: WeightMatrix, steps: int) -> float:

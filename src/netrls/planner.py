@@ -34,8 +34,6 @@ class Schedule:
     zeta: int
     T: int
     S: int
-    epsilon: float | None = None
-    epsilon_N: float | None = None
 
     def __post_init__(self):
         if self.zeta < 1:
@@ -71,8 +69,7 @@ class PlanResult:
     c3: float
 
     def schedule(self) -> Schedule:
-        return Schedule(zeta=self.zeta, T=self.T, S=self.S,
-                        epsilon=self.epsilon, epsilon_N=self.epsilon_N)
+        return Schedule(zeta=self.zeta, T=self.T, S=self.S)
 
 
 class StoppingTimeNotReachable(RuntimeError):

@@ -166,14 +166,13 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         trace.comm_err[piece] = comm_err
 
         if trace.comm_fired[end - 1]:
-            phase = run_comm_phase(config.weights, alpha, beta, schedule.T)
-            comm_err = spectral_norms(
-                phase.alphas @ np.linalg.pinv(phase.betas) - theta).mean()
+            mixed_alpha, mixed_beta = run_comm_phase(config.weights, alpha, beta, schedule.T)
+            comm_err = spectral_norms(mixed_alpha @ np.linalg.pinv(mixed_beta) - theta).mean()
             trace.comm_err[end - 1] = comm_err
             if config.writeback_mixed:
                 # W is doubly stochastic, so mixing keeps the pooled sums and
                 # only the agents' rows change
-                alpha, beta = phase.alphas, phase.betas
+                alpha, beta = mixed_alpha, mixed_beta
                 invertible = full_rank(beta)
                 flags[-1] = invertible
                 local[-1] = _estimates(alpha, beta, invertible)

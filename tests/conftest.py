@@ -36,7 +36,7 @@ def paper_inputs(paper_model, ring6) -> nr.BoundInputs:
 
 @pytest.fixture(scope="session")
 def paper_schedule() -> nr.Schedule:
-    return nr.Schedule(zeta=20, T=38, S=1620, epsilon=0.5, epsilon_N=0.01)
+    return nr.Schedule(zeta=20, T=38, S=1620)
 
 
 @pytest.fixture(scope="session")

@@ -43,16 +43,16 @@ class SimWorld:
 
         fired = self.config.schedule.fires_at(t)
         if fired:
-            result = nr.run_comm_phase(
+            alphas, betas = nr.run_comm_phase(
                 self.config.weights,
                 np.stack([a.alpha for a in self.agents]),
                 np.stack([a.beta for a in self.agents]),
                 self.config.schedule.T,
             )
             for i, agent in enumerate(self.agents):
-                agent.theta_comm = nr.comm_estimate(result, i)
+                agent.theta_comm = alphas[i] @ np.linalg.pinv(betas[i])
                 if self.config.writeback_mixed:
-                    agent.replace_statistics(result.alphas[i], result.betas[i])
+                    agent.replace_statistics(alphas[i], betas[i])
         self.t = t
         return fired
 

@@ -310,3 +310,37 @@ def test_empty_array_of_times_gives_empty_bounds(paper_inputs):
     empty = np.array([], dtype=np.int64)
     assert nr.local_bound(paper_inputs, empty).value.shape == (0,)
     assert nr.comm_bound(paper_inputs, empty, 38).network_term.shape == (0,)
+
+
+def test_global_and_comm_bound_coverage(paper_model, ring6, paper_inputs):
+    # the analogue of acceptance criterion 6 for the other two bounds: over
+    # 200 runs of the reference setup, the pooled errors exceed the global
+    # bound in at most a fraction delta of runs, and the errors after a phase
+    # of 38 rounds exceed the communicated bound in at most a fraction
+    # delta_hat of (run, agent) pairs
+    stream = nr.SeededStream(777)
+    times, steps, runs, m = (140, 400, 1620), 38, 200, paper_model.m
+    theta = paper_model.theta
+    # running sums indexed by (run, agent, time)
+    alphas = np.empty((runs, m, len(times), paper_model.l, paper_model.n))
+    betas = np.empty((runs, m, len(times), paper_model.n, paper_model.n))
+    for run in range(runs):
+        for agent in range(m):
+            x, y = nr.sample_block(paper_model, stream, run, agent, 1, times[-1])
+            for k, t in enumerate(times):
+                alphas[run, agent, k] = y[:t].T @ x[:t]
+                betas[run, agent, k] = x[:t].T @ x[:t]
+    for k, t in enumerate(times):
+        a, b = alphas[:, :, k], betas[:, :, k]
+        pooled = a.sum(axis=1) @ np.linalg.inv(b.sum(axis=1))
+        global_violations = int(np.sum(
+            nr.spectral_norms(pooled - theta) > nr.global_bound(paper_inputs, t).value))
+        assert global_violations <= paper_inputs.delta * runs, (t, global_violations)
+
+        comm_limit = nr.comm_bound(paper_inputs, t, steps).value
+        comm_violations = 0
+        for run in range(runs):
+            mixed_a, mixed_b = nr.run_comm_phase(ring6, a[run], b[run], steps)
+            errors = nr.spectral_norms(mixed_a @ np.linalg.pinv(mixed_b) - theta)
+            comm_violations += int(np.sum(errors > comm_limit))
+        assert comm_violations <= paper_inputs.delta_hat * runs * m, (t, comm_violations)

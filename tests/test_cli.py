@@ -210,6 +210,15 @@ def test_parallel_runs_do_not_change_output(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("parallel", ["0", "-1"])
+def test_bad_parallel_runs_exits_2_naming_it(tmp_path, capsys, parallel):
+    cfg = write_config(tmp_path, small_config_dict())
+    out = tmp_path / "t.csv"
+    assert main(["simulate", cfg, "-o", str(out), "--parallel-runs", parallel]) == 2
+    assert "--parallel-runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "plan"])
 def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, command):
     data = small_config_dict() if command == "simulate" else paper_config_dict()
