@@ -5,6 +5,10 @@ State is the pair of sufficient statistics ``alpha = sum y x^T`` and
 ``beta`` becomes numerically invertible its inverse is maintained with the
 Sherman-Morrison rank-one update and refreshed by direct inversion at a
 fixed cadence to bound drift.
+
+The rank test and the batched inverses and singular values the simulator
+uses have closed forms for 2x2 matrices, the shape of the paper's example;
+other shapes call LAPACK.
 """
 
 from __future__ import annotations
@@ -19,10 +23,40 @@ RANK_TOL = 1e-8
 REFACTOR_EVERY = 10_000
 
 
+def is_2x2(a: np.ndarray) -> bool:
+    """True for a stack of 2x2 matrices, which the closed forms below handle."""
+    return a.shape[-2:] == (2, 2)
+
+
+def singular_values_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest singular values of ``(..., 2, 2)`` matrices.
+
+    For ``[[p, q], [r, s]]`` with ``h1 = hypot(p + s, r - q)`` and
+    ``h2 = hypot(p - s, q + r)`` they are ``(h1 + h2) / 2`` and
+    ``|h1 - h2| / 2``; the largest has no cancellation.
+    """
+    p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    h1, h2 = np.hypot(p + s, r - q), np.hypot(p - s, q + r)
+    return (h1 + h2) / 2, np.abs(h1 - h2) / 2
+
+
+def inverse(beta: np.ndarray) -> np.ndarray:
+    """``inv`` over ``(..., n, n)`` matrices; 2x2 ones as ``adj(beta) / det(beta)``."""
+    if not is_2x2(beta):
+        return np.linalg.inv(beta)
+    p, q, r, s = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 0], beta[..., 1, 1]
+    adj = np.stack([s, -q, -r, p], axis=-1).reshape(beta.shape)
+    return adj / (p * s - q * r)[..., None, None]
+
+
 def full_rank(beta: np.ndarray) -> np.ndarray:
     """The invertibility test on ``(..., n, n)`` matrices, one flag per matrix."""
-    sv = np.linalg.svd(beta, compute_uv=False)
-    return (sv[..., 0] > 0) & (sv[..., -1] > RANK_TOL * sv[..., 0])
+    if is_2x2(beta):
+        largest, smallest = singular_values_2x2(beta)
+    else:
+        sv = np.linalg.svd(beta, compute_uv=False)
+        largest, smallest = sv[..., 0], sv[..., -1]
+    return (largest > 0) & (smallest > RANK_TOL * largest)
 
 
 class AgentState:

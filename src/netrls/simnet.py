@@ -11,7 +11,9 @@ errors are spectral norms against the ground truth.
 The engine computes a run in batches over agents and steps rather than one
 sample at a time: the running sums ``alpha`` and ``beta`` are cumulative
 sums of the per-sample terms, and the estimates are batched inverses.
-``AgentState`` is the per-sample online form of the same recursion.
+``AgentState`` is the per-sample online form of the same recursion. On 2x2
+matrices, the shape of the paper's example, the error norms, inverses and
+rank tests are closed forms (``local_estimator``); other shapes use LAPACK.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .consensus import WeightMatrix, run_comm_phase
-from .local_estimator import full_rank
+from .local_estimator import full_rank, inverse, is_2x2, singular_values_2x2
 from .model_gen import ModelSpec, SeededStream, sample_block
 from .planner import Schedule
 
@@ -36,6 +38,8 @@ BLOCK = 512
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
     """Largest singular value over the trailing two axes."""
+    if is_2x2(a):
+        return singular_values_2x2(a)[0]
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
@@ -104,13 +108,13 @@ def _sticky_full_rank(beta: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def _estimates(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray) -> np.ndarray:
-    """``alpha @ beta^-1``: ``inv`` where ``invertible`` holds, ``pinv`` elsewhere."""
+    """``alpha @ beta^-1``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere."""
     if invertible.all():
-        return alpha @ np.linalg.inv(beta)
+        return alpha @ inverse(beta)
     out = np.empty_like(alpha)
-    for mask, inverse in ((invertible, np.linalg.inv), (~invertible, np.linalg.pinv)):
+    for mask, invert in ((invertible, inverse), (~invertible, np.linalg.pinv)):
         if mask.any():
-            out[mask] = alpha[mask] @ inverse(beta[mask])
+            out[mask] = alpha[mask] @ invert(beta[mask])
     return out
 
 
@@ -167,15 +171,16 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
 
         if trace.comm_fired[end - 1]:
             mixed_alpha, mixed_beta = run_comm_phase(config.weights, alpha, beta, schedule.T)
-            comm_err = spectral_norms(mixed_alpha @ np.linalg.pinv(mixed_beta) - theta).mean()
+            mixed_invertible = full_rank(mixed_beta)
+            comm = _estimates(mixed_alpha, mixed_beta, mixed_invertible)
+            comm_err = spectral_norms(comm - theta).mean()
             trace.comm_err[end - 1] = comm_err
             if config.writeback_mixed:
                 # W is doubly stochastic, so mixing keeps the pooled sums and
                 # only the agents' rows change
-                alpha, beta = mixed_alpha, mixed_beta
-                invertible = full_rank(beta)
+                alpha, beta, invertible = mixed_alpha, mixed_beta, mixed_invertible
                 flags[-1] = invertible
-                local[-1] = _estimates(alpha, beta, invertible)
+                local[-1] = comm
 
         trace.local_err[piece] = spectral_norms(local - theta).mean(axis=1)
         trace.global_err[piece] = spectral_norms(pooled[:, 0] - theta)
@@ -195,10 +200,11 @@ def run(config: SimConfig, parallel: int = 1) -> tuple[list[ErrorTrace], ErrorTr
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     indices = range(config.runs)
-    if parallel == 1 or config.runs == 1:
+    workers = min(parallel, config.runs)
+    if workers == 1:
         traces = [_simulate_run(config, r) for r in indices]
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(partial(_simulate_run, config), indices))
 
     averaged = ErrorTrace(

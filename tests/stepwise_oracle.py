@@ -74,6 +74,11 @@ class SimWorld:
         return sum(1 for a in self.agents if a.pre_invertible)
 
 
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value over the trailing two axes, by its definition."""
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def simulate_run(config: nr.SimConfig, run_index: int) -> nr.ErrorTrace:
     """Error trace of one run, stepped one sample at a time."""
     world = SimWorld(config, run_index)
@@ -96,9 +101,9 @@ def simulate_run(config: nr.SimConfig, run_index: int) -> nr.ErrorTrace:
     theta = model.theta
     return nr.ErrorTrace(
         t=np.arange(1, horizon + 1),
-        local_err=nr.spectral_norms(local - theta).mean(axis=1),
-        comm_err=nr.spectral_norms(comm - theta).mean(axis=1),
-        global_err=nr.spectral_norms(pooled - theta),
+        local_err=spectral_norms(local - theta).mean(axis=1),
+        comm_err=spectral_norms(comm - theta).mean(axis=1),
+        global_err=spectral_norms(pooled - theta),
         comm_fired=fired,
         pre_invertible_count=pre_count,
     )

@@ -8,7 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netrls as nr
-from netrls.local_estimator import REFACTOR_EVERY
+from netrls.local_estimator import RANK_TOL, REFACTOR_EVERY, full_rank, inverse
+
+EPS = np.finfo(float).eps
+
+
+def _rotated(singular_values, angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    rotation = np.array([[c, -s], [s, c]])
+    return rotation @ np.diag(singular_values) @ rotation.T
+
+
+def _svd(a: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(a, compute_uv=False)
 
 
 def _stream_state(x_rows: np.ndarray, y_rows: np.ndarray) -> nr.AgentState:
@@ -139,3 +151,75 @@ def test_dimension_mismatch_rejected():
         state.ingest(np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         nr.init_agent(0, 1)
+
+
+def test_spectral_norms_match_svd_on_2x2():
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.uniform(-300, 300, size=(4000, 1, 1))
+    special = np.array([
+        np.zeros((2, 2)),
+        np.outer([1.0, -2.0], [3.0, 0.5]),        # rank one
+        7.5 * _rotated([1.0, 1.0], 0.3),          # equal singular values
+        np.diag([1e-300, 1e300]),
+    ])
+    a = np.concatenate([rng.normal(size=(4000, 2, 2)) * scales, special])
+    want = _svd(a)[:, 0]
+    got = nr.spectral_norms(a)
+    assert np.all(np.abs(got - want) <= 8 * EPS * want)
+    assert got[-4] == 0.0 and got[-1] == 1e300
+    # stacked like the engine's (steps, agents, l, n) errors
+    assert np.array_equal(nr.spectral_norms(a[:4000].reshape(100, 40, 2, 2)),
+                          got[:4000].reshape(100, 40))
+    # other shapes keep the SVD
+    for shape in ((50, 1, 1), (50, 1, 2), (50, 3, 2), (50, 3, 3)):
+        b = rng.normal(size=shape)
+        assert np.array_equal(nr.spectral_norms(b), _svd(b)[:, 0])
+
+
+def test_full_rank_matches_svd_definition_on_2x2():
+    rng = np.random.default_rng(12)
+    betas = [np.zeros((2, 2)), np.outer([1.0, 2.0], [1.0, 2.0]), np.eye(2)]
+    for angle in (0.0, 0.4, 2.0):
+        for factor in (1 - 1e-3, 1 + 1e-3):
+            betas.append(_rotated([1.0, 1e-8 * factor], angle))
+    x = rng.normal(size=(500, 3, 2))
+    # general matrices too, half of them with a negative determinant
+    beta = np.concatenate([np.array(betas), np.swapaxes(x, 1, 2) @ x,
+                           rng.normal(size=(500, 2, 2))])
+    sv = _svd(beta)
+    want = (sv[:, 0] > 0) & (sv[:, -1] > RANK_TOL * sv[:, 0])
+    assert np.array_equal(full_rank(beta), want)
+    assert full_rank(beta[:3]).tolist() == [False, False, True]
+    # rotated diag(1, 1e-8 (1 -+ 1e-3)): below, then above the tolerance
+    assert full_rank(beta[3:9]).tolist() == [False, True] * 3
+
+
+def test_inverse_matches_lapack():
+    rng = np.random.default_rng(13)
+    for n in (2, 1, 3):
+        x = rng.normal(size=(300, 4 * n, n))
+        beta = np.swapaxes(x, 1, 2) @ x
+        if n == 2:
+            # and non-symmetric ones, where adj(beta) is not its own transpose
+            beta = np.concatenate([beta, 4 * np.eye(2) + rng.uniform(-1, 1, size=(300, 2, 2))])
+        want = np.linalg.inv(beta)
+        if n == 2:
+            assert np.max(np.linalg.cond(beta)) < 1e3
+            err = np.abs(inverse(beta) - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
+        else:
+            assert np.array_equal(inverse(beta), want)
+
+
+def test_2x2_kernels_call_no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on 2x2 input")
+
+    a = np.random.default_rng(14).normal(size=(50, 2, 2))
+    beta = np.swapaxes(a, 1, 2) @ a
+    expected = (_svd(a)[:, 0], np.linalg.inv(beta))
+    for name in ("svd", "inv", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert np.allclose(nr.spectral_norms(a), expected[0], rtol=1e-14)
+    assert full_rank(beta).all()
+    assert np.allclose(inverse(beta), expected[1], rtol=1e-10)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import netrls as nr
+from netrls import simnet
 
 from conftest import reference_model
 from stepwise_oracle import SimWorld
@@ -176,6 +177,35 @@ def test_parallel_runs_match_serial():
     _, parallel = nr.run(config, parallel=3)
     assert np.array_equal(serial.local_err, parallel.local_err)
     assert np.array_equal(serial.global_err, parallel.global_err)
+
+
+def test_process_pool_capped_at_runs(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        """Records the worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(simnet, "ProcessPoolExecutor", SerialPool)
+    config = _small_config(runs=2, horizon=60, schedule=nr.Schedule(zeta=20, T=5, S=60))
+    traces, averaged = nr.run(config, parallel=8)
+    assert asked == [2]
+    serial, serial_averaged = nr.run(config, parallel=1)
+    assert asked == [2]
+    for got, want in zip(traces + [averaged], serial + [serial_averaged]):
+        for field in ("local_err", "comm_err", "global_err", "pre_invertible_count"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_trace_flags_and_shapes():
