@@ -23,7 +23,7 @@ from .consensus import (
     run_comm_phase,
     validate_weights,
 )
-from .local_estimator import AgentState, init_agent
+from .local_estimator import AgentState
 from .model_gen import (
     ConstantMean,
     DataPair,
@@ -76,7 +76,6 @@ __all__ = [
     "difference_transform",
     "differenced_model",
     "global_bound",
-    "init_agent",
     "local_bound",
     "mixing_deficit",
     "mu_bar",

@@ -283,6 +283,8 @@ def resolve_config(data: dict) -> ResolvedConfig:
             raise ConfigError("plan.epsilon", "must be positive")
         if plan.epsilon_N <= 0:
             raise ConfigError("plan.epsilon_N", "must be positive")
+        if plan.max_t < 1:
+            raise ConfigError("plan.max_t", "must be >= 1")
     else:
         sec = _Section(data["schedule"], "schedule")
         sec.unknown_keys({"zeta", "T", "S"})

@@ -1,10 +1,8 @@
 """Per-agent recursive least squares on a streamed (x, y) sequence.
 
 State is the pair of sufficient statistics ``alpha = sum y x^T`` and
-``beta = sum x x^T``; the running estimate is ``alpha @ pinv(beta)``. Once
-``beta`` becomes numerically invertible its inverse is maintained with the
-Sherman-Morrison rank-one update and refreshed by direct inversion at a
-fixed cadence to bound drift.
+``beta = sum x x^T``; the running estimate is ``alpha @ inv(beta)`` once
+``beta`` has passed the rank test and ``alpha @ pinv(beta)`` before.
 
 The rank test and the batched inverses and singular values the simulator
 uses have closed forms for 2x2 matrices, the shape of the paper's example;
@@ -15,12 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AgentState", "init_agent", "full_rank", "RANK_TOL", "REFACTOR_EVERY"]
+__all__ = ["AgentState", "full_rank", "RANK_TOL"]
 
 # beta counts as invertible once its smallest singular value exceeds
 # RANK_TOL times the largest
 RANK_TOL = 1e-8
-REFACTOR_EVERY = 10_000
 
 
 def is_2x2(a: np.ndarray) -> bool:
@@ -62,17 +59,16 @@ def full_rank(beta: np.ndarray) -> np.ndarray:
 class AgentState:
     """Streaming least-squares state owned by a single agent."""
 
-    __slots__ = ("alpha", "beta", "beta_inv", "theta_local", "theta_comm", "sample_count")
+    __slots__ = ("alpha", "beta", "invertible", "theta_local", "theta_comm")
 
     def __init__(self, n: int, l: int):
         if n < 1 or l < 1:
             raise ValueError("dimensions must be >= 1")
         self.alpha = np.zeros((l, n))
         self.beta = np.zeros((n, n))
-        self.beta_inv: np.ndarray | None = None
+        self.invertible = False
         self.theta_local = np.zeros((l, n))
         self.theta_comm = np.zeros((l, n))
-        self.sample_count = 0
 
     @property
     def n(self) -> int:
@@ -85,7 +81,7 @@ class AgentState:
     @property
     def pre_invertible(self) -> bool:
         """True while beta is still rank deficient and estimates use pinv."""
-        return self.beta_inv is None
+        return not self.invertible
 
     def ingest(self, x: np.ndarray, y: np.ndarray) -> None:
         """Absorb one observation and refresh the local estimate."""
@@ -95,31 +91,10 @@ class AgentState:
             raise ValueError(f"feature has shape {x.shape}, expected {(self.n,)}")
         if y.shape != (self.l,):
             raise ValueError(f"label has shape {y.shape}, expected {(self.l,)}")
-
         self.alpha += np.outer(y, x)
-        if self.beta_inv is not None:
-            # rank-one inverse update uses the pre-update inverse
-            bx = self.beta_inv @ x
-            self.beta_inv -= np.outer(bx, bx) / (1.0 + x @ bx)
-            self.beta_inv = 0.5 * (self.beta_inv + self.beta_inv.T)
-            self.beta += np.outer(x, x)
-            self.sample_count += 1
-            if self.sample_count % REFACTOR_EVERY == 0:
-                self.beta_inv = np.linalg.inv(self.beta)
-            self.theta_local = self.alpha @ self.beta_inv
-            return
-
         self.beta += np.outer(x, x)
-        self.sample_count += 1
-        if full_rank(self.beta):
-            self.beta_inv = np.linalg.inv(self.beta)
-            self.theta_local = self.alpha @ self.beta_inv
-        else:
-            self.theta_local = self.alpha @ np.linalg.pinv(self.beta)
-
-    def local_estimate(self) -> np.ndarray:
-        """Estimate recomputed from the raw statistics: ``alpha @ pinv(beta)``."""
-        return self.alpha @ np.linalg.pinv(self.beta)
+        # sticky: once invertible, an ill-conditioned later sum stays on inv
+        self._refresh(self.invertible)
 
     def replace_statistics(self, alpha: np.ndarray, beta: np.ndarray) -> None:
         """Overwrite the accumulators (used by the optional mixed write-back)."""
@@ -127,14 +102,10 @@ class AgentState:
             raise ValueError("replacement statistics have mismatched shapes")
         self.alpha = np.array(alpha, dtype=float)
         self.beta = np.array(beta, dtype=float)
-        if full_rank(self.beta):
-            self.beta_inv = np.linalg.inv(self.beta)
-            self.theta_local = self.alpha @ self.beta_inv
-        else:
-            self.beta_inv = None
-            self.theta_local = self.alpha @ np.linalg.pinv(self.beta)
+        self._refresh(False)
 
-
-def init_agent(n: int, l: int) -> AgentState:
-    """Fresh all-zero agent state for an ``l x n`` parameter matrix."""
-    return AgentState(n, l)
+    def _refresh(self, invertible: bool) -> None:
+        """Set the flag (``invertible`` or the rank test) and the estimate."""
+        self.invertible = invertible or bool(full_rank(self.beta))
+        invert = np.linalg.inv if self.invertible else np.linalg.pinv
+        self.theta_local = self.alpha @ invert(self.beta)

@@ -212,9 +212,17 @@ def _normal_rows(
     blocks_per_step = -(-width // 4)
     bits = Philox(counter=(t_start - 1) * blocks_per_step, key=stream.key(run, agent))
     u = Generator(bits).random((count, 4 * blocks_per_step))
-    # shift to bin midpoints so the inverse CDF never sees 0 or 1
-    z = ndtri(u + 2.0**-54)
-    return z[:, :width]
+    return _standard_normal(u)[:, :width]
+
+
+def _standard_normal(u: np.ndarray) -> np.ndarray:
+    """Inverse normal CDF of uniforms in ``[0, 1)``, shifted to bin midpoints.
+
+    The shift keeps the argument above 0. The largest uniform, ``1 - 2**-53``,
+    shifts to exactly 1.0, so the argument is clamped below 1; no other value
+    reaches the clamp.
+    """
+    return ndtri(np.minimum(u + 2.0**-54, np.nextafter(1.0, 0.0)))
 
 
 def sample_block(

@@ -4,8 +4,10 @@ This is the literal reading of the two-time-scale loop and the oracle the
 batched engine in ``netrls.simnet`` is checked against. Every data step each
 agent ingests one pair through ``AgentState.ingest``; at communication times
 a phase of ``T`` rounds mixes the statistics and refreshes the
-post-communication estimate, which otherwise carries over unchanged. The
-pooled estimate is ``sum(alpha) @ pinv(sum(beta))`` at every step.
+post-communication estimate, which otherwise carries over unchanged: the
+mixed ``alpha @ inv(beta)`` where the mixed ``beta`` passes the rank test and
+``alpha @ pinv(beta)`` where it does not. The pooled estimate is
+``sum(alpha) @ pinv(sum(beta))`` at every step. All inverses are LAPACK's.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 import netrls as nr
-from netrls.local_estimator import AgentState, full_rank, init_agent
+from netrls.local_estimator import AgentState, full_rank
 
 
 class SimWorld:
@@ -24,7 +26,7 @@ class SimWorld:
         self.run_index = run_index
         self.t = 0
         model = config.model
-        self.agents: list[AgentState] = [init_agent(model.n, model.l) for _ in range(model.m)]
+        self.agents: list[AgentState] = [AgentState(model.n, model.l) for _ in range(model.m)]
         stream = nr.SeededStream(config.seed)
         # whole-horizon draws per agent; identical to stepwise sampling
         self._draws = [
@@ -50,9 +52,12 @@ class SimWorld:
                 self.config.schedule.T,
             )
             for i, agent in enumerate(self.agents):
-                agent.theta_comm = alphas[i] @ np.linalg.pinv(betas[i])
                 if self.config.writeback_mixed:
                     agent.replace_statistics(alphas[i], betas[i])
+                    agent.theta_comm = agent.theta_local
+                else:
+                    invert = np.linalg.inv if full_rank(betas[i]) else np.linalg.pinv
+                    agent.theta_comm = alphas[i] @ invert(betas[i])
         self.t = t
         return fired
 

@@ -74,7 +74,7 @@ def test_criterion_4_oracle_equivalences(capsys):
 
     # (a) streamed rank-one updates equal the batch solution after 1e3 steps
     x, y = nr.sample_block(model, stream, 0, 0, 1, 1000)
-    state = nr.init_agent(model.n, model.l)
+    state = nr.AgentState(model.n, model.l)
     for k in range(1000):
         state.ingest(x[k], y[k])
     batch = np.linalg.lstsq(x, y, rcond=None)[0].T
@@ -138,7 +138,7 @@ def test_criterion_5_property_suites(capsys):
     ok_psd = True
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        state = nr.init_agent(n, 1)
+        state = nr.AgentState(n, 1)
         previous = 0.0
         for _ in range(60):
             state.ingest(rng.normal(size=n), rng.normal(size=1))

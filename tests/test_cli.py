@@ -107,6 +107,7 @@ def test_missing_theta_reports_field_path(tmp_path, capsys):
         (lambda d: d["plan"].update(epsilon=-2.0), "plan.epsilon"),
         (lambda d: d["model"].update(bogus=1), "model.bogus"),
         (lambda d: d["run"].update(seed="abc"), "run.seed"),
+        (lambda d: d["plan"].update(max_t=0), "plan.max_t"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):

@@ -104,7 +104,7 @@ def test_invertibility_is_sticky_like_agent_state():
     # beta = I passes the rank test at step 2; the third term makes it
     # ill-conditioned enough to fail it, but the agent stays invertible
     x_rows = np.array([[1.0, 0.0], [0.0, 1.0], [1e6, 0.0], [0.5, 0.5]])
-    state = nr.init_agent(2, 1)
+    state = nr.AgentState(2, 1)
     expected = []
     for x in x_rows:
         state.ingest(x, np.zeros(1))

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import netrls as nr
-from netrls.model_gen import _normal_rows
+from netrls.model_gen import _normal_rows, _standard_normal
 
 from conftest import reference_model
 
@@ -91,6 +92,19 @@ def test_counter_layout_padding():
     solo = _normal_rows(stream, 0, 0, 9, 1, 5)
     block = _normal_rows(stream, 0, 0, 1, 20, 5)
     assert np.array_equal(solo[0], block[8])
+
+
+def test_largest_uniform_maps_to_a_finite_draw():
+    # 1 - 2**-53 is the largest value Generator.random returns; shifted by
+    # 2**-54 it rounds to 1.0, where the inverse CDF is +inf
+    u = np.array([0.0, 0.5, 1 - 2.0**-52, 1 - 2.0**-53])
+    assert np.isinf(ndtri(u[3] + 2.0**-54))
+    z = _standard_normal(u)
+    assert np.all(np.isfinite(z))
+    # every other value keeps its bits
+    assert np.array_equal(z[:3], ndtri(u[:3] + 2.0**-54))
+    assert z[3] == ndtri(np.nextafter(1.0, 0.0)) and z[3] > z[2] > 8.0
+    assert z[0] < -8.0 and z[1] == 0.0
 
 
 def test_constant_mean_shifts_draws():

@@ -43,7 +43,7 @@ def test_single_agent_comm_equals_local():
             agent = world.agents[0]
             scale = max(np.linalg.norm(agent.theta_local, 2), 1e-12)
             assert np.linalg.norm(agent.theta_comm - agent.theta_local, 2) <= 1e-8 * scale
-            assert np.allclose(world.global_estimate(), agent.local_estimate(), rtol=1e-10)
+            assert np.allclose(world.global_estimate(), agent.theta_local, rtol=1e-10)
 
 
 def test_complete_averaging_matches_pooled_estimator():
