@@ -19,11 +19,13 @@ import itertools
 import os
 import sys
 from collections.abc import Iterable
+from dataclasses import asdict
 
 import numpy as np
 
 from .bounds import BoundInputs, BurnInError, comm_bound, global_bound, local_bound
 from .config import (
+    BOUND_KEYS,
     ConfigError,
     ResolvedConfig,
     _mean_to_dict,
@@ -96,15 +98,8 @@ def _matrix_flat(a: np.ndarray) -> str:
 
 
 def _trace_meta(cfg: ResolvedConfig, schedule: Schedule, planned: PlanResult | None) -> dict:
-    bi = cfg.bound_inputs
     meta = {
-        "bounds.delta": _f17(bi.delta),
-        "bounds.delta_hat": _f17(bi.delta_hat),
-        "bounds.mu_hat_upper": _f17(bi.mu_hat_upper),
-        "bounds.sigma_eta_upper": _f17(bi.sigma_eta_upper),
-        "bounds.sigma_x_lower": _f17(bi.sigma_x_lower),
-        "bounds.sigma_x_upper": _f17(bi.sigma_x_upper),
-        "bounds.theta_norm_upper": _f17(bi.theta_norm_upper),
+        **{f"bounds.{k}": _f17(getattr(cfg.bound_inputs, k)) for k in BOUND_KEYS},
         "model.l": str(cfg.model.l),
         "model.m": str(cfg.model.m),
         "model.mean_schedule": _mean_to_dict(cfg.model.mean)["kind"],
@@ -178,8 +173,7 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
 def _resolve_schedule(cfg: ResolvedConfig) -> tuple[Schedule, PlanResult | None]:
     if cfg.schedule is not None:
         return cfg.schedule, None
-    p = cfg.plan
-    result = plan(cfg.bound_inputs, p.zeta, p.epsilon, p.epsilon_N, max_t=p.max_t)
+    result = plan(cfg.bound_inputs, **asdict(cfg.plan))
     return result.schedule(), result
 
 
@@ -187,22 +181,8 @@ def cmd_plan(config_path: str, out_path: str) -> int:
     cfg = load_config(config_path)
     if cfg.plan is None:
         raise ConfigError("plan", "the plan command needs a 'plan' section")
-    result = plan(cfg.bound_inputs, cfg.plan.zeta, cfg.plan.epsilon,
-                  cfg.plan.epsilon_N, max_t=cfg.plan.max_t)
-    payload = {
-        "T": result.T,
-        "S": result.S,
-        "t_first": result.t_first,
-        "zeta": result.zeta,
-        "epsilon": result.epsilon,
-        "epsilon_N": result.epsilon_N,
-        "rho": result.rho,
-        "C1": result.C1,
-        "c1": result.c1,
-        "c2": result.c2,
-        "c3": result.c3,
-        "config": config_to_dict(cfg),
-    }
+    _, result = _resolve_schedule(cfg)
+    payload = {**asdict(result), "config": config_to_dict(cfg)}
     _write_atomic(out_path, [_json_text(payload), "\n"])
     print(f"consensus steps per phase: T = {result.T}")
     print(f"stopping time: S = {result.S} (first communication at t = {result.t_first})")
@@ -223,9 +203,7 @@ def cmd_simulate(config_path: str, out_path: str, parallel: int) -> int:
     if cfg.run.horizon < schedule.S:
         raise ConfigError("run.horizon",
                           f"horizon {cfg.run.horizon} does not cover the stopping time {schedule.S}")
-    sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule,
-                    horizon=cfg.run.horizon, runs=cfg.run.runs, seed=cfg.run.seed,
-                    writeback_mixed=cfg.run.writeback_mixed)
+    sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule, **asdict(cfg.run))
     _, averaged = run(sim, parallel=parallel)
     write_trace(out_path, averaged, _trace_meta(cfg, schedule, planned),
                 cfg.bound_inputs, schedule)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,15 +24,17 @@ from .consensus import (
     validate_weights,
 )
 from .model_gen import ConstantMean, ModelSpec, SinusoidMean, ZeroMean
-from .planner import Schedule
+from .planner import DEFAULT_MAX_T, Schedule
 
-__all__ = ["ConfigError", "PlanParams", "RunParams", "ResolvedConfig",
+__all__ = ["ConfigError", "PlanParams", "RunParams", "ResolvedConfig", "BOUND_KEYS",
            "load_config", "resolve_config", "config_to_dict", "SEED_ENV_VAR"]
 
 SEED_ENV_VAR = "NETRLS_SEED"
 
-_DEFAULT_DELTA = 0.05
-_DEFAULT_DELTA_HAT = 0.001
+# the ``bounds`` fields a config may set; each one that it leaves out takes
+# the default of ``BoundInputs.from_model``
+BOUND_KEYS = ("sigma_x_lower", "sigma_x_upper", "sigma_eta_upper", "mu_hat_upper",
+              "theta_norm_upper", "delta", "delta_hat")
 
 
 class ConfigError(Exception):
@@ -48,7 +50,7 @@ class PlanParams:
     zeta: int
     epsilon: float
     epsilon_N: float
-    max_t: int = 10**6
+    max_t: int = DEFAULT_MAX_T
 
 
 @dataclass(frozen=True)
@@ -93,12 +95,13 @@ class _Section:
             raise ConfigError(self.sub(key), "required field is missing")
         return self.data[key]
 
-    def number(self, key: str, default=None) -> float:
-        if key not in self.data:
-            if default is None:
-                raise ConfigError(self.sub(key), "required field is missing")
-            return default
-        v = self.data[key]
+    def given(self, read, keys) -> dict:
+        """``read(key)`` for each of ``keys`` that the section sets, so a
+        field left out takes the default of whatever the dict is passed to."""
+        return {k: read(k) for k in keys if k in self.data}
+
+    def number(self, key: str) -> float:
+        v = self.require(key)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(self.sub(key), f"expected a number, got {v!r}")
         try:
@@ -109,18 +112,14 @@ class _Section:
             raise ConfigError(self.sub(key), f"must be a finite number, got {x!r}")
         return x
 
-    def integer(self, key: str, default=None) -> int:
-        if key not in self.data:
-            if default is None:
-                raise ConfigError(self.sub(key), "required field is missing")
-            return default
-        v = self.data[key]
+    def integer(self, key: str) -> int:
+        v = self.require(key)
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(self.sub(key), f"expected an integer, got {v!r}")
         return v
 
-    def boolean(self, key: str, default: bool) -> bool:
-        v = self.data.get(key, default)
+    def boolean(self, key: str) -> bool:
+        v = self.require(key)
         if not isinstance(v, bool):
             raise ConfigError(self.sub(key), f"expected a boolean, got {v!r}")
         return v
@@ -172,10 +171,12 @@ def _resolve_mean(section: _Section, m: int, n: int):
         return ConstantMean(vectors=section.matrix("vectors", m, n))
     if kind == "sinusoid":
         section.unknown_keys({"kind", "amplitudes", "periods"})
-        return SinusoidMean(
-            amplitudes=section.matrix("amplitudes", m, n),
-            periods=section.vector("periods", m),
-        )
+        amplitudes = section.matrix("amplitudes", m, n)
+        periods = section.vector("periods", m)
+        try:
+            return SinusoidMean(amplitudes=amplitudes, periods=periods)
+        except ValueError as e:
+            raise ConfigError(section.sub("periods"), str(e)) from None
     raise ConfigError(section.sub("kind"), f"expected 'zero', 'constant' or 'sinusoid', got {kind!r}")
 
 
@@ -214,9 +215,9 @@ def _resolve_network(section: _Section, m: int) -> WeightMatrix:
     if topology == "ring":
         section.unknown_keys({"topology", "self_weight"})
         try:
-            return ring_weights(m, section.number("self_weight", 1.0 / 3.0))
+            return ring_weights(m, **section.given(section.number, ["self_weight"]))
         except (ValueError, WeightMatrixError) as e:
-            raise ConfigError(section.sub("topology"), str(e)) from None
+            raise ConfigError(section.sub("self_weight"), str(e)) from None
     if topology == "complete":
         section.unknown_keys({"topology"})
         return complete_weights(m)
@@ -225,38 +226,19 @@ def _resolve_network(section: _Section, m: int) -> WeightMatrix:
     )
 
 
-def _resolve_bounds(section: _Section, model: ModelSpec, weights: WeightMatrix) -> BoundInputs:
-    section.unknown_keys({
-        "delta", "delta_hat", "sigma_x_lower", "sigma_x_upper",
-        "sigma_eta_upper", "mu_hat_upper", "theta_norm_upper",
-    })
-    try:
-        return BoundInputs(
-            n=model.n,
-            l=model.l,
-            m=model.m,
-            sigma_x_lower=section.number("sigma_x_lower", model.sigma_x),
-            sigma_x_upper=section.number("sigma_x_upper", model.sigma_x),
-            sigma_eta_upper=section.number("sigma_eta_upper", model.sigma_eta),
-            mu_hat_upper=section.number("mu_hat_upper", model.mu_hat),
-            theta_norm_upper=section.number("theta_norm_upper", model.theta_norm),
-            delta=section.number("delta", _DEFAULT_DELTA),
-            delta_hat=section.number("delta_hat", _DEFAULT_DELTA_HAT),
-            rho=weights.rho,
-        )
-    except ValueError as e:
-        raise ConfigError(section.path, str(e)) from None
-
-
 def resolve_config(data: dict) -> ResolvedConfig:
     """Validate a parsed JSON object and build the typed configuration."""
     root = _Section(data, "")
     root.unknown_keys({"model", "network", "bounds", "plan", "schedule", "run"})
     model = _resolve_model(_Section(root.require("model"), "model"))
     weights = _resolve_network(_Section(root.require("network"), "network"), model.m)
-    bound_inputs = _resolve_bounds(
-        _Section(root.data.get("bounds", {}), "bounds"), model, weights
-    )
+    bounds = _Section(root.data.get("bounds", {}), "bounds")
+    bounds.unknown_keys(set(BOUND_KEYS))
+    try:
+        bound_inputs = BoundInputs.from_model(model, weights,
+                                              **bounds.given(bounds.number, BOUND_KEYS))
+    except ValueError as e:
+        raise ConfigError("bounds", str(e)) from None
 
     has_plan = "plan" in data
     has_schedule = "schedule" in data
@@ -275,7 +257,7 @@ def resolve_config(data: dict) -> ResolvedConfig:
             zeta=sec.integer("zeta"),
             epsilon=sec.number("epsilon"),
             epsilon_N=sec.number("epsilon_N"),
-            max_t=sec.integer("max_t", 10**6),
+            **sec.given(sec.integer, ["max_t"]),
         )
         if plan.zeta < 1:
             raise ConfigError("plan.zeta", "must be >= 1")
@@ -307,7 +289,7 @@ def resolve_config(data: dict) -> ResolvedConfig:
             except ValueError:
                 raise ConfigError("run.seed", f"{SEED_ENV_VAR} is not an integer: {env_seed!r}") from None
         run = RunParams(horizon=sec.integer("horizon"), runs=sec.integer("runs"), seed=seed,
-                        writeback_mixed=sec.boolean("writeback_mixed", False))
+                        **sec.given(sec.boolean, ["writeback_mixed"]))
         if run.horizon < 1:
             raise ConfigError("run.horizon", "must be >= 1")
         if run.runs < 1:
@@ -358,34 +340,10 @@ def config_to_dict(cfg: ResolvedConfig) -> dict:
             "mean_schedule": _mean_to_dict(cfg.model.mean),
         },
         "network": {"weights": cfg.weights.w.tolist()},
-        "bounds": {
-            "delta": cfg.bound_inputs.delta,
-            "delta_hat": cfg.bound_inputs.delta_hat,
-            "sigma_x_lower": cfg.bound_inputs.sigma_x_lower,
-            "sigma_x_upper": cfg.bound_inputs.sigma_x_upper,
-            "sigma_eta_upper": cfg.bound_inputs.sigma_eta_upper,
-            "mu_hat_upper": cfg.bound_inputs.mu_hat_upper,
-            "theta_norm_upper": cfg.bound_inputs.theta_norm_upper,
-        },
+        "bounds": {k: getattr(cfg.bound_inputs, k) for k in BOUND_KEYS},
     }
-    if cfg.plan is not None:
-        out["plan"] = {
-            "zeta": cfg.plan.zeta,
-            "epsilon": cfg.plan.epsilon,
-            "epsilon_N": cfg.plan.epsilon_N,
-            "max_t": cfg.plan.max_t,
-        }
-    if cfg.schedule is not None:
-        out["schedule"] = {
-            "zeta": cfg.schedule.zeta,
-            "T": cfg.schedule.T,
-            "S": cfg.schedule.S,
-        }
-    if cfg.run is not None:
-        out["run"] = {
-            "horizon": cfg.run.horizon,
-            "runs": cfg.run.runs,
-            "seed": cfg.run.seed,
-            "writeback_mixed": cfg.run.writeback_mixed,
-        }
+    for name in ("plan", "schedule", "run"):
+        section = getattr(cfg, name)
+        if section is not None:
+            out[name] = asdict(section)
     return out

@@ -25,6 +25,9 @@ __all__ = [
     "plan",
 ]
 
+# the last time plan_S searches when its caller sets no ``max_t``
+DEFAULT_MAX_T = 10**6
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -126,7 +129,7 @@ def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float) -> tuple[int, int]:
 
 
 def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
-           max_t: int = 10**6) -> int:
+           max_t: int = DEFAULT_MAX_T) -> int:
     """Earliest communication time at which the running error guarantee
     drops strictly below ``epsilon``.
 
@@ -157,7 +160,7 @@ def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
 
 
 def plan(inputs: BoundInputs, zeta: int, epsilon: float, epsilon_N: float,
-         max_t: int = 10**6) -> PlanResult:
+         max_t: int = DEFAULT_MAX_T) -> PlanResult:
     """Run both searches and package the outcome."""
     T, t_first = plan_T(inputs, zeta, epsilon_N)
     S = plan_S(inputs, zeta, T, epsilon, max_t=max_t)

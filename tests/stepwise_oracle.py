@@ -7,7 +7,9 @@ a phase of ``T`` rounds mixes the statistics and refreshes the
 post-communication estimate, which otherwise carries over unchanged: the
 mixed ``alpha @ inv(beta)`` where the mixed ``beta`` passes the rank test and
 ``alpha @ pinv(beta)`` where it does not. The pooled estimate is
-``sum(alpha) @ pinv(sum(beta))`` at every step. All inverses are LAPACK's.
+``sum(alpha) @ inv(sum(beta))`` from the first step whose ``sum(beta)`` passes
+the rank test on, and ``sum(alpha) @ pinv(sum(beta))`` before it: the sticky
+rule of ``AgentState``. All inverses are LAPACK's.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ class SimWorld:
         self.t = 0
         model = config.model
         self.agents: list[AgentState] = [AgentState(model.n, model.l) for _ in range(model.m)]
+        self.pooled_invertible = False
         stream = nr.SeededStream(config.seed)
         # whole-horizon draws per agent; identical to stepwise sampling
         self._draws = [
@@ -42,6 +45,8 @@ class SimWorld:
         for i, agent in enumerate(self.agents):
             x, y = self._draws[i]
             agent.ingest(x[t - 1], y[t - 1])
+        if not self.pooled_invertible:
+            self.pooled_invertible = bool(full_rank(self.pooled_statistics()[1]))
 
         fired = self.config.schedule.fires_at(t)
         if fired:
@@ -66,14 +71,11 @@ class SimWorld:
         beta = np.sum([a.beta for a in self.agents], axis=0)
         return alpha, beta
 
-    @property
-    def pooled_invertible(self) -> bool:
-        return bool(full_rank(self.pooled_statistics()[1]))
-
     def global_estimate(self) -> np.ndarray:
         """Pooled least-squares estimate over all agents' statistics."""
         alpha, beta = self.pooled_statistics()
-        return alpha @ np.linalg.pinv(beta)
+        invert = np.linalg.inv if self.pooled_invertible else np.linalg.pinv
+        return alpha @ invert(beta)
 
     def pre_invertible_count(self) -> int:
         return sum(1 for a in self.agents if a.pre_invertible)

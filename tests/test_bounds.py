@@ -344,3 +344,60 @@ def test_global_and_comm_bound_coverage(paper_model, ring6, paper_inputs):
             errors = nr.spectral_norms(mixed_a @ np.linalg.pinv(mixed_b) - theta)
             comm_violations += int(np.sum(errors > comm_limit))
         assert comm_violations <= paper_inputs.delta_hat * runs * m, (t, comm_violations)
+
+
+def _unit_mean(kind: str, m: int) -> nr.ConstantMean | nr.SinusoidMean:
+    angles = 2.0 * np.pi * np.arange(m) / m
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if kind == "constant":
+        return nr.ConstantMean(vectors=directions)
+    return nr.SinusoidMean(amplitudes=directions, periods=25.0 * 2.0 ** np.arange(m))
+
+
+@pytest.mark.parametrize("kind", ["constant", "sinusoid"])
+def test_bound_coverage_with_nonzero_means(ring6, kind):
+    # the reference setup with unit-norm feature means (mu_hat = 1), which
+    # lengthen every burn-in: over 200 runs, each bound is checked at the
+    # first time past each bound's burn-in and at the planned S. The local
+    # and global bounds may fail in a fraction delta of (run, agent) pairs
+    # and of runs, the communicated bound in a fraction delta_hat of pairs
+    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0,
+                         m=6, mean=_unit_mean(kind, 6))
+    inputs = nr.BoundInputs.from_model(model, ring6)
+    assert inputs.mu_hat_upper == pytest.approx(1.0)
+    planned = nr.plan(inputs, zeta=20, epsilon=0.5, epsilon_N=0.01)
+    # S is past every burn-in, so each bound reports its first valid time there
+    first = {
+        "local": nr.local_bound(inputs, planned.S).valid_from,
+        "global": nr.global_bound(inputs, planned.S).valid_from,
+        "comm": nr.comm_bound(inputs, planned.S, planned.T).valid_from,
+    }
+    times = sorted({*first.values(), planned.S})
+    stream = nr.SeededStream(777)
+    runs, m, theta = 200, model.m, model.theta
+    # running sums indexed by (run, agent, time)
+    alphas = np.empty((runs, m, len(times), model.l, model.n))
+    betas = np.empty((runs, m, len(times), model.n, model.n))
+    for run in range(runs):
+        for agent in range(m):
+            x, y = nr.sample_block(model, stream, run, agent, 1, times[-1])
+            for k, t in enumerate(times):
+                alphas[run, agent, k] = y[:t].T @ x[:t]
+                betas[run, agent, k] = x[:t].T @ x[:t]
+    for k, t in enumerate(times):
+        a, b = alphas[:, :, k], betas[:, :, k]
+        if t >= first["local"]:
+            errors = nr.spectral_norms(a @ np.linalg.inv(b) - theta)
+            violations = int(np.sum(errors > nr.local_bound(inputs, t).value))
+            assert violations <= inputs.delta * runs * m, ("local", t, violations)
+        if t >= first["global"]:
+            errors = nr.spectral_norms(a.sum(axis=1) @ np.linalg.inv(b.sum(axis=1)) - theta)
+            violations = int(np.sum(errors > nr.global_bound(inputs, t).value))
+            assert violations <= inputs.delta * runs, ("global", t, violations)
+        if t >= first["comm"]:
+            # the phase mixes along the agent axis, so agents go first
+            mixed_a, mixed_b = nr.run_comm_phase(ring6, a.swapaxes(0, 1), b.swapaxes(0, 1),
+                                                 planned.T)
+            errors = nr.spectral_norms(mixed_a @ np.linalg.inv(mixed_b) - theta)
+            violations = int(np.sum(errors > nr.comm_bound(inputs, t, planned.T).value))
+            assert violations <= inputs.delta_hat * runs * m, ("comm", t, violations)

@@ -98,6 +98,10 @@ def test_missing_theta_reports_field_path(tmp_path, capsys):
     assert "model.theta" in capsys.readouterr().err
 
 
+def _set_mean(data: dict, mean: dict) -> None:
+    data["model"]["mean_schedule"] = mean
+
+
 @pytest.mark.parametrize(
     "mutate, path_fragment",
     [
@@ -108,6 +112,10 @@ def test_missing_theta_reports_field_path(tmp_path, capsys):
         (lambda d: d["model"].update(bogus=1), "model.bogus"),
         (lambda d: d["run"].update(seed="abc"), "run.seed"),
         (lambda d: d["plan"].update(max_t=0), "plan.max_t"),
+        (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
+                                 "periods": [10.0] * 5 + [0.0]}), "model.mean_schedule.periods"),
+        (lambda d: d.update(network={"topology": "ring", "self_weight": 1.5}),
+         "network.self_weight"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):
@@ -119,10 +127,6 @@ def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment)
 
 
 NAN, INF = float("nan"), float("inf")
-
-
-def _set_mean(data: dict, mean: dict) -> None:
-    data["model"]["mean_schedule"] = mean
 
 
 NON_FINITE_FIELDS = [
@@ -302,6 +306,20 @@ def test_golden_trace_schema_stability(tmp_path):
     assert main(["simulate", cfg, "-o", str(out)]) == 0
     expected = (DATA_DIR / "golden_trace.csv").read_bytes()
     assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("config, golden, first_line", [
+    (CONFIGS_DIR / "paper.json", "golden_plan_result.json",
+     "consensus steps per phase: T = 38"),
+    # sinusoid mean, ring with self_weight, every bounds override, plan.max_t
+    (DATA_DIR / "golden_plan_overrides.json", "golden_plan_overrides_result.json",
+     "consensus steps per phase: T = 16"),
+])
+def test_golden_plan_result(tmp_path, capsys, config, golden, first_line):
+    out = tmp_path / "plan_result.json"
+    assert main(["plan", str(config), "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 def test_bounds_command_table(tmp_path, capsys):

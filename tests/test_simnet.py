@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,24 @@ def test_writeback_mixed_replaces_accumulators():
         assert np.linalg.norm(a - avg, 2) <= 1e-10 * np.linalg.norm(avg, 2)
     # local recursion continues from the replaced statistics
     assert not np.allclose(mixed_alphas, plain_alphas)
+
+
+def test_long_horizon_cumulative_sums_stay_accurate():
+    # one agent, no phases: the engine's final local error against the error
+    # of the estimate built from correctly rounded (math.fsum) running sums
+    horizon = 10**5
+    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=1)
+    config = nr.SimConfig(model=model, weights=nr.validate_weights([[1.0]]),
+                          schedule=nr.Schedule(zeta=10, T=1, S=0),
+                          horizon=horizon, runs=1, seed=23)
+    _, averaged = nr.run(config)
+    x, y = nr.sample_block(model, nr.SeededStream(config.seed), 0, 0, 1, horizon)
+    alpha = np.array([[math.fsum(y[:, i] * x[:, j]) for j in range(model.n)]
+                      for i in range(model.l)])
+    beta = np.array([[math.fsum(x[:, i] * x[:, j]) for j in range(model.n)]
+                     for i in range(model.n)])
+    exact = np.linalg.norm(alpha @ np.linalg.inv(beta) - model.theta, 2)
+    assert averaged.local_err[-1] == pytest.approx(exact, rel=1e-10, abs=0)
 
 
 def test_config_validation():
