@@ -55,8 +55,9 @@ class BoundInputs:
             raise ValueError("sigma_x_lower must be positive")
         if self.sigma_x_upper < self.sigma_x_lower:
             raise ValueError("sigma_x_upper must be >= sigma_x_lower")
-        if self.sigma_eta_upper < 0 or self.mu_hat_upper < 0 or self.theta_norm_upper < 0:
-            raise ValueError("upper bounds must be nonnegative")
+        for name in ("sigma_eta_upper", "mu_hat_upper", "theta_norm_upper"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         if not 0 < self.delta_hat < 1:

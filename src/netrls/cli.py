@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except StoppingTimeNotReachable as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (RuntimeError, ValueError, OSError) as e:
+    except (RuntimeError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

@@ -71,6 +71,22 @@ class ResolvedConfig:
     run: RunParams | None
 
 
+def _json_number(v, path: str):
+    """``v`` when it is a JSON number; booleans and strings are not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(path, f"expected a number, got {v!r}")
+    return v
+
+
+def _json_numbers(raw, path: str) -> None:
+    """Check that every entry of the nested lists ``raw`` is a JSON number."""
+    if isinstance(raw, list):
+        for v in raw:
+            _json_numbers(v, path)
+    else:
+        _json_number(raw, path)
+
+
 def _finite(arr: np.ndarray, path: str) -> np.ndarray:
     bad = arr[~np.isfinite(arr)]
     if bad.size:
@@ -101,9 +117,7 @@ class _Section:
         return {k: read(k) for k in keys if k in self.data}
 
     def number(self, key: str) -> float:
-        v = self.require(key)
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(self.sub(key), f"expected a number, got {v!r}")
+        v = _json_number(self.require(key), self.sub(key))
         try:
             x = float(v)
         except OverflowError:  # an integer beyond the float range
@@ -130,9 +144,10 @@ class _Section:
         path = self.sub(key)
         if not isinstance(raw, list):
             raise ConfigError(path, f"expected an array, got {type(raw).__name__}")
+        _json_numbers(raw, path)
         try:
             arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             raise ConfigError(path, "expected numeric entries") from None
         if arr.ndim == 1:
             if arr.size != rows * cols:
@@ -147,13 +162,22 @@ class _Section:
     def vector(self, key: str, length: int) -> np.ndarray:
         raw = self.require(key)
         path = self.sub(key)
+        _json_numbers(raw, path)
         try:
             arr = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError, OverflowError):
+        except (ValueError, OverflowError):
             raise ConfigError(path, "expected numeric entries") from None
         if arr.shape != (length,):
             raise ConfigError(path, f"has shape {arr.shape}, expected {(length,)}")
         return _finite(arr, path)
+
+    def owner_error(self, error: ValueError) -> ConfigError:
+        """``error`` from the object this section configures, at the field its
+        message opens with when the section sets that field."""
+        field, _, reason = str(error).partition(" ")
+        if field in self.data:
+            return ConfigError(self.sub(field), reason)
+        return ConfigError(self.path, str(error))
 
     def unknown_keys(self, allowed: set[str]) -> None:
         extra = set(self.data) - allowed
@@ -201,7 +225,7 @@ def _resolve_model(section: _Section) -> ModelSpec:
             mean=mean,
         )
     except ValueError as e:
-        raise ConfigError(section.path, str(e)) from None
+        raise section.owner_error(e) from None
 
 
 def _resolve_network(section: _Section, m: int) -> WeightMatrix:
@@ -238,7 +262,7 @@ def resolve_config(data: dict) -> ResolvedConfig:
         bound_inputs = BoundInputs.from_model(model, weights,
                                               **bounds.given(bounds.number, BOUND_KEYS))
     except ValueError as e:
-        raise ConfigError("bounds", str(e)) from None
+        raise bounds.owner_error(e) from None
 
     has_plan = "plan" in data
     has_schedule = "schedule" in data
@@ -275,7 +299,7 @@ def resolve_config(data: dict) -> ResolvedConfig:
                 zeta=sec.integer("zeta"), T=sec.integer("T"), S=sec.integer("S")
             )
         except ValueError as e:
-            raise ConfigError("schedule", str(e)) from None
+            raise sec.owner_error(e) from None
 
     run = None
     if "run" in data:

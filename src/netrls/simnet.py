@@ -10,7 +10,9 @@ errors are spectral norms against the ground truth.
 
 The engine computes a run in batches over agents and steps rather than one
 sample at a time: the running sums ``alpha`` and ``beta`` are cumulative
-sums of the per-sample terms, and the estimates are batched inverses.
+sums of the per-sample terms. The pooled sums are one more lane behind the
+``m`` agents, so all ``m + 1`` lanes share one sticky rank rule and one
+batched estimate, and the engine keeps their error norms, not the estimates.
 ``AgentState`` is the per-sample online form of the same recursion. On 2x2
 matrices, the shape of the paper's example, the error norms, inverses and
 rank tests are closed forms (``local_estimator``); other shapes use LAPACK.
@@ -93,29 +95,17 @@ def _block_increments(config: SimConfig, stream: SeededStream, run_index: int,
     return y[..., :, None] * x[..., None, :], x[..., :, None] * x[..., None, :]
 
 
-def _sticky_full_rank(beta: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Invertibility flags of a ``(steps, k, n, n)`` run of running sums.
-
-    A lane is invertible from the first step whose ``beta`` passes
-    :func:`full_rank` on, and throughout when ``start`` already holds for it,
-    the rule ``AgentState`` applies between write-backs.
-    """
-    flags = np.broadcast_to(start, beta.shape[:2]).copy()
-    pending = ~start
-    if pending.any():
-        flags[:, pending] = np.logical_or.accumulate(full_rank(beta[:, pending]), axis=0)
-    return flags
-
-
-def _estimates(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray) -> np.ndarray:
-    """``alpha @ beta^-1``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere."""
+def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
+            theta: np.ndarray) -> np.ndarray:
+    """Spectral-norm errors of the estimates ``alpha @ beta^-1`` against
+    ``theta``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere."""
     if invertible.all():
-        return alpha @ inverse(beta)
-    out = np.empty_like(alpha)
+        return spectral_norms(alpha @ inverse(beta) - theta)
+    est = np.empty_like(alpha)
     for mask, invert in ((invertible, inverse), (~invertible, np.linalg.pinv)):
         if mask.any():
-            out[mask] = alpha[mask] @ invert(beta[mask])
-    return out
+            est[mask] = alpha[mask] @ invert(beta[mask])
+    return spectral_norms(est - theta)
 
 
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
@@ -123,8 +113,9 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
 
     The horizon is cut every ``BLOCK`` steps and after every communication
     time. Within a piece the running sums are cumulative sums seeded with the
-    carried sums, the local and pooled estimates follow ``AgentState``'s
-    invertibility rule, and each piece is reduced to its error columns at once.
+    carried sums. The ``m`` agents and the pooled sums behind them as lane
+    ``m`` follow ``AgentState``'s sticky invertibility rule, and each piece is
+    reduced to its error norms at once.
     """
     model, schedule = config.model, config.schedule
     horizon, m, l, n = config.horizon, model.m, model.l, model.n
@@ -141,11 +132,12 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     )
     trace.comm_fired[np.asarray(comm_times, dtype=np.int64) - 1] = True
 
-    # carried state: running sums after the last step, their invertibility,
-    # and the communicated error (zero estimates before the first phase)
+    # carried state: the agents' running sums after the last step and the
+    # invertibility of all m + 1 lanes
     alpha, beta = np.zeros((m, l, n)), np.zeros((m, n, n))
-    invertible, pooled_invertible = np.zeros(m, dtype=bool), np.zeros(1, dtype=bool)
-    comm_err = spectral_norms(np.zeros((m, l, n)) - theta).mean()
+    invertible = np.zeros(m + 1, dtype=bool)
+    # the communicated error before the first phase (zero estimates), then per phase
+    phase_err = [spectral_norms(np.zeros((m, l, n)) - theta).mean()]
 
     start = 0
     for end in sorted(set(comm_times).union(range(BLOCK, horizon, BLOCK), [horizon])):
@@ -159,33 +151,30 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         b[0] += beta
         np.cumsum(a, axis=0, out=a)
         np.cumsum(b, axis=0, out=b)
-        flags = _sticky_full_rank(b, invertible)
-        local = _estimates(a, b, flags)
-        pooled_a, pooled_b = a.sum(axis=1, keepdims=True), b.sum(axis=1, keepdims=True)
-        pooled_flags = _sticky_full_rank(pooled_b, pooled_invertible)
-        pooled = _estimates(pooled_a, pooled_b, pooled_flags)
+        lanes_a = np.concatenate([a, a.sum(axis=1, keepdims=True)], axis=1)
+        lanes_b = np.concatenate([b, b.sum(axis=1, keepdims=True)], axis=1)
+        flags = invertible | np.logical_or.accumulate(full_rank(lanes_b), axis=0)
+        errs = _errors(lanes_a, lanes_b, flags, theta)
         alpha, beta = a[-1], b[-1]
-        invertible, pooled_invertible = flags[-1], pooled_flags[-1]
-        piece = slice(start, end)
-        trace.comm_err[piece] = comm_err
 
         if trace.comm_fired[end - 1]:
             mixed_alpha, mixed_beta = run_comm_phase(config.weights, alpha, beta, schedule.T)
             mixed_invertible = full_rank(mixed_beta)
-            comm = _estimates(mixed_alpha, mixed_beta, mixed_invertible)
-            comm_err = spectral_norms(comm - theta).mean()
-            trace.comm_err[end - 1] = comm_err
+            mixed_err = _errors(mixed_alpha, mixed_beta, mixed_invertible, theta)
+            phase_err.append(mixed_err.mean())
             if config.writeback_mixed:
                 # W is doubly stochastic, so mixing keeps the pooled sums and
-                # only the agents' rows change
-                alpha, beta, invertible = mixed_alpha, mixed_beta, mixed_invertible
-                flags[-1] = invertible
-                local[-1] = comm
+                # only the agents' lanes change
+                alpha, beta = mixed_alpha, mixed_beta
+                errs[-1, :m], flags[-1, :m] = mixed_err, mixed_invertible
 
-        trace.local_err[piece] = spectral_norms(local - theta).mean(axis=1)
-        trace.global_err[piece] = spectral_norms(pooled[:, 0] - theta)
-        trace.pre_invertible_count[piece] = m - flags.sum(axis=1)
+        invertible = flags[-1]
+        piece = slice(start, end)
+        trace.local_err[piece] = errs[:, :m].mean(axis=1)
+        trace.global_err[piece] = errs[:, m]
+        trace.pre_invertible_count[piece] = m - flags[:, :m].sum(axis=1)
         start = end
+    trace.comm_err[:] = np.take(phase_err, np.searchsorted(comm_times, trace.t, side="right"))
     return trace
 
 

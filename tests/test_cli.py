@@ -116,6 +116,21 @@ def _set_mean(data: dict, mean: dict) -> None:
                                  "periods": [10.0] * 5 + [0.0]}), "model.mean_schedule.periods"),
         (lambda d: d.update(network={"topology": "ring", "self_weight": 1.5}),
          "network.self_weight"),
+        # matrix and vector entries are JSON numbers, as scalar fields are
+        (lambda d: d["model"].update(theta=[["1.6", "0.3"], ["0.8", "0.3"]]),
+         "model.theta: expected a number, got '1.6'"),
+        (lambda d: d["model"].update(theta=[[True, 0.3], [0.8, 0.3]]),
+         "model.theta: expected a number, got True"),
+        (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
+                                 "periods": ["10"] * 6}),
+         "model.mean_schedule.periods: expected a number, got '10'"),
+        # range checks of BoundInputs, ModelSpec and Schedule name their field
+        (lambda d: d["bounds"].update(delta=1.5), "bounds.delta: must be in (0, 1)"),
+        (lambda d: d["model"].update(sigma_x=-1), "model.sigma_x: must be positive"),
+        (lambda d: (d.pop("plan"), d.update(schedule={"zeta": 20, "T": 38, "S": 1630})),
+         "schedule.S: must be an integer multiple of zeta"),
+        (lambda d: d["bounds"].update(sigma_eta_upper=-0.5),
+         "bounds.sigma_eta_upper: must be nonnegative"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):
@@ -221,6 +236,20 @@ def test_bad_parallel_runs_exits_2_naming_it(tmp_path, capsys, parallel):
     out = tmp_path / "t.csv"
     assert main(["simulate", cfg, "-o", str(out), "--parallel-runs", parallel]) == 2
     assert "--parallel-runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys):
+    # 2**56 steps of float64 are 512 PiB, beyond any address space, so the
+    # first array of the trace fails to allocate at once
+    data = small_config_dict()
+    data["run"]["horizon"] = 2**56
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", cfg, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 

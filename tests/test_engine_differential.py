@@ -100,7 +100,7 @@ def test_four_features_start_on_pinv(writeback):
     assert traces[0].pre_invertible_count[:4].tolist() == expected
 
 
-def test_invertibility_is_sticky_like_agent_state():
+def test_invertibility_is_sticky_like_agent_state(monkeypatch):
     # beta = I passes the rank test at step 2; the third term makes it
     # ill-conditioned enough to fail it, but the agent stays invertible
     x_rows = np.array([[1.0, 0.0], [0.0, 1.0], [1e6, 0.0], [0.5, 0.5]])
@@ -109,11 +109,28 @@ def test_invertibility_is_sticky_like_agent_state():
     for x in x_rows:
         state.ingest(x, np.zeros(1))
         expected.append(not state.pre_invertible)
-    betas = np.cumsum(x_rows[:, :, None] * x_rows[:, None, :], axis=0)[:, None]
-    flags = simnet._sticky_full_rank(betas, np.zeros(1, dtype=bool))
+    outer = x_rows[:, :, None] * x_rows[:, None, :]
+    betas = np.cumsum(outer, axis=0)
     assert expected == [False, True, True, True]
-    assert flags[:, 0].tolist() == expected
-    assert not full_rank(betas[2, 0])
+    assert not full_rank(betas[2])
+
+    # the engine sees the same rows at two agents, with no phase in the horizon
+    def rows(config, stream, run_index, t_start, count):
+        steps = slice(t_start - 1, t_start - 1 + count)
+        return (np.zeros((count, 2, 1, 2)),
+                np.repeat(outer[steps, None], 2, axis=1))
+
+    monkeypatch.setattr(simnet, "_block_increments", rows)
+    config = nr.SimConfig(
+        model=nr.ModelSpec(theta=[[1.0, 2.0]], sigma_x=1.0, sigma_eta=0.0, m=2),
+        weights=nr.complete_weights(2),
+        schedule=nr.Schedule(zeta=10, T=1, S=0),
+        horizon=4,
+        runs=1,
+        seed=0,
+    )
+    trace = simnet._simulate_run(config, 0)
+    assert trace.pre_invertible_count.tolist() == [2, 0, 0, 0]
 
 
 @pytest.mark.parametrize("writeback", [False, True])
