@@ -54,7 +54,8 @@ class BoundInputs:
         if not self.sigma_x_lower > 0:
             raise ValueError("sigma_x_lower must be positive")
         if self.sigma_x_upper < self.sigma_x_lower:
-            raise ValueError("sigma_x_upper must be >= sigma_x_lower")
+            raise ValueError(f"sigma_x_upper must be >= sigma_x_lower, got "
+                             f"{self.sigma_x_upper!r} < {self.sigma_x_lower!r}")
         for name in ("sigma_eta_upper", "mu_hat_upper", "theta_norm_upper"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

@@ -87,6 +87,18 @@ def _json_numbers(raw, path: str) -> None:
         _json_number(raw, path)
 
 
+def _json_array(raw, path: str) -> np.ndarray:
+    """The nested lists of JSON numbers ``raw`` as a float array."""
+    _json_numbers(raw, path)
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(path, "entries must be finite, got inf") from None
+    except ValueError:  # every entry is a number, so the nesting is uneven
+        raise ConfigError(path, "ragged array: rows differ in length or mix "
+                                "numbers with arrays") from None
+
+
 def _finite(arr: np.ndarray, path: str) -> np.ndarray:
     bad = arr[~np.isfinite(arr)]
     if bad.size:
@@ -144,11 +156,7 @@ class _Section:
         path = self.sub(key)
         if not isinstance(raw, list):
             raise ConfigError(path, f"expected an array, got {type(raw).__name__}")
-        _json_numbers(raw, path)
-        try:
-            arr = np.asarray(raw, dtype=float)
-        except (ValueError, OverflowError):
-            raise ConfigError(path, "expected numeric entries") from None
+        arr = _json_array(raw, path)
         if arr.ndim == 1:
             if arr.size != rows * cols:
                 raise ConfigError(
@@ -162,22 +170,23 @@ class _Section:
     def vector(self, key: str, length: int) -> np.ndarray:
         raw = self.require(key)
         path = self.sub(key)
-        _json_numbers(raw, path)
-        try:
-            arr = np.asarray(raw, dtype=float)
-        except (ValueError, OverflowError):
-            raise ConfigError(path, "expected numeric entries") from None
+        arr = _json_array(raw, path)
         if arr.shape != (length,):
             raise ConfigError(path, f"has shape {arr.shape}, expected {(length,)}")
         return _finite(arr, path)
 
     def owner_error(self, error: ValueError) -> ConfigError:
-        """``error`` from the object this section configures, at the field its
-        message opens with when the section sets that field."""
-        field, _, reason = str(error).partition(" ")
-        if field in self.data:
-            return ConfigError(self.sub(field), reason)
-        return ConfigError(self.path, str(error))
+        """``error`` from the object this section configures, at the first
+        field its message names that the section sets. The message opens with
+        the field that failed, which may be one the section left to its
+        default, as in a check across two fields."""
+        message = str(error)
+        field = next((w for w in message.replace(",", " ").split() if w in self.data), None)
+        if field is None:
+            return ConfigError(self.path, message)
+        if message.startswith(field + " "):
+            message = message[len(field) + 1:]
+        return ConfigError(self.sub(field), message)
 
     def unknown_keys(self, allowed: set[str]) -> None:
         extra = set(self.data) - allowed

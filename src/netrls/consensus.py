@@ -107,7 +107,9 @@ def run_comm_phase(weights: WeightMatrix, alphas: np.ndarray, betas: np.ndarray,
 
     A round replaces agent ``i``'s matrices by ``sum_j w[i, j] *`` (agent
     ``j``'s matrices), all read from the previous round, so ``steps`` rounds
-    are one multiplication by ``W**steps`` along the agent axis.
+    are one multiplication by ``W**steps`` along the agent axis. The axes
+    after the first are carried along, so the sums of several phases stacked
+    as ``(m, k * l, n)`` are mixed by one product.
     """
     if steps < 1:
         raise ValueError("a communication phase needs at least one step")

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 __all__ = [
     "ZeroMean",
@@ -220,8 +219,11 @@ def _standard_normal(u: np.ndarray) -> np.ndarray:
 
     The shift keeps the argument above 0. The largest uniform, ``1 - 2**-53``,
     shifts to exactly 1.0, so the argument is clamped below 1; no other value
-    reaches the clamp.
+    reaches the clamp. scipy is imported here, at the first draw, so the
+    commands that never sample do not pay for its import.
     """
+    from scipy.special import ndtri
+
     return ndtri(np.minimum(u + 2.0**-54, np.nextafter(1.0, 0.0)))
 
 

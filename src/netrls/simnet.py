@@ -13,6 +13,9 @@ sample at a time: the running sums ``alpha`` and ``beta`` are cumulative
 sums of the per-sample terms. The pooled sums are one more lane behind the
 ``m`` agents, so all ``m + 1`` lanes share one sticky rank rule and one
 batched estimate, and the engine keeps their error norms, not the estimates.
+A phase only reads the running sums unless its mixed sums are written back,
+so the horizon is cut at communication times only with write-back; the
+phases that fall in one piece are mixed by one ``W**T`` product.
 ``AgentState`` is the per-sample online form of the same recursion. On 2x2
 matrices, the shape of the paper's example, the error norms, inverses and
 rank tests are closed forms (``local_estimator``); other shapes use LAPACK.
@@ -36,6 +39,10 @@ __all__ = ["SimConfig", "ErrorTrace", "run", "spectral_norms"]
 # steps per block of draws; a block is the engine's largest working set, so
 # memory does not grow with the horizon
 BLOCK = 512
+# matrices per lane in one estimate pass: a piece holds at most
+# LANE_STEPS // (m + 1) steps, so its (steps, m + 1, ...) lanes and their
+# temporaries do not grow with the number of agents
+LANE_STEPS = 4096
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
@@ -98,24 +105,38 @@ def _block_increments(config: SimConfig, stream: SeededStream, run_index: int,
 def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
             theta: np.ndarray) -> np.ndarray:
     """Spectral-norm errors of the estimates ``alpha @ beta^-1`` against
-    ``theta``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere."""
-    if invertible.all():
-        return spectral_norms(alpha @ inverse(beta) - theta)
-    est = np.empty_like(alpha)
-    for mask, invert in ((invertible, inverse), (~invertible, np.linalg.pinv)):
-        if mask.any():
-            est[mask] = alpha[mask] @ invert(beta[mask])
-    return spectral_norms(est - theta)
+    ``theta``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere.
+
+    The leading axis holds rows of lanes. The rows after the last one with a
+    lane that is not invertible take ``inverse`` unmasked; only the rows up
+    to it go through the masked copies.
+    """
+    lagging = np.flatnonzero(~invertible.all(axis=1))
+    split = lagging[-1] + 1 if lagging.size else 0
+    errs = np.empty(invertible.shape)
+    if split < len(errs):
+        errs[split:] = spectral_norms(alpha[split:] @ inverse(beta[split:]) - theta)
+    if split:
+        alpha, beta, invertible = alpha[:split], beta[:split], invertible[:split]
+        est = np.empty_like(alpha)
+        for mask, invert in ((invertible, inverse), (~invertible, np.linalg.pinv)):
+            if mask.any():
+                est[mask] = alpha[mask] @ invert(beta[mask])
+        errs[:split] = spectral_norms(est - theta)
+    return errs
 
 
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     """One run, batched over agents and over the steps between cuts.
 
-    The horizon is cut every ``BLOCK`` steps and after every communication
-    time. Within a piece the running sums are cumulative sums seeded with the
-    carried sums. The ``m`` agents and the pooled sums behind them as lane
-    ``m`` follow ``AgentState``'s sticky invertibility rule, and each piece is
-    reduced to its error norms at once.
+    The horizon is cut every ``BLOCK`` steps, every ``LANE_STEPS // (m + 1)``
+    steps within a block, and, with write-back only, after every
+    communication time. Within a piece the running sums are cumulative sums
+    seeded with the carried sums. The ``m`` agents and the pooled sums behind
+    them as lane ``m`` follow ``AgentState``'s sticky invertibility rule, and
+    each piece is reduced to its error norms at once. The ``k`` phases of a
+    piece are mixed by one ``run_comm_phase`` call; with write-back a piece
+    ends at its one phase, whose mixed sums it carries on.
     """
     model, schedule = config.model, config.schedule
     horizon, m, l, n = config.horizon, model.m, model.l, model.n
@@ -131,6 +152,9 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         pre_invertible_count=np.empty(horizon, dtype=np.int64),
     )
     trace.comm_fired[np.asarray(comm_times, dtype=np.int64) - 1] = True
+    cut = (trace.t % BLOCK % max(1, LANE_STEPS // (m + 1)) == 0) | (trace.t == horizon)
+    if config.writeback_mixed:
+        cut |= trace.comm_fired
 
     # carried state: the agents' running sums after the last step and the
     # invertibility of all m + 1 lanes
@@ -140,7 +164,7 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     phase_err = [spectral_norms(np.zeros((m, l, n)) - theta).mean()]
 
     start = 0
-    for end in sorted(set(comm_times).union(range(BLOCK, horizon, BLOCK), [horizon])):
+    for end in (np.flatnonzero(cut) + 1).tolist():
         if start % BLOCK == 0:
             inc_alpha, inc_beta = _block_increments(
                 config, stream, run_index, start + 1, min(BLOCK, horizon - start))
@@ -157,16 +181,25 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         errs = _errors(lanes_a, lanes_b, flags, theta)
         alpha, beta = a[-1], b[-1]
 
-        if trace.comm_fired[end - 1]:
-            mixed_alpha, mixed_beta = run_comm_phase(config.weights, alpha, beta, schedule.T)
+        fired = np.flatnonzero(trace.comm_fired[start:end])
+        if fired.size:
+            # the sums at the k phases as (m, k * rows, cols): run_comm_phase
+            # mixes along the agent axis and carries the others along
+            k = fired.size
+            mixed = run_comm_phase(config.weights,
+                                   np.moveaxis(a[fired], 0, 1).reshape(m, k * l, n),
+                                   np.moveaxis(b[fired], 0, 1).reshape(m, k * n, n),
+                                   schedule.T)
+            mixed_alpha, mixed_beta = (np.moveaxis(x.reshape(m, k, -1, n), 1, 0) for x in mixed)
             mixed_invertible = full_rank(mixed_beta)
             mixed_err = _errors(mixed_alpha, mixed_beta, mixed_invertible, theta)
-            phase_err.append(mixed_err.mean())
+            phase_err.extend(mixed_err.mean(axis=1))
             if config.writeback_mixed:
-                # W is doubly stochastic, so mixing keeps the pooled sums and
-                # only the agents' lanes change
-                alpha, beta = mixed_alpha, mixed_beta
-                errs[-1, :m], flags[-1, :m] = mixed_err, mixed_invertible
+                # the piece ends at its one phase, its last row. W is doubly
+                # stochastic, so mixing keeps the pooled sums and only the
+                # agents' lanes change
+                alpha, beta = mixed_alpha[-1], mixed_beta[-1]
+                errs[-1, :m], flags[-1, :m] = mixed_err[-1], mixed_invertible[-1]
 
         invertible = flags[-1]
         piece = slice(start, end)

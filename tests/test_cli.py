@@ -131,6 +131,19 @@ def _set_mean(data: dict, mean: dict) -> None:
          "schedule.S: must be an integer multiple of zeta"),
         (lambda d: d["bounds"].update(sigma_eta_upper=-0.5),
          "bounds.sigma_eta_upper: must be nonnegative"),
+        # a check across two fields names the one the file set
+        (lambda d: d["bounds"].update(sigma_x_lower=5),
+         "bounds.sigma_x_lower: sigma_x_upper must be >= sigma_x_lower, got 3.0 < 5"),
+        # ragged arrays and integers beyond the float range name their fault
+        (lambda d: d["model"].update(theta=[[1.6, 0.3], [0.8]]),
+         "model.theta: ragged array: rows differ in length"),
+        (lambda d: d["model"].update(theta=[[1.6, 0.3], 0.8]),
+         "model.theta: ragged array: rows differ in length or mix numbers with arrays"),
+        (lambda d: d["model"].update(theta=[[1.6, 10**400], [0.8, 0.3]]),
+         "model.theta: entries must be finite, got inf"),
+        (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
+                                 "periods": [10.0] * 5 + [[10.0]]}),
+         "model.mean_schedule.periods: ragged array"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):

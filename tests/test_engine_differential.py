@@ -11,7 +11,8 @@ import pytest
 
 import netrls as nr
 from netrls import simnet
-from netrls.local_estimator import full_rank
+from netrls.consensus import run_comm_phase
+from netrls.local_estimator import full_rank, inverse
 
 from conftest import reference_model
 from stepwise_oracle import simulate_run
@@ -170,3 +171,89 @@ def test_results_do_not_depend_on_block_length(monkeypatch):
         for got, want in zip(traces, reference):
             for column in ERROR_COLUMNS + ("pre_invertible_count",):
                 assert np.array_equal(getattr(got, column), getattr(want, column))
+
+
+def _counting_comm_phase(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the operand shape of every ``run_comm_phase`` call the engine makes."""
+    shapes = []
+
+    def counted(weights, alphas, betas, steps):
+        shapes.append(alphas.shape)
+        return run_comm_phase(weights, alphas, betas, steps)
+
+    monkeypatch.setattr(simnet, "run_comm_phase", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("writeback", [False, True])
+def test_one_comm_product_per_block_or_per_writeback_phase(monkeypatch, paper_model, ring6,
+                                                            paper_schedule, writeback):
+    # one run of configs/paper.json: 81 phases (t = 20, ..., 1620) in the
+    # first four blocks of 512 steps
+    shapes = _counting_comm_phase(monkeypatch)
+    config = nr.SimConfig(model=paper_model, weights=ring6, schedule=paper_schedule,
+                          horizon=3000, runs=1, seed=1008, writeback_mixed=writeback)
+    trace = simnet._simulate_run(config, 0)
+    phases = int(trace.comm_fired.sum())
+    assert phases == 81
+    # the operand stays (m, k * l, n), which the benchmark's tracer unpacks
+    assert all(len(shape) == 3 and shape[0] == 6 for shape in shapes)
+    assert sum(shape[1] for shape in shapes) == phases * paper_model.l
+    if writeback:
+        assert len(shapes) == phases
+    else:
+        assert len(shapes) == -(-paper_schedule.S // simnet.BLOCK) == 4
+
+
+@pytest.mark.parametrize("lane_steps", [None, 7 * 5])
+def test_many_phases_per_block_without_writeback(monkeypatch, lane_steps):
+    # 35 phases, 32 of them in the first block, one on that block's last row
+    # and one at the horizon; with 7 steps per piece, some pieces hold no phase and the
+    # phases fall on every row position
+    if lane_steps is not None:
+        monkeypatch.setattr(simnet, "LANE_STEPS", lane_steps)
+    shapes = _counting_comm_phase(monkeypatch)
+    zeta = 16
+    horizon = simnet.BLOCK + 3 * zeta
+    config = nr.SimConfig(
+        model=_model("sinusoid"),
+        weights=nr.ring_weights(4),
+        schedule=nr.Schedule(zeta=zeta, T=5, S=horizon),
+        horizon=horizon,
+        runs=2,
+        seed=23,
+    )
+    traces = _assert_matches_oracle(config)
+    assert traces[0].comm_fired[simnet.BLOCK - 1]
+    assert traces[0].comm_fired[-1]
+    if lane_steps is None:
+        assert len(shapes) == 2 * config.runs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("sticky", [True, False])
+def test_split_errors_match_the_all_masked_path(n, sticky):
+    # one rank-one term per step: the first n - 1 rows need pinv in every
+    # lane, and lanes turn invertible at different rows
+    rng = np.random.default_rng(11)
+    rows, lanes, l = 9, 3, 2
+    x = rng.normal(size=(rows, lanes, n))
+    x[: n + 1, 0] = x[0, 0]  # lane 0 stays rank one until row n + 1
+    beta = np.cumsum(x[..., :, None] * x[..., None, :], axis=0)
+    alpha = np.cumsum(rng.normal(size=(rows, lanes, l, 1)) * x[..., None, :], axis=0)
+    theta = rng.normal(size=(l, n))
+    if not sticky:
+        # a rank-one lane after rows that are invertible in every lane, as
+        # the mixed sums of the phases in one piece may have
+        beta[rows - 3, 1] = np.outer(x[0, 1], x[0, 1])
+    flags = full_rank(beta)
+    if sticky:
+        flags = np.logical_or.accumulate(flags, axis=0)
+    assert not flags[0].any() and flags[-1].all()
+    assert flags[rows - 4].all() and flags[rows - 3].all() == sticky
+
+    est = np.empty_like(alpha)
+    est[flags] = alpha[flags] @ inverse(beta[flags])
+    est[~flags] = alpha[~flags] @ np.linalg.pinv(beta[~flags])
+    assert np.array_equal(simnet._errors(alpha, beta, flags, theta),
+                          simnet.spectral_norms(est - theta))

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -105,6 +110,28 @@ def test_largest_uniform_maps_to_a_finite_draw():
     assert np.array_equal(z[:3], ndtri(u[:3] + 2.0**-54))
     assert z[3] == ndtri(np.nextafter(1.0, 0.0)) and z[3] > z[2] > 8.0
     assert z[0] < -8.0 and z[1] == 0.0
+
+
+def test_scipy_is_imported_at_the_first_draw(tmp_path):
+    # a fresh interpreter, so the imports of this test session do not mask it;
+    # plan and bounds never sample, so they leave scipy out too
+    config = Path(__file__).parent.parent / "configs" / "paper.json"
+    script = f"""
+import sys
+import netrls, netrls.cli
+from netrls.cli import main
+assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) == 0
+assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
+print("scipy" in sys.modules)
+netrls.sample_pair(netrls.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=1.0, m=1),
+                   netrls.SeededStream(0), run=0, agent=0, t=1)
+print("scipy" in sys.modules)
+"""
+    src = str(Path(nr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[-2:] == ["False", "True"]
 
 
 def test_constant_mean_shifts_draws():
