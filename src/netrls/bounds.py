@@ -8,6 +8,11 @@ logarithms are natural. Inputs are the *assumed* parameter bounds: lower
 bound on ``sigma_x`` in denominators, upper bounds everywhere else, so the
 reports stay valid when only bounds on the true scalars are known.
 
+The three bounds share one noise term, ``C1 / (sqrt(k t) sigma_x^2)`` for
+``k`` pooled agents: the local bound is it with ``k = 1``, the global bound
+with ``k = m``, and the communicated bound adds the network term
+``rho**T C0`` to the global one.
+
 The time ``t`` of ``local_bound``, ``global_bound`` and ``comm_bound`` may be
 a scalar or a numpy array of times; each element of an array result equals
 the scalar evaluation at that time, bit for bit.
@@ -212,13 +217,18 @@ def _check_burn_in(t, threshold: float, regime: str) -> int:
     return valid_from
 
 
-def _constants(inputs: BoundInputs) -> dict:
-    return dict(
-        C1=_C1(inputs, inputs.delta),
-        c1=_c1(inputs),
-        c2=_c2(inputs, inputs.delta_hat),
-        c3=_c3(inputs),
-    )
+def _report(inputs: BoundInputs, bi: BurnIn, t, samples: int, mu_bar_lambda_min: float,
+            regime: str, valid_from: int, network=0.0) -> BoundReport:
+    """The report of a bound whose noise term pools ``samples`` agents' ``t``
+    samples each, plus the bound's ``network`` term."""
+    if mu_bar_lambda_min < 1.0:
+        raise ValueError("lambda_min(I + mu_bar) is always >= 1")
+    C1 = _C1(inputs, inputs.delta)
+    noise = C1 / (np.sqrt(samples * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min)
+    return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, C1=C1, c1=_c1(inputs),
+                       c2=_c2(inputs, inputs.delta_hat), c3=_c3(inputs),
+                       value=network + noise, regime=regime, valid_from=valid_from,
+                       network_term=network, noise_term=noise)
 
 
 def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
@@ -227,31 +237,17 @@ def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> Bound
     Decays like ``1/sqrt(t)``; ``mu_bar_lambda_min`` is the smallest
     eigenvalue of ``I + mu_bar`` and defaults to the conservative value 1.
     """
-    if mu_bar_lambda_min < 1.0:
-        raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     bi = burn_in(inputs, "delta")
     valid_from = _check_burn_in(t, bi.threshold, "local")
-    value = _C1(inputs, inputs.delta) / (
-        np.sqrt(t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
-    )
-    return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, **_constants(inputs),
-                       value=value, regime="local", valid_from=valid_from,
-                       network_term=0.0, noise_term=value)
+    return _report(inputs, bi, t, 1, mu_bar_lambda_min, "local", valid_from)
 
 
 def global_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for the pooled all-agent estimate; local bound with
     ``t`` replaced by ``m * t`` and burn-in divided by ``m``."""
-    if mu_bar_lambda_min < 1.0:
-        raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     bi = burn_in(inputs, "delta")
     valid_from = _check_burn_in(t, bi.threshold / inputs.m, "global")
-    value = _C1(inputs, inputs.delta) / (
-        np.sqrt(inputs.m * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
-    )
-    return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, **_constants(inputs),
-                       value=value, regime="global", valid_from=valid_from,
-                       network_term=0.0, noise_term=value)
+    return _report(inputs, bi, t, inputs.m, mu_bar_lambda_min, "global", valid_from)
 
 
 def comm_bound(inputs: BoundInputs, t, steps: int,
@@ -266,14 +262,8 @@ def comm_bound(inputs: BoundInputs, t, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if mu_bar_lambda_min < 1.0:
-        raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     bi = burn_in(inputs, "delta_hat")
     valid_from = _check_burn_in(t, bi.threshold, "communicated")
     network = inputs.rho**steps * _C0(inputs, t, steps)
-    noise = _C1(inputs, inputs.delta) / (
-        np.sqrt(inputs.m * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min
-    )
-    return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, **_constants(inputs),
-                       value=network + noise, regime="communicated", valid_from=valid_from,
-                       network_term=network, noise_term=noise)
+    return _report(inputs, bi, t, inputs.m, mu_bar_lambda_min, "communicated", valid_from,
+                   network)

@@ -9,7 +9,6 @@ Validation errors carry the dotted path of the offending field.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -71,11 +70,10 @@ class ResolvedConfig:
     run: RunParams | None
 
 
-def _json_number(v, path: str):
-    """``v`` when it is a JSON number; booleans and strings are not."""
+def _json_number(v, path: str) -> None:
+    """Check that ``v`` is a JSON number; booleans and strings are not."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, f"expected a number, got {v!r}")
-    return v
 
 
 def _json_numbers(raw, path: str) -> None:
@@ -85,25 +83,6 @@ def _json_numbers(raw, path: str) -> None:
             _json_numbers(v, path)
     else:
         _json_number(raw, path)
-
-
-def _json_array(raw, path: str) -> np.ndarray:
-    """The nested lists of JSON numbers ``raw`` as a float array."""
-    _json_numbers(raw, path)
-    try:
-        return np.asarray(raw, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(path, "entries must be finite, got inf") from None
-    except ValueError:  # every entry is a number, so the nesting is uneven
-        raise ConfigError(path, "ragged array: rows differ in length or mix "
-                                "numbers with arrays") from None
-
-
-def _finite(arr: np.ndarray, path: str) -> np.ndarray:
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise ConfigError(path, f"entries must be finite, got {float(bad[0])!r}")
-    return arr
 
 
 class _Section:
@@ -128,15 +107,34 @@ class _Section:
         field left out takes the default of whatever the dict is passed to."""
         return {k: read(k) for k in keys if k in self.data}
 
-    def number(self, key: str) -> float:
-        v = _json_number(self.require(key), self.sub(key))
+    def _array(self, key: str, shape: tuple) -> np.ndarray:
+        """The field ``key`` as a finite float array of ``shape``: a JSON
+        number for ``()``, nested lists of them otherwise. A ``(rows, cols)``
+        matrix may also be given as a flat row-major list."""
+        raw, path = self.require(key), self.sub(key)
+        (_json_numbers if shape else _json_number)(raw, path)
         try:
-            x = float(v)
+            arr = np.asarray(raw, dtype=float)
         except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if not math.isfinite(x):
-            raise ConfigError(self.sub(key), f"must be a finite number, got {x!r}")
-        return x
+            raise ConfigError(path, "entries must be finite, got inf") from None
+        except ValueError:  # every entry is a number, so the nesting is uneven
+            raise ConfigError(path, "ragged array: rows differ in length or mix "
+                                    "numbers with arrays") from None
+        if len(shape) == 2 and arr.ndim == 1:
+            size = shape[0] * shape[1]
+            if arr.size != size:
+                raise ConfigError(path, f"flat row-major array has {arr.size} entries, "
+                                        f"expected {size}")
+            arr = arr.reshape(shape)
+        if arr.shape != shape:
+            raise ConfigError(path, f"has shape {arr.shape}, expected {shape}")
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ConfigError(path, f"entries must be finite, got {float(bad[0])!r}")
+        return arr
+
+    def number(self, key: str) -> float:
+        return float(self._array(key, ()))
 
     def integer(self, key: str) -> int:
         v = self.require(key)
@@ -150,30 +148,11 @@ class _Section:
             raise ConfigError(self.sub(key), f"expected a boolean, got {v!r}")
         return v
 
-    def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
-        """Accept nested rows or a flat row-major array of the right size."""
-        raw = self.require(key)
-        path = self.sub(key)
-        if not isinstance(raw, list):
-            raise ConfigError(path, f"expected an array, got {type(raw).__name__}")
-        arr = _json_array(raw, path)
-        if arr.ndim == 1:
-            if arr.size != rows * cols:
-                raise ConfigError(
-                    path, f"flat row-major array has {arr.size} entries, expected {rows * cols}"
-                )
-            arr = arr.reshape(rows, cols)
-        if arr.shape != (rows, cols):
-            raise ConfigError(path, f"has shape {arr.shape}, expected {(rows, cols)}")
-        return _finite(arr, path)
-
     def vector(self, key: str, length: int) -> np.ndarray:
-        raw = self.require(key)
-        path = self.sub(key)
-        arr = _json_array(raw, path)
-        if arr.shape != (length,):
-            raise ConfigError(path, f"has shape {arr.shape}, expected {(length,)}")
-        return _finite(arr, path)
+        return self._array(key, (length,))
+
+    def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
+        return self._array(key, (rows, cols))
 
     def owner_error(self, error: ValueError) -> ConfigError:
         """``error`` from the object this section configures, at the first
