@@ -70,6 +70,18 @@ class BoundInputs:
             raise ValueError("delta_hat must be in (0, 1)")
         if not 0 <= self.rho < 1:
             raise ValueError("rho must be in [0, 1)")
+        # extreme but finite scalars can overflow the burn-ins or the largest
+        # noise and network terms (at t = 1 and no consensus step), or
+        # underflow a power of sigma_x_lower that a bound divides by
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = all(map(math.isfinite, (
+                    burn_in(self, "delta").threshold, burn_in(self, "delta_hat").threshold,
+                    _C1(self, self.delta) / self.sigma_x_lower**2, _C0(self, 1, 0))))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"bound constants are not finite for {self!r}")
 
     @classmethod
     def from_model(cls, model, weights, delta: float = 0.05, delta_hat: float = 0.001,

@@ -32,7 +32,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .planner import PlanResult, Schedule, StoppingTimeNotReachable, plan
+from .planner import PlanResult, Schedule, plan
 from .simnet import ErrorTrace, SimConfig, run
 
 __all__ = ["main"]
@@ -281,9 +281,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except StoppingTimeNotReachable as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except (RuntimeError, ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -140,6 +140,8 @@ class _Section:
         v = self.require(key)
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(self.sub(key), f"expected an integer, got {v!r}")
+        if not -2**63 <= v < 2**64:  # numpy takes it as an int64 or uint64
+            raise ConfigError(self.sub(key), "must fit in 64 bits")
         return v
 
     def boolean(self, key: str) -> bool:

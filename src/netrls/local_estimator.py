@@ -59,7 +59,7 @@ def full_rank(beta: np.ndarray) -> np.ndarray:
 class AgentState:
     """Streaming least-squares state owned by a single agent."""
 
-    __slots__ = ("alpha", "beta", "invertible", "theta_local", "theta_comm")
+    __slots__ = ("alpha", "beta", "invertible", "theta_local")
 
     def __init__(self, n: int, l: int):
         if n < 1 or l < 1:
@@ -68,7 +68,6 @@ class AgentState:
         self.beta = np.zeros((n, n))
         self.invertible = False
         self.theta_local = np.zeros((l, n))
-        self.theta_comm = np.zeros((l, n))
 
     @property
     def n(self) -> int:

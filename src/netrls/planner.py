@@ -124,7 +124,9 @@ def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float) -> tuple[int, int]:
     if epsilon_N <= 0:
         raise ValueError("epsilon_N must be positive")
     t_first = _first_multiple_at_or_after(burn_in(inputs, "delta_hat").threshold, zeta)
-    k = _first_true(lambda k: comm_bound(inputs, t_first, 1 + k).network_term <= epsilon_N)
+    # the bounds get float times: numpy has no sqrt of an integer beyond 64 bits
+    k = _first_true(lambda k: comm_bound(inputs, float(t_first), 1 + k).network_term
+                    <= epsilon_N)
     return 1 + k, t_first
 
 
@@ -147,7 +149,7 @@ def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
     )
 
     def reached(k: int) -> bool:
-        t = start + k * zeta
+        t = float(start + k * zeta)
         return min(local_bound(inputs, t).value, comm_bound(inputs, t, T).value) < epsilon
 
     k = _first_true(reached, last=(max_t - start) // zeta)
@@ -164,7 +166,7 @@ def plan(inputs: BoundInputs, zeta: int, epsilon: float, epsilon_N: float,
     """Run both searches and package the outcome."""
     T, t_first = plan_T(inputs, zeta, epsilon_N)
     S = plan_S(inputs, zeta, T, epsilon, max_t=max_t)
-    report = comm_bound(inputs, max(t_first, S), T)
+    report = comm_bound(inputs, float(max(t_first, S)), T)
     return PlanResult(zeta=zeta, T=T, S=S, t_first=t_first,
                       epsilon=epsilon, epsilon_N=epsilon_N, rho=inputs.rho,
                       C1=report.C1, c1=report.c1, c2=report.c2, c3=report.c3)

@@ -29,6 +29,8 @@ class SimWorld:
         self.t = 0
         model = config.model
         self.agents: list[AgentState] = [AgentState(model.n, model.l) for _ in range(model.m)]
+        # each agent's post-communication estimate, zero before the first phase
+        self.theta_comm = np.zeros((model.m, model.l, model.n))
         self.pooled_invertible = False
         stream = nr.SeededStream(config.seed)
         # whole-horizon draws per agent; identical to stepwise sampling
@@ -59,10 +61,10 @@ class SimWorld:
             for i, agent in enumerate(self.agents):
                 if self.config.writeback_mixed:
                     agent.replace_statistics(alphas[i], betas[i])
-                    agent.theta_comm = agent.theta_local
+                    self.theta_comm[i] = agent.theta_local
                 else:
                     invert = np.linalg.inv if full_rank(betas[i]) else np.linalg.pinv
-                    agent.theta_comm = alphas[i] @ invert(betas[i])
+                    self.theta_comm[i] = alphas[i] @ invert(betas[i])
         self.t = t
         return fired
 
@@ -101,7 +103,7 @@ def simulate_run(config: nr.SimConfig, run_index: int) -> nr.ErrorTrace:
         fired[t - 1] = world.step()
         for i, agent in enumerate(world.agents):
             local[t - 1, i] = agent.theta_local
-            comm[t - 1, i] = agent.theta_comm
+        comm[t - 1] = world.theta_comm
         pooled[t - 1] = world.global_estimate()
         pre_count[t - 1] = world.pre_invertible_count()
 

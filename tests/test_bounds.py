@@ -150,6 +150,31 @@ def test_comm_bound_gates_and_argument_checks(paper_inputs):
         nr.local_bound(paper_inputs, 1620, mu_bar_lambda_min=0.5)
 
 
+def test_every_bound_rejects_mu_bar_lambda_min_below_one(paper_inputs):
+    for bound in (nr.local_bound, nr.global_bound,
+                  lambda inputs, t, **kw: nr.comm_bound(inputs, t, 38, **kw)):
+        with pytest.raises(ValueError, match="lambda_min"):
+            bound(paper_inputs, 1620, mu_bar_lambda_min=0.5)
+
+
+def test_comm_noise_term_is_the_global_bound(paper_inputs):
+    t = np.arange(138, 3001)
+    assert np.array_equal(nr.comm_bound(paper_inputs, t, 38).noise_term,
+                          nr.global_bound(paper_inputs, t).value)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(sigma_x_upper=1e200),  # c1 squares it beyond the float range
+    dict(sigma_x_lower=1e-200, sigma_x_upper=1e-200),  # c3 divides by 0.0
+    dict(delta=1e-320),  # an infinite burn-in
+    dict(theta_norm_upper=1e306),  # an infinite network term
+])
+def test_inputs_whose_bound_constants_are_not_finite_are_rejected(paper_model, ring6,
+                                                                  overrides):
+    with pytest.raises(ValueError, match="bound constants are not finite"):
+        nr.BoundInputs.from_model(paper_model, ring6, **overrides)
+
+
 def test_zero_rho_comm_equals_global(paper_model):
     wm = nr.complete_weights(6)
     inputs = nr.BoundInputs.from_model(paper_model, wm, delta=0.05, delta_hat=0.001)

@@ -144,6 +144,23 @@ def _set_mean(data: dict, mean: dict) -> None:
         (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
                                  "periods": [10.0] * 5 + [[10.0]]}),
          "model.mean_schedule.periods: ragged array"),
+        # a scalar given as an array, and a vector given as a scalar
+        (lambda d: d["model"].update(sigma_x=[3.0]), "model.sigma_x: expected a number, got [3.0]"),
+        (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
+                                 "periods": 10.0}),
+         "model.mean_schedule.periods: has shape (), expected (6,)"),
+        # extreme but finite numbers that overflow the bound constants or numpy
+        (lambda d: d["model"].update(sigma_x=1e200),
+         "bounds: bound constants are not finite for BoundInputs(n=2, l=2, m=6, "
+         "sigma_x_lower=1e+200, sigma_x_upper=1e+200"),
+        (lambda d: d["bounds"].update(sigma_x_upper=1e200),
+         "bounds: bound constants are not finite for BoundInputs(n=2, l=2, m=6, "
+         "sigma_x_lower=3.0, sigma_x_upper=1e+200"),
+        (lambda d: d["model"].update(sigma_x=1e-200),
+         "bounds: bound constants are not finite for BoundInputs(n=2, l=2, m=6, "
+         "sigma_x_lower=1e-200, sigma_x_upper=1e-200"),
+        (lambda d: d["bounds"].update(delta=1e-320), "delta=1e-320, delta_hat=0.001"),
+        (lambda d: d["plan"].update(zeta=10**30), "plan.zeta: must fit in 64 bits"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):
@@ -393,6 +410,14 @@ def test_bounds_command_table(tmp_path, capsys):
     assert rows[2][1:3] == [_f12(nr.local_bound(inputs, 100).value),
                             _f12(nr.global_bound(inputs, 100).value)]
     assert rows[5][2] == _f12(nr.global_bound(inputs, 13).value)
+
+
+def test_golden_bounds_table(capsys):
+    # unsorted, with duplicates, and every burn-in case
+    at = "1620,5,100,5,1,13,12,137,138,3000"
+    assert main(["bounds", str(CONFIGS_DIR / "paper.json"), "--at", at]) == 0
+    expected = (DATA_DIR / "golden_bounds_paper.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_bounds_command_rejects_bad_at(tmp_path, capsys):

@@ -38,7 +38,6 @@ def test_init_agent_zero_state():
         assert state.beta.shape == (n, n) and np.all(state.beta == 0.0)
         # pinv(0) = 0, so the estimate is the zero matrix
         assert np.all(state.theta_local == 0.0)
-        assert np.all(state.theta_comm == 0.0)
         assert state.pre_invertible
 
 

@@ -97,6 +97,18 @@ def test_unreachable_target_is_reported(paper_inputs):
     assert e.value.epsilon == 1e-9
 
 
+def test_times_beyond_64_bits_reach_the_bounds_as_floats(paper_inputs):
+    # m * t_first and the burn-in of a huge mean bound exceed 2**64, past
+    # which numpy has no integer sqrt
+    for inputs, zeta in [(paper_inputs, 2**64 - 1),
+                         (replace(paper_inputs, sigma_eta_upper=0.0, theta_norm_upper=0.0,
+                                  mu_hat_upper=1e150), 20)]:
+        T, t_first = nr.plan_T(inputs, zeta=zeta, epsilon_N=0.01)
+        assert inputs.m * t_first > 2**64
+        with pytest.raises(nr.StoppingTimeNotReachable):
+            nr.plan_S(inputs, zeta=zeta, T=T, epsilon=0.5)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         nr.Schedule(zeta=20, T=38, S=1630)  # not a multiple of the period

@@ -44,7 +44,7 @@ def test_single_agent_comm_equals_local():
         if fired:
             agent = world.agents[0]
             scale = max(np.linalg.norm(agent.theta_local, 2), 1e-12)
-            assert np.linalg.norm(agent.theta_comm - agent.theta_local, 2) <= 1e-8 * scale
+            assert np.linalg.norm(world.theta_comm[0] - agent.theta_local, 2) <= 1e-8 * scale
             assert np.allclose(world.global_estimate(), agent.theta_local, rtol=1e-10)
 
 
@@ -58,25 +58,23 @@ def test_complete_averaging_matches_pooled_estimator():
         if world.step():
             pooled = world.global_estimate()
             scale = max(np.linalg.norm(pooled, 2), 1e-12)
-            for agent in world.agents:
-                assert np.linalg.norm(agent.theta_comm - pooled, 2) <= 1e-10 * scale
+            for comm in world.theta_comm:
+                assert np.linalg.norm(comm - pooled, 2) <= 1e-10 * scale
 
 
 def test_comm_estimate_carries_over_bit_identical():
     config = _small_config(schedule=nr.Schedule(zeta=20, T=38, S=100))
     world = SimWorld(config)
-    for _ in range(20):
+    for _ in range(19):
         world.step()
-    frozen = [a.theta_comm.copy() for a in world.agents]
+    assert np.all(world.theta_comm == 0.0)  # no phase has run yet
+    world.step()
+    frozen = world.theta_comm.copy()
     for t in range(21, 40):
         world.step()
-        for agent, ref in zip(world.agents, frozen):
-            assert np.array_equal(agent.theta_comm, ref)
+        assert np.array_equal(world.theta_comm, frozen)
     world.step()  # t = 40 fires again
-    assert any(
-        not np.array_equal(agent.theta_comm, ref)
-        for agent, ref in zip(world.agents, frozen)
-    )
+    assert not np.array_equal(world.theta_comm, frozen)
 
 
 def test_ring_phase_brings_agents_into_agreement():
@@ -84,7 +82,7 @@ def test_ring_phase_brings_agents_into_agreement():
     world = SimWorld(config)
     for _ in range(200):
         world.step()
-    comms = np.stack([a.theta_comm for a in world.agents])
+    comms = world.theta_comm
     for i in range(6):
         for j in range(i + 1, 6):
             assert np.linalg.norm(comms[i] - comms[j], 2) <= 1e-4
@@ -134,9 +132,9 @@ def test_error_decomposition_triangle():
     pooled = world.global_estimate()
     theta = config.model.theta
     global_err = np.linalg.norm(pooled - theta, 2)
-    for agent in world.agents:
-        comm_err = np.linalg.norm(agent.theta_comm - theta, 2)
-        mixing = np.linalg.norm(agent.theta_comm - pooled, 2)
+    for comm in world.theta_comm:
+        comm_err = np.linalg.norm(comm - theta, 2)
+        mixing = np.linalg.norm(comm - pooled, 2)
         assert comm_err <= mixing + global_err + 1e-12
 
 
@@ -149,7 +147,7 @@ def test_longer_phase_tightens_agreement():
             world.step()
         pooled = world.global_estimate()
         return max(
-            np.linalg.norm(a.theta_comm - pooled, 2) for a in world.agents
+            np.linalg.norm(comm - pooled, 2) for comm in world.theta_comm
         )
 
     # identical data by seed replay; only the phase length changes
