@@ -133,13 +133,6 @@ def _past_burn_in(bound, ts: np.ndarray):
         return keep, bound(ts[keep])
 
 
-def _bound_cells(bound, ts: np.ndarray):
-    """Formatted values of ``bound`` at ``ts``, empty below its burn-in."""
-    keep, report = _past_burn_in(bound, ts)
-    values = iter(report.value)
-    return (f"{next(values):.12g}" if k else "" for k in keep)
-
-
 def _aligned(values: np.ndarray, width: int):
     """``values`` formatted to 12 significant digits, right-aligned to ``width``."""
     return (f"{v:.12g}".rjust(width) for v in values.tolist())
@@ -150,24 +143,45 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
     """Write the averaged trace as CSV with a ``# key=value`` header block.
 
     Bound columns are evaluated in the conservative mode (mean second
-    moments replaced by zero) and left empty below their burn-in. Rows are
-    formatted as they are written, so no copy of the file is held.
+    moments replaced by zero), and their cells below the bound's burn-in
+    stay empty. ``trace.t`` ascends, so each bound's rows past its burn-in
+    are a suffix, and a chunk of ``ROWS_PER_CHUNK`` rows splits into at most
+    three burn-in segments. Each segment is formatted by one ``%`` template
+    repeated over its rows, as the chunks are written, so no copy of the
+    file is held.
     """
     header = [f"# {k}={meta[k]}\n" for k in sorted(meta)]
     header.append("t,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
                   "comm_fired,pre_invertible_count\n")
-    local = _bound_cells(lambda ts: local_bound(bound_inputs, ts), trace.t)
-    comm = _bound_cells(lambda ts: comm_bound(bound_inputs, ts, schedule.T), trace.t)
+    rows = len(trace.t)
+    # per bound: its values padded with zeros below its burn-in, and the
+    # first row past it
+    bound_columns, firsts = [], []
+    for bound in (lambda ts: local_bound(bound_inputs, ts),
+                  lambda ts: comm_bound(bound_inputs, ts, schedule.T)):
+        _, report = _past_burn_in(bound, trace.t)
+        firsts.append(rows - len(report.value))
+        bound_columns.append(np.concatenate([np.zeros(firsts[-1]), report.value]))
     columns = (trace.t, trace.local_err, trace.comm_err, trace.global_err,
-               trace.comm_fired, trace.pre_invertible_count)
-    chunks = ([c[start:start + ROWS_PER_CHUNK].tolist() for c in columns]
-              for start in range(0, len(trace.t), ROWS_PER_CHUNK))
-    # the bound cells run over all rows, so they come after a chunk's lists:
-    # zip stops at the end of the chunk without taking a cell from them
-    rows = ("".join(f"{t:d},{le:.12g},{ce:.12g},{ge:.12g},{lb},{cb},{fired:d},{pre:.12g}\n"
-                    for t, le, ce, ge, fired, pre, lb, cb in zip(*chunk, local, comm))
-            for chunk in chunks)
-    _write_atomic(path, itertools.chain(header, rows))
+               *bound_columns, trace.comm_fired, trace.pre_invertible_count)
+
+    def segments():
+        for lo in range(0, rows, ROWS_PER_CHUNK):
+            hi = min(lo + ROWS_PER_CHUNK, rows)
+            # one float64 matrix: %d writes the whole numbers of t and
+            # comm_fired as integers
+            chunk = np.column_stack([c[lo:hi] for c in columns])
+            edges = sorted({lo, hi, *(min(max(first, lo), hi) for first in firsts)})
+            for start, end in zip(edges, edges[1:]):
+                # a bound below its burn-in leaves its cell empty and takes no value
+                cells = ["%d", "%.12g", "%.12g", "%.12g",
+                         *("%.12g" if start >= first else "" for first in firsts),
+                         "%d", "%.12g"]
+                kept = [i for i, cell in enumerate(cells) if cell]
+                values = chunk[start - lo:end - lo, kept].ravel().tolist()
+                yield ((",".join(cells) + "\n") * (end - start)) % tuple(values)
+
+    _write_atomic(path, itertools.chain(header, segments()))
 
 
 def _resolve_schedule(cfg: ResolvedConfig) -> tuple[Schedule, PlanResult | None]:
@@ -204,7 +218,7 @@ def cmd_simulate(config_path: str, out_path: str, parallel: int) -> int:
         raise ConfigError("run.horizon",
                           f"horizon {cfg.run.horizon} does not cover the stopping time {schedule.S}")
     sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule, **asdict(cfg.run))
-    _, averaged = run(sim, parallel=parallel)
+    averaged = run(sim, parallel=parallel)
     write_trace(out_path, averaged, _trace_meta(cfg, schedule, planned),
                 cfg.bound_inputs, schedule)
     print(f"wrote {out_path} ({len(averaged.t)} rows, {cfg.run.runs} runs averaged)")

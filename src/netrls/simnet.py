@@ -23,7 +23,6 @@ rank tests are closed forms (``local_estimator``); other shapes use LAPACK.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -211,30 +210,38 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     return trace
 
 
-def run(config: SimConfig, parallel: int = 1) -> tuple[list[ErrorTrace], ErrorTrace]:
-    """Simulate ``config.runs`` independent replications.
+def run(config: SimConfig, parallel: int = 1) -> ErrorTrace:
+    """Simulate ``config.runs`` independent replications and return the
+    averaged trace: the arithmetic mean of every error column across runs.
 
-    Returns the per-run traces and the averaged trace (arithmetic mean of
-    every error column across runs). Replications use disjoint substreams
-    indexed by run, so results are independent of ``parallel`` and of
-    execution order.
+    The mean is a running sum over the runs in index order, divided by the
+    run count at the end. Only one run's trace is held at a time, so memory
+    does not grow with ``config.runs``. The sum rounds as
+    ``np.mean(..., axis=0)`` over the stacked runs does, except on a
+    horizon of 1, where numpy sums 8 or more runs pairwise. Replications
+    use disjoint substreams indexed by run, so results are independent of
+    ``parallel`` and of execution order.
     """
     if parallel < 1:
         raise ValueError("parallel must be >= 1")
     indices = range(config.runs)
     workers = min(parallel, config.runs)
     if workers == 1:
-        traces = [_simulate_run(config, r) for r in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(partial(_simulate_run, config), indices))
+        return _average(config.runs, map(partial(_simulate_run, config), indices))
+    # the pool's import loads multiprocessing, so only a pooled run pays for it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return _average(config.runs, pool.map(partial(_simulate_run, config), indices))
 
-    averaged = ErrorTrace(
-        t=traces[0].t.copy(),
-        local_err=np.mean([tr.local_err for tr in traces], axis=0),
-        comm_err=np.mean([tr.comm_err for tr in traces], axis=0),
-        global_err=np.mean([tr.global_err for tr in traces], axis=0),
-        comm_fired=traces[0].comm_fired.copy(),
-        pre_invertible_count=np.mean([tr.pre_invertible_count for tr in traces], axis=0),
-    )
-    return traces, averaged
+
+def _average(runs: int, traces) -> ErrorTrace:
+    """The mean of ``runs`` traces from the iterable ``traces``, summed in order."""
+    traces = iter(traces)
+    first = next(traces)
+    sums = {name: getattr(first, name).astype(np.float64)
+            for name in ("local_err", "comm_err", "global_err", "pre_invertible_count")}
+    for trace in traces:
+        for name, total in sums.items():
+            total += getattr(trace, name)
+    return ErrorTrace(t=first.t, comm_fired=first.comm_fired,
+                      **{name: total / runs for name, total in sums.items()})

@@ -48,7 +48,7 @@ def test_criterion_2_ring_mixing_rate(ring6, capsys):
 
 
 def test_criterion_3_error_curve_reproduction(paper_sim, capsys):
-    _, _, avg, elapsed = paper_sim
+    _, avg, elapsed = paper_sim
     t = avg.t
 
     late_comm = avg.comm_fired & (t >= 200)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import netrls as nr
-from netrls.cli import _f12, main
+from netrls.cli import ROWS_PER_CHUNK, _f12, main, write_trace
 from netrls.config import config_to_dict, load_config, resolve_config
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -359,6 +359,83 @@ def test_paper_trace_bound_columns_equal_scalar_calls(tmp_path):
         assert row[4:6] == [local, comm], t
 
 
+# mean features put the burn-ins deep enough that either can fall on any row
+# of a trace that starts at t >= 1: local from t = 429, communicated from 631
+WRITER_INPUTS = nr.BoundInputs(n=2, l=2, m=6, sigma_x_lower=3.0, sigma_x_upper=3.0,
+                               sigma_eta_upper=1.0, mu_hat_upper=0.7, theta_norm_upper=1.8,
+                               delta=0.05, delta_hat=0.001, rho=2 / 3)
+WRITER_SCHEDULE = nr.Schedule(zeta=20, T=38, S=1620)
+WRITER_BOUNDS = {"local": lambda t: nr.local_bound(WRITER_INPUTS, t),
+                 "comm": lambda t: nr.comm_bound(WRITER_INPUTS, t, WRITER_SCHEDULE.T)}
+WRITER_BURN_IN = {"local": 429, "comm": 631}
+
+
+def _rows_one_at_a_time(trace: nr.ErrorTrace) -> str:
+    """The trace rows as per-row f-strings with one scalar bound call per
+    cell: the plain rule ``write_trace`` must match byte for byte."""
+    def cell(bound, t):
+        try:
+            return f"{float(bound(t).value):.12g}"
+        except nr.BurnInError:
+            return ""
+
+    local, comm = WRITER_BOUNDS["local"], WRITER_BOUNDS["comm"]
+    columns = (trace.t, trace.local_err, trace.comm_err, trace.global_err,
+               trace.comm_fired, trace.pre_invertible_count)
+    return "".join(
+        f"{t:d},{le:.12g},{ce:.12g},{ge:.12g},{cell(local, t)},{cell(comm, t)},"
+        f"{fired:d},{pre:.12g}\n"
+        for t, le, ce, ge, fired, pre in zip(*(c.tolist() for c in columns)))
+
+
+def _synthetic_trace(rng, t0: int, rows: int, pre_dtype) -> nr.ErrorTrace:
+    """Error columns drawn from values whose ``.12g`` forms differ in style."""
+    styles = np.array([1e-5, 1e16, 0.0, 5e-324, 2.2250738585072014e-308, 1.5e-310,
+                       123456789012.5, 123456789013.5, 0.1234567890125, 9.9999999999995,
+                       1.7976931348623157e308, 0.30000000000000004, 12.0, 1e-100])
+
+    def column():
+        return np.where(rng.random(rows) < 0.5, rng.choice(styles, rows),
+                        rng.lognormal(0.0, 5.0, rows))
+
+    pre = rng.integers(0, 7, rows)
+    return nr.ErrorTrace(
+        t=np.arange(t0, t0 + rows), local_err=column(), comm_err=column(),
+        global_err=column(), comm_fired=rng.random(rows) < 0.1,
+        # a multi-run average of counts is fractional
+        pre_invertible_count=pre if pre_dtype is int else pre / 10)
+
+
+@pytest.mark.parametrize("rows, bound, first_row", [
+    (1000, "local", 20),            # both burn-ins inside the first chunk
+    (1000, "local", 100),           # the communicated one in the next chunk
+    (1000, "local", ROWS_PER_CHUNK),
+    (1000, "local", ROWS_PER_CHUNK + 1),
+    (1000, "comm", ROWS_PER_CHUNK),
+    (1000, "comm", ROWS_PER_CHUNK + 1),
+    (700, "comm", 2 * ROWS_PER_CHUNK - 1),
+    (300, "local", 400),            # both past the horizon
+    (300, "comm", 0),               # both from the first row
+    (1, "local", 5),
+    (1, "local", 0),
+    (1, "comm", 0),
+])
+@pytest.mark.parametrize("pre_dtype", [float, int])
+def test_write_trace_matches_rows_formatted_one_at_a_time(tmp_path, rows, bound, first_row,
+                                                         pre_dtype):
+    with pytest.raises(nr.BurnInError):
+        WRITER_BOUNDS[bound](WRITER_BURN_IN[bound] - 1)
+    WRITER_BOUNDS[bound](WRITER_BURN_IN[bound])
+    t0 = WRITER_BURN_IN[bound] - first_row
+    assert t0 >= 1
+    trace = _synthetic_trace(np.random.default_rng(rows + first_row), t0, rows, pre_dtype)
+    out = tmp_path / "trace.csv"
+    write_trace(str(out), trace, {"k": "v"}, WRITER_INPUTS, WRITER_SCHEDULE)
+    expected = ("# k=v\nt,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
+                "comm_fired,pre_invertible_count\n" + _rows_one_at_a_time(trace))
+    assert out.read_bytes() == expected.encode()
+
+
 def test_golden_trace_schema_stability(tmp_path):
     cfg = str(DATA_DIR / "golden_config.json")
     out = tmp_path / "golden.csv"
@@ -445,8 +522,8 @@ def test_config_round_trip_preserves_outputs(tmp_path):
     sim_b = nr.SimConfig(model=small_echo.model, weights=small_echo.weights,
                          schedule=small_echo.schedule, horizon=small_echo.run.horizon,
                          runs=small_echo.run.runs, seed=small_echo.run.seed)
-    _, avg_a = nr.run(sim_a)
-    _, avg_b = nr.run(sim_b)
+    avg_a = nr.run(sim_a)
+    avg_b = nr.run(sim_b)
     assert np.array_equal(avg_a.local_err, avg_b.local_err)
     assert np.array_equal(avg_a.global_err, avg_b.global_err)
 

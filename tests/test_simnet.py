@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,25 +163,23 @@ def test_longer_phase_tightens_agreement():
 
 def test_run_single_replication_average_is_identity():
     config = _small_config(runs=1)
-    traces, averaged = nr.run(config)
-    assert len(traces) == 1
-    assert np.array_equal(traces[0].local_err, averaged.local_err)
-    assert np.array_equal(traces[0].comm_err, averaged.comm_err)
-    assert np.array_equal(traces[0].global_err, averaged.global_err)
+    trace, averaged = simnet._simulate_run(config, 0), nr.run(config)
+    for field in ("local_err", "comm_err", "global_err", "pre_invertible_count"):
+        assert np.array_equal(getattr(trace, field), getattr(averaged, field))
 
 
 def test_run_is_deterministic():
     config = _small_config()
-    _, first = nr.run(config)
-    _, second = nr.run(config)
+    first = nr.run(config)
+    second = nr.run(config)
     for field in ("local_err", "comm_err", "global_err", "pre_invertible_count"):
         assert np.array_equal(getattr(first, field), getattr(second, field))
 
 
 def test_parallel_runs_match_serial():
     config = _small_config(runs=3, horizon=60, schedule=nr.Schedule(zeta=20, T=5, S=60))
-    _, serial = nr.run(config, parallel=1)
-    _, parallel = nr.run(config, parallel=3)
+    serial = nr.run(config, parallel=1)
+    parallel = nr.run(config, parallel=3)
     assert np.array_equal(serial.local_err, parallel.local_err)
     assert np.array_equal(serial.global_err, parallel.global_err)
 
@@ -197,21 +202,56 @@ def test_process_pool_capped_at_runs(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(simnet, "ProcessPoolExecutor", SerialPool)
+    # run imports the pool class from concurrent.futures when it needs it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     config = _small_config(runs=2, horizon=60, schedule=nr.Schedule(zeta=20, T=5, S=60))
-    traces, averaged = nr.run(config, parallel=8)
+    pooled = nr.run(config, parallel=8)
     assert asked == [2]
-    serial, serial_averaged = nr.run(config, parallel=1)
+    serial = nr.run(config, parallel=1)
     assert asked == [2]
-    for got, want in zip(traces + [averaged], serial + [serial_averaged]):
-        for field in ("local_err", "comm_err", "global_err", "pre_invertible_count"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+    for field in ("local_err", "comm_err", "global_err", "pre_invertible_count"):
+        assert np.array_equal(getattr(pooled, field), getattr(serial, field))
+
+
+def test_run_memory_does_not_grow_with_runs():
+    # 200 runs of 100 steps: holding every run's trace (41 B per step) peaked
+    # at about 1.2 MB; one running sum per column peaks at about 86 kB
+    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=1)
+    config = nr.SimConfig(model=model, weights=nr.validate_weights([[1.0]]),
+                          schedule=nr.Schedule(zeta=10, T=1, S=0),
+                          horizon=100, runs=200, seed=3)
+    nr.run(dataclasses.replace(config, runs=1))  # the first draw imports scipy
+    tracemalloc.start()
+    try:
+        nr.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
+
+
+def test_process_pool_is_imported_only_by_a_pooled_run(tmp_path):
+    # a fresh interpreter, so the imports of this test session do not mask it
+    config = Path(__file__).parent.parent / "configs" / "paper.json"
+    script = f"""
+import sys
+import netrls, netrls.cli
+after_import = "concurrent.futures.process" in sys.modules
+from netrls.cli import main
+assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) == 0
+assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
+print(after_import, "concurrent.futures.process" in sys.modules)
+"""
+    src = str(Path(nr.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[-2:] == ["False", "False"]
 
 
 def test_trace_flags_and_shapes():
     config = _small_config()
-    traces, averaged = nr.run(config)
-    tr = traces[0]
+    tr, averaged = simnet._simulate_run(config, 0), nr.run(config)
     assert tr.t[0] == 1 and tr.t[-1] == config.horizon
     expected_fired = [(t % 20 == 0) and t <= 100 for t in tr.t]
     assert np.array_equal(tr.comm_fired, expected_fired)
@@ -250,7 +290,7 @@ def test_long_horizon_cumulative_sums_stay_accurate():
     config = nr.SimConfig(model=model, weights=nr.validate_weights([[1.0]]),
                           schedule=nr.Schedule(zeta=10, T=1, S=0),
                           horizon=horizon, runs=1, seed=23)
-    _, averaged = nr.run(config)
+    averaged = nr.run(config)
     x, y = nr.sample_block(model, nr.SeededStream(config.seed), 0, 0, 1, horizon)
     alpha = np.array([[math.fsum(y[:, i] * x[:, j]) for j in range(model.n)]
                       for i in range(model.l)])
@@ -270,7 +310,7 @@ def test_config_validation():
 
 
 def test_reference_trace_statistics(paper_sim):
-    _, _, averaged, _ = paper_sim
+    _, averaged, _ = paper_sim
     t = averaged.t
 
     # communicated estimate tracks the pooled oracle at communication times
