@@ -26,7 +26,6 @@ from .consensus import (
 from .local_estimator import AgentState
 from .model_gen import (
     ConstantMean,
-    DataPair,
     ModelSpec,
     SeededStream,
     SinusoidMean,
@@ -37,7 +36,6 @@ from .model_gen import (
     mu_bar_lambda_min,
     mu_bar_pooled,
     sample_block,
-    sample_pair,
 )
 from .planner import (
     PlanResult,
@@ -58,7 +56,6 @@ __all__ = [
     "BurnIn",
     "BurnInError",
     "ConstantMean",
-    "DataPair",
     "ErrorTrace",
     "ModelSpec",
     "PlanResult",
@@ -88,7 +85,6 @@ __all__ = [
     "run",
     "run_comm_phase",
     "sample_block",
-    "sample_pair",
     "spectral_norms",
     "validate_weights",
 ]

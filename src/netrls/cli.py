@@ -79,18 +79,25 @@ def _json_text(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _check_output(path: str) -> None:
+    """Reject an output path whose directory does not exist, before any work."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError("--output", f"the directory of {path!r} does not exist")
+
+
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Stream ``chunks`` into a temporary file beside ``path``, then rename it
-    into place, so ``path`` never holds a partly written file."""
+    into place; ``path`` never holds a partial file, and errors name it."""
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as e:
+        raise OSError(f"cannot write {path!r}: {e.strerror or e}") from e
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise
 
 
 def _matrix_flat(a: np.ndarray) -> str:
@@ -192,6 +199,7 @@ def _resolve_schedule(cfg: ResolvedConfig) -> tuple[Schedule, PlanResult | None]
 
 
 def cmd_plan(config_path: str, out_path: str) -> int:
+    _check_output(out_path)
     cfg = load_config(config_path)
     if cfg.plan is None:
         raise ConfigError("plan", "the plan command needs a 'plan' section")
@@ -210,6 +218,7 @@ def cmd_plan(config_path: str, out_path: str) -> int:
 def cmd_simulate(config_path: str, out_path: str, parallel: int) -> int:
     if parallel < 1:
         raise ConfigError("--parallel-runs", "must be >= 1")
+    _check_output(out_path)
     cfg = load_config(config_path)
     if cfg.run is None:
         raise ConfigError("run", "the simulate command needs a 'run' section")

@@ -24,9 +24,7 @@ __all__ = [
     "SinusoidMean",
     "MeanSchedule",
     "ModelSpec",
-    "DataPair",
     "SeededStream",
-    "sample_pair",
     "sample_block",
     "mu_bar",
     "mu_bar_pooled",
@@ -167,16 +165,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class DataPair:
-    """One observation: feature ``x``, label ``y = theta @ x + eta``."""
-
-    x: np.ndarray
-    y: np.ndarray
-    agent_id: int
-    time: int
-
-
-@dataclass(frozen=True)
 class SeededStream:
     """Counter-based source of per-(run, agent, t) Gaussian draws.
 
@@ -238,7 +226,7 @@ def sample_block(
     """Draw ``count`` consecutive pairs starting at time ``t_start``.
 
     Returns ``(X, Y)`` with shapes ``(count, n)`` and ``(count, l)``. Row
-    ``k`` is bit-identical to ``sample_pair(..., t_start + k)``.
+    ``k`` is bit-identical to the one row drawn alone at ``t_start + k``.
     """
     if t_start < 1:
         raise ValueError("time steps start at 1")
@@ -252,14 +240,6 @@ def sample_block(
     # single-pair and block generation agree bit for bit
     y = np.einsum("tj,kj->tk", x, spec.theta) + spec.sigma_eta * z[:, n:]
     return x, y
-
-
-def sample_pair(
-    spec: ModelSpec, stream: SeededStream, run: int, agent: int, t: int
-) -> DataPair:
-    """Draw the single observation addressed by ``(run, agent, t)``."""
-    x, y = sample_block(spec, stream, run, agent, t, 1)
-    return DataPair(x=x[0], y=y[0], agent_id=agent, time=t)
 
 
 def mu_bar(spec: ModelSpec, agent: int, t: int) -> np.ndarray:
@@ -289,24 +269,18 @@ def mu_bar_lambda_min(spec: ModelSpec, t: int, agent: int | None = None) -> floa
     return float(np.linalg.eigvalsh(np.eye(spec.n) + bar)[0])
 
 
-def difference_transform(pairs: list[DataPair]) -> list[DataPair]:
+def difference_transform(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise differencing that cancels a time-invariant feature mean.
 
-    Consecutive input pairs are consumed two at a time, producing
-    ``x_hat_k = x_{2k-1} - x_{2k}`` and ``y_hat_k = y_{2k-1} - y_{2k}``; the
-    output stream is zero-mean with feature/noise variances doubled and
-    still satisfies ``y_hat = theta @ x_hat + eta_hat``. Output length is
-    ``floor(len(pairs) / 2)``.
+    Rows of ``sample_block``'s ``(x, y)`` are taken two at a time:
+    ``x_hat_k = x_{2k-1} - x_{2k}`` and ``y_hat_k = y_{2k-1} - y_{2k}``. The
+    ``len(x) // 2`` output rows are zero-mean with doubled feature and noise
+    variances and still satisfy ``y_hat = theta @ x_hat + eta_hat``.
     """
-    pairs = list(pairs)
-    if len(pairs) < 2:
-        warnings.warn("difference_transform needs at least two pairs; output is empty")
-        return []
-    out = []
-    for k in range(len(pairs) // 2):
-        a, b = pairs[2 * k], pairs[2 * k + 1]
-        out.append(DataPair(x=a.x - b.x, y=a.y - b.y, agent_id=a.agent_id, time=k + 1))
-    return out
+    if len(x) < 2:
+        warnings.warn("difference_transform needs at least two rows; output is empty")
+    k = len(x) // 2
+    return x[0:2 * k:2] - x[1:2 * k:2], y[0:2 * k:2] - y[1:2 * k:2]
 
 
 def differenced_model(spec: ModelSpec) -> ModelSpec:

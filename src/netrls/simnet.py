@@ -106,23 +106,17 @@ def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
     """Spectral-norm errors of the estimates ``alpha @ beta^-1`` against
     ``theta``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere.
 
-    The leading axis holds rows of lanes. The rows after the last one with a
-    lane that is not invertible take ``inverse`` unmasked; only the rows up
-    to it go through the masked copies.
+    The lanes that lag are inverted as the identity, so ``inverse`` divides
+    by no zero, and then take their ``pinv``; one product and one norm pass
+    cover every lane.
     """
-    lagging = np.flatnonzero(~invertible.all(axis=1))
-    split = lagging[-1] + 1 if lagging.size else 0
-    errs = np.empty(invertible.shape)
-    if split < len(errs):
-        errs[split:] = spectral_norms(alpha[split:] @ inverse(beta[split:]) - theta)
-    if split:
-        alpha, beta, invertible = alpha[:split], beta[:split], invertible[:split]
-        est = np.empty_like(alpha)
-        for mask, invert in ((invertible, inverse), (~invertible, np.linalg.pinv)):
-            if mask.any():
-                est[mask] = alpha[mask] @ invert(beta[mask])
-        errs[:split] = spectral_norms(est - theta)
-    return errs
+    lagging = ~invertible
+    if lagging.any():
+        inv = inverse(np.where(lagging[..., None, None], np.eye(beta.shape[-1]), beta))
+        inv[lagging] = np.linalg.pinv(beta[lagging])
+    else:
+        inv = inverse(beta)
+    return spectral_norms(alpha @ inv - theta)
 
 
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:

@@ -50,13 +50,14 @@ class SimWorld:
         if not self.pooled_invertible:
             self.pooled_invertible = bool(full_rank(self.pooled_statistics()[1]))
 
-        fired = self.config.schedule.fires_at(t)
+        schedule = self.config.schedule
+        fired = t % schedule.zeta == 0 and t <= schedule.S
         if fired:
             alphas, betas = nr.run_comm_phase(
                 self.config.weights,
                 np.stack([a.alpha for a in self.agents]),
                 np.stack([a.beta for a in self.agents]),
-                self.config.schedule.T,
+                schedule.T,
             )
             for i, agent in enumerate(self.agents):
                 if self.config.writeback_mixed:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import netrls as nr
+from netrls import cli
 from netrls.cli import ROWS_PER_CHUNK, _f12, main, write_trace
 from netrls.config import config_to_dict, load_config, resolve_config
 
@@ -302,6 +303,49 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                          command):
+    cfg = write_config(tmp_path, small_config_dict() if command == "simulate"
+                       else paper_config_dict())
+
+    def no_work(path):
+        raise AssertionError("the config was read before the output path was checked")
+
+    monkeypatch.setattr(cli, "load_config", no_work)
+    out = tmp_path / "missing_dir" / "out"
+    assert main([command, cfg, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --output: ") and repr(str(out)) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "plan"])
+def test_write_onto_a_directory_exits_3_naming_the_output(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, small_config_dict() if command == "simulate"
+                       else paper_config_dict())
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, cfg, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(out)!r}: ") and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("schedule", [{"zeta": 2**64 - 1, "T": 3, "S": 0},
+                                      {"zeta": 10, "T": 2**64 - 1, "S": 40}])
+def test_simulate_takes_64_bit_schedules(tmp_path, schedule):
+    data = small_config_dict()
+    data["schedule"] = schedule
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", cfg, "-o", str(out)]) == 0
+    fired = [row[6] for row in _trace_rows(out)]
+    assert fired == ["1" if t % schedule["zeta"] == 0 and t <= schedule["S"] else "0"
+                     for t in range(1, 61)]
+
+
 def test_seed_env_override_changes_trace(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, small_config_dict())
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -490,11 +534,16 @@ def test_bounds_command_table(tmp_path, capsys):
 
 
 def test_golden_bounds_table(capsys):
-    # unsorted, with duplicates, and every burn-in case
-    at = "1620,5,100,5,1,13,12,137,138,3000"
-    assert main(["bounds", str(CONFIGS_DIR / "paper.json"), "--at", at]) == 0
-    expected = (DATA_DIR / "golden_bounds_paper.txt").read_bytes()
-    assert capsys.readouterr().out.encode() == expected
+    for config, at, golden in [
+        # unsorted, with duplicates, and every burn-in case
+        (CONFIGS_DIR / "paper.json", "1620,5,100,5,1,13,12,137,138,3000",
+         "golden_bounds_paper.txt"),
+        # a nonzero mean's burn-in, sigma_x_lower != sigma_x_upper and every override
+        (DATA_DIR / "golden_plan_overrides.json", "1,100,1000,5000,6000,20000",
+         "golden_bounds_overrides.txt"),
+    ]:
+        assert main(["bounds", str(config), "--at", at]) == 0
+        assert capsys.readouterr().out.encode() == (DATA_DIR / golden).read_bytes()
 
 
 def test_bounds_command_rejects_bad_at(tmp_path, capsys):

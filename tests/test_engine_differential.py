@@ -233,30 +233,51 @@ def test_many_phases_per_block_without_writeback(monkeypatch, lane_steps):
         assert len(shapes) == 2
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def _masked_errors(alpha, beta, flags, theta):
+    """``_errors`` by its definition: ``inverse`` over the masked copies of
+    the invertible lanes, ``pinv`` over the masked copies of the rest."""
+    est = np.empty_like(alpha)
+    for mask, invert in ((flags, inverse), (~flags, np.linalg.pinv)):
+        if mask.any():
+            est[mask] = alpha[mask] @ invert(beta[mask])
+    return simnet.spectral_norms(est - theta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("sticky", [True, False])
-def test_split_errors_match_the_all_masked_path(n, sticky):
-    # one rank-one term per step: the first n - 1 rows need pinv in every
-    # lane, and lanes turn invertible at different rows
+def test_errors_match_the_masked_reference(n, sticky):
+    # one rank-one term per step: lanes turn invertible at different rows,
+    # and for n > 1 the first n - 1 rows need pinv in every lane
     rng = np.random.default_rng(11)
     rows, lanes, l = 9, 3, 2
     x = rng.normal(size=(rows, lanes, n))
     x[: n + 1, 0] = x[0, 0]  # lane 0 stays rank one until row n + 1
+    if n == 1:
+        x[:2, 0] = 0.0  # a 1x1 beta lags only while it is zero
     beta = np.cumsum(x[..., :, None] * x[..., None, :], axis=0)
     alpha = np.cumsum(rng.normal(size=(rows, lanes, l, 1)) * x[..., None, :], axis=0)
     theta = rng.normal(size=(l, n))
     if not sticky:
-        # a rank-one lane after rows that are invertible in every lane, as
+        # a singular lane after rows that are invertible in every lane, as
         # the mixed sums of the phases in one piece may have
-        beta[rows - 3, 1] = np.outer(x[0, 1], x[0, 1])
+        beta[rows - 3, 1] = np.outer(x[0, 1], x[0, 1]) if n > 1 else 0.0
     flags = full_rank(beta)
     if sticky:
         flags = np.logical_or.accumulate(flags, axis=0)
-    assert not flags[0].any() and flags[-1].all()
+    assert not flags[0, 0] and flags[-1].all()
     assert flags[rows - 4].all() and flags[rows - 3].all() == sticky
 
-    est = np.empty_like(alpha)
-    est[flags] = alpha[flags] @ inverse(beta[flags])
-    est[~flags] = alpha[~flags] @ np.linalg.pinv(beta[~flags])
-    assert np.array_equal(simnet._errors(alpha, beta, flags, theta),
-                          simnet.spectral_norms(est - theta))
+    # the rows of the phase call: the same sums through np.moveaxis, so the
+    # operands are not contiguous
+    def phase_view(a):
+        return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, 1)), 1, 0)
+
+    assert not phase_view(alpha).flags.c_contiguous
+    cases = [
+        (alpha, beta, flags),
+        (alpha[-2:], beta[-2:], flags[-2:]),  # every lane invertible
+        (alpha, beta, np.zeros_like(flags)),  # every lane lagging
+        (phase_view(alpha), phase_view(beta), flags),
+    ]
+    for case in cases:
+        assert np.array_equal(simnet._errors(*case, theta), _masked_errors(*case, theta))

@@ -21,8 +21,8 @@ def test_noiseless_pairs_satisfy_model_exactly():
     spec = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=0.0, m=2)
     stream = nr.SeededStream(123)
     for t in (1, 5, 17):
-        pair = nr.sample_pair(spec, stream, run=0, agent=1, t=t)
-        assert pair.y == pytest.approx(spec.theta @ pair.x, rel=1e-14, abs=0.0)
+        x, y = nr.sample_block(spec, stream, 0, 1, t, 1)
+        assert y[0] == pytest.approx(spec.theta @ x[0], rel=1e-14, abs=0.0)
 
 
 def test_zero_map_yields_zero_labels():
@@ -53,11 +53,11 @@ def test_noise_variance_scale():
 
 def test_bit_identical_reproduction():
     spec = reference_model()
-    a = nr.sample_pair(spec, nr.SeededStream(777), 3, 2, 41)
-    b = nr.sample_pair(spec, nr.SeededStream(777), 3, 2, 41)
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-    c = nr.sample_pair(spec, nr.SeededStream(778), 3, 2, 41)
-    assert not np.array_equal(a.x, c.x)
+    a = nr.sample_block(spec, nr.SeededStream(777), 3, 2, 41, 1)
+    b = nr.sample_block(spec, nr.SeededStream(777), 3, 2, 41, 1)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    c = nr.sample_block(spec, nr.SeededStream(778), 3, 2, 41, 1)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_draws_are_order_insensitive():
@@ -66,18 +66,18 @@ def test_draws_are_order_insensitive():
     x_block, y_block = nr.sample_block(spec, stream, 1, 4, 1, 30)
     order = np.random.default_rng(0).permutation(30)
     for t_idx in order:
-        pair = nr.sample_pair(spec, stream, 1, 4, int(t_idx) + 1)
-        assert np.array_equal(pair.x, x_block[t_idx])
-        assert np.array_equal(pair.y, y_block[t_idx])
+        x, y = nr.sample_block(spec, stream, 1, 4, int(t_idx) + 1, 1)
+        assert np.array_equal(x[0], x_block[t_idx])
+        assert np.array_equal(y[0], y_block[t_idx])
 
 
 def test_distinct_triples_are_distinct():
     spec = reference_model()
     stream = nr.SeededStream(42)
-    base = nr.sample_pair(spec, stream, 0, 0, 1)
+    base, _ = nr.sample_block(spec, stream, 0, 0, 1, 1)
     for run, agent, t in [(1, 0, 1), (0, 1, 1), (0, 0, 2)]:
-        other = nr.sample_pair(spec, stream, run, agent, t)
-        assert not np.array_equal(base.x, other.x)
+        other, _ = nr.sample_block(spec, stream, run, agent, t, 1)
+        assert not np.array_equal(base, other)
 
 
 def test_zero_mean_sample_average():
@@ -123,8 +123,8 @@ from netrls.cli import main
 assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) == 0
 assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
 print("scipy" in sys.modules)
-netrls.sample_pair(netrls.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=1.0, m=1),
-                   netrls.SeededStream(0), run=0, agent=0, t=1)
+netrls.sample_block(netrls.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=1.0, m=1),
+                    netrls.SeededStream(0), run=0, agent=0, t_start=1, count=1)
 print("scipy" in sys.modules)
 """
     src = str(Path(nr.__file__).resolve().parent.parent)
@@ -177,26 +177,24 @@ def test_mu_bar_pooled_averages_agents():
 
 
 def test_difference_transform_definition():
-    p1 = nr.DataPair(x=np.array([1.0, 2.0]), y=np.array([3.0]), agent_id=0, time=1)
-    p2 = nr.DataPair(x=np.array([0.5, -1.0]), y=np.array([1.0]), agent_id=0, time=2)
-    out = nr.difference_transform([p1, p2])
-    assert len(out) == 1
-    assert np.array_equal(out[0].x, [0.5, 3.0])
-    assert np.array_equal(out[0].y, [2.0])
-    assert out[0].time == 1
+    x = np.array([[1.0, 2.0], [0.5, -1.0]])
+    y = np.array([[3.0], [1.0]])
+    x_hat, y_hat = nr.difference_transform(x, y)
+    assert np.array_equal(x_hat, [[0.5, 3.0]])
+    assert np.array_equal(y_hat, [[2.0]])
 
-    same = nr.difference_transform([p1, p1])
-    assert np.all(same[0].x == 0.0) and np.all(same[0].y == 0.0)
+    same = nr.difference_transform(x[[0, 0]], y[[0, 0]])
+    assert np.all(same[0] == 0.0) and np.all(same[1] == 0.0)
 
 
 def test_difference_transform_drops_odd_tail_and_warns_when_short():
-    pairs = [
-        nr.DataPair(x=np.array([float(k)]), y=np.array([0.0]), agent_id=0, time=k + 1)
-        for k in range(5)
-    ]
-    assert len(nr.difference_transform(pairs)) == 2
+    x = np.arange(5.0)[:, None]
+    y = np.zeros((5, 1))
+    x_hat, y_hat = nr.difference_transform(x, y)
+    assert np.array_equal(x_hat, [[-1.0], [-1.0]]) and y_hat.shape == (2, 1)
     with pytest.warns(UserWarning):
-        assert nr.difference_transform(pairs[:1]) == []
+        x_hat, y_hat = nr.difference_transform(x[:1], y[:1])
+    assert x_hat.shape == (0, 1) and y_hat.shape == (0, 1)
 
 
 def test_difference_transform_cancels_constant_mean():
@@ -204,20 +202,15 @@ def test_difference_transform_cancels_constant_mean():
     spec = nr.ModelSpec(theta=[[1.0, 0.5]], sigma_x=2.0, sigma_eta=0.3, m=1, mean=mean)
     stream = nr.SeededStream(60)
     x, y = nr.sample_block(spec, stream, 0, 0, 1, 20_000)
-    pairs = [
-        nr.DataPair(x=x[k], y=y[k], agent_id=0, time=k + 1) for k in range(x.shape[0])
-    ]
-    out = nr.difference_transform(pairs)
-    assert len(out) == 10_000
+    xs, ys = nr.difference_transform(x, y)
+    assert xs.shape == (10_000, 2) and ys.shape == (10_000, 1)
 
     # model still holds: y_hat - theta x_hat equals the differenced noise
-    xs = np.stack([p.x for p in out])
-    ys = np.stack([p.y for p in out])
     eta_hat = (y - x @ spec.theta.T)[0::2] - (y - x @ spec.theta.T)[1::2]
     assert np.allclose(ys - xs @ spec.theta.T, eta_hat, atol=1e-12)
 
     # transformed features are zero-mean with doubled variance
-    se = np.sqrt(2.0 * spec.sigma_x**2 * spec.n / len(out))
+    se = np.sqrt(2.0 * spec.sigma_x**2 * spec.n / len(xs))
     assert np.linalg.norm(xs.mean(axis=0)) <= 3.0 * se
 
     twin = nr.differenced_model(spec)
@@ -239,9 +232,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         nr.SeededStream(-1)
     with pytest.raises(ValueError):
-        nr.sample_pair(reference_model(), nr.SeededStream(0), 0, 6, 1)
+        nr.sample_block(reference_model(), nr.SeededStream(0), 0, 6, 1, 1)
     with pytest.raises(ValueError):
-        nr.sample_pair(reference_model(), nr.SeededStream(0), 0, 0, 0)
+        nr.sample_block(reference_model(), nr.SeededStream(0), 0, 0, 0, 1)
 
 
 def test_theta_norm_property():

@@ -17,3 +17,4 @@ def test_readme_python_example_runs():
     result = namespace["result"]
     assert (result.T, result.S) == (38, 1620)
     assert abs(namespace["weights"].rho - 2 / 3) < 1e-12
+    assert namespace["x"].shape == (1000, 2) and namespace["y_hat"].shape == (500, 2)

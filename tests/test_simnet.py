@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import netrls as nr
 from netrls import simnet
@@ -259,6 +261,29 @@ def test_trace_flags_and_shapes():
     assert tr.pre_invertible_count[0] == 6
     assert np.all(tr.pre_invertible_count[2:] == 0)
     assert np.all(averaged.local_err > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeta=st.integers(1, 30), phases=st.integers(0, 4), tail=st.integers(0, 30),
+       writeback=st.booleans())
+@example(zeta=20, phases=0, tail=5, writeback=False)
+@example(zeta=7, phases=3, tail=0, writeback=True)
+def test_phases_fire_by_the_papers_rule(zeta, phases, tail, writeback):
+    # S = 0 with no phases, S = horizon with no tail, zeta > horizon when
+    # there are no phases and a short tail, as in the first example
+    S = phases * zeta
+    horizon = max(1, S + tail)
+    config = nr.SimConfig(
+        model=nr.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=0.5, m=2),
+        weights=nr.complete_weights(2),
+        schedule=nr.Schedule(zeta=zeta, T=1, S=S),
+        horizon=horizon,
+        runs=1,
+        seed=3,
+        writeback_mixed=writeback,
+    )
+    fired = simnet._simulate_run(config, 0).comm_fired
+    assert fired.tolist() == [t % zeta == 0 and t <= S for t in range(1, horizon + 1)]
 
 
 def test_writeback_mixed_replaces_accumulators():
