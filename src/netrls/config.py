@@ -190,7 +190,7 @@ def _resolve_mean(section: _Section, m: int, n: int):
         try:
             return SinusoidMean(amplitudes=amplitudes, periods=periods)
         except ValueError as e:
-            raise ConfigError(section.sub("periods"), str(e)) from None
+            raise section.owner_error(e) from None
     raise ConfigError(section.sub("kind"), f"expected 'zero', 'constant' or 'sinusoid', got {kind!r}")
 
 

@@ -6,7 +6,9 @@ isotropic covariance ``sigma_x**2 * I`` and ``eta`` is zero-mean Gaussian
 noise with covariance ``sigma_eta**2 * I``. Draws are addressed by
 ``(master_seed, run, agent, t)`` through a counter-based Philox stream, so
 any single sample can be regenerated in isolation, in any order, on any
-process, and Monte Carlo runs never share generator state.
+process, and Monte Carlo runs never share generator state. One call to
+``sample_block`` draws a block of steps for every agent at once; only
+``_normal_rows`` knows that each agent's stream has its own Philox key.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ class ZeroMean:
     def check(self, m: int, n: int) -> None:
         pass
 
-    def profile(self, agent: int, times: np.ndarray, n: int) -> np.ndarray:
-        return np.zeros((len(times), n))
+    def profile(self, times: np.ndarray, m: int, n: int) -> np.ndarray:
+        return np.zeros((len(times), m, n))
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class ConstantMean:
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _readonly(np.atleast_2d(self.vectors)))
+        if not np.all(np.isfinite(self.vectors)):
+            raise ValueError("vectors must be finite")
 
     @property
     def mu_hat(self) -> float:
@@ -74,8 +78,8 @@ class ConstantMean:
                 f"constant mean vectors have shape {self.vectors.shape}, expected {(m, n)}"
             )
 
-    def profile(self, agent: int, times: np.ndarray, n: int) -> np.ndarray:
-        return np.broadcast_to(self.vectors[agent], (len(times), n))
+    def profile(self, times: np.ndarray, m: int, n: int) -> np.ndarray:
+        return np.broadcast_to(self.vectors, (len(times), m, n))
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,10 @@ class SinusoidMean:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _readonly(np.atleast_2d(self.amplitudes)))
         object.__setattr__(self, "periods", _readonly(np.atleast_1d(self.periods)))
-        if np.any(self.periods <= 0):
-            raise ValueError("sinusoid periods must be positive")
+        if not np.all(np.isfinite(self.amplitudes)):
+            raise ValueError("amplitudes must be finite")
+        if not np.all(self.periods > 0):
+            raise ValueError("periods must be positive")
 
     @property
     def mu_hat(self) -> float:
@@ -109,9 +115,9 @@ class SinusoidMean:
                 f"sinusoid periods have shape {self.periods.shape}, expected {(m,)}"
             )
 
-    def profile(self, agent: int, times: np.ndarray, n: int) -> np.ndarray:
-        phase = np.cos(2.0 * np.pi * np.asarray(times, dtype=float) / self.periods[agent])
-        return phase[:, None] * self.amplitudes[agent][None, :]
+    def profile(self, times: np.ndarray, m: int, n: int) -> np.ndarray:
+        phase = np.cos(2.0 * np.pi * np.asarray(times, dtype=float)[:, None] / self.periods)
+        return phase[:, :, None] * self.amplitudes
 
 
 MeanSchedule = ZeroMean | ConstantMean | SinusoidMean
@@ -137,10 +143,12 @@ class ModelSpec:
         object.__setattr__(self, "theta", _readonly(theta))
         if theta.ndim != 2:
             raise ValueError("theta must be a 2-D matrix")
-        if not self.sigma_x > 0:
-            raise ValueError("sigma_x must be positive")
-        if self.sigma_eta < 0:
-            raise ValueError("sigma_eta must be nonnegative")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta must be finite")
+        if not 0 < self.sigma_x < math.inf:
+            raise ValueError("sigma_x must be positive and finite")
+        if not 0 <= self.sigma_eta < math.inf:
+            raise ValueError("sigma_eta must be nonnegative and finite")
         if self.m < 1:
             raise ValueError("need at least one agent")
         self.mean.check(self.m, self.n)
@@ -187,19 +195,22 @@ class SeededStream:
         return np.array([self.master_seed, (run << 32) | agent], dtype=np.uint64)
 
 
-def _normal_rows(
-    stream: SeededStream, run: int, agent: int, t_start: int, count: int, width: int
-) -> np.ndarray:
-    """Standard normal draws for time steps ``t_start .. t_start+count-1``.
+def _normal_rows(stream: SeededStream, run: int, m: int, t_start: int, count: int,
+                 width: int) -> np.ndarray:
+    """Standard normal draws of agents ``0 .. m-1`` for time steps
+    ``t_start .. t_start+count-1``, as a ``(count, m, width)`` array.
 
-    Each time step owns ``ceil(width/4)`` Philox counter blocks and one
-    float64 consumes exactly one 64-bit word, so row ``t`` is the same
-    whether generated alone or as part of a larger block.
+    Each agent reads its own Philox key. Each time step owns
+    ``ceil(width/4)`` counter blocks and one float64 consumes exactly one
+    64-bit word, so row ``t`` is the same whether generated alone or as part
+    of a larger block.
     """
     blocks_per_step = -(-width // 4)
-    bits = Philox(counter=(t_start - 1) * blocks_per_step, key=stream.key(run, agent))
-    u = Generator(bits).random((count, 4 * blocks_per_step))
-    return _standard_normal(u)[:, :width]
+    u = np.empty((count, m, 4 * blocks_per_step))
+    for agent in range(m):
+        bits = Philox(counter=(t_start - 1) * blocks_per_step, key=stream.key(run, agent))
+        u[:, agent] = Generator(bits).random((count, 4 * blocks_per_step))
+    return _standard_normal(u)[..., :width]
 
 
 def _standard_normal(u: np.ndarray) -> np.ndarray:
@@ -215,30 +226,23 @@ def _standard_normal(u: np.ndarray) -> np.ndarray:
     return ndtri(np.minimum(u + 2.0**-54, np.nextafter(1.0, 0.0)))
 
 
-def sample_block(
-    spec: ModelSpec,
-    stream: SeededStream,
-    run: int,
-    agent: int,
-    t_start: int,
-    count: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` consecutive pairs starting at time ``t_start``.
+def sample_block(spec: ModelSpec, stream: SeededStream, run: int, t_start: int,
+                 count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` consecutive pairs of every agent starting at time ``t_start``.
 
-    Returns ``(X, Y)`` with shapes ``(count, n)`` and ``(count, l)``. Row
-    ``k`` is bit-identical to the one row drawn alone at ``t_start + k``.
+    Returns ``(X, Y)`` with shapes ``(count, m, n)`` and ``(count, m, l)``;
+    ``X[:, i]`` is agent ``i``'s stream. Row ``k`` is bit-identical to the
+    one row drawn alone at ``t_start + k``.
     """
     if t_start < 1:
         raise ValueError("time steps start at 1")
-    if not 0 <= agent < spec.m:
-        raise ValueError(f"agent index {agent} out of range [0, {spec.m})")
-    n, l = spec.n, spec.l
-    z = _normal_rows(stream, run, agent, t_start, count, n + l)
+    n, l, m = spec.n, spec.l, spec.m
+    z = _normal_rows(stream, run, m, t_start, count, n + l)
     times = np.arange(t_start, t_start + count)
-    x = spec.mean.profile(agent, times, n) + spec.sigma_x * z[:, :n]
+    x = spec.mean.profile(times, m, n) + spec.sigma_x * z[..., :n]
     # einsum keeps each row's rounding independent of the block size, so
     # single-pair and block generation agree bit for bit
-    y = np.einsum("tj,kj->tk", x, spec.theta) + spec.sigma_eta * z[:, n:]
+    y = np.einsum("taj,kj->tak", x, spec.theta) + spec.sigma_eta * z[..., n:]
     return x, y
 
 
@@ -247,7 +251,9 @@ def mu_bar(spec: ModelSpec, agent: int, t: int) -> np.ndarray:
     ``(4 / (t * sigma_x**2)) * sum_{j<=t} mu_j mu_j^T``."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    prof = spec.mean.profile(agent, np.arange(1, t + 1), spec.n)
+    if not 0 <= agent < spec.m:
+        raise ValueError(f"agent index {agent} out of range [0, {spec.m})")
+    prof = spec.mean.profile(np.arange(1, t + 1), spec.m, spec.n)[:, agent]
     return (4.0 / (t * spec.sigma_x**2)) * (prof.T @ prof)
 
 
@@ -255,12 +261,8 @@ def mu_bar_pooled(spec: ModelSpec, t: int) -> np.ndarray:
     """Mean second-moment matrix pooled over all agents and times up to ``t``."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    times = np.arange(1, t + 1)
-    acc = np.zeros((spec.n, spec.n))
-    for agent in range(spec.m):
-        prof = spec.mean.profile(agent, times, spec.n)
-        acc += prof.T @ prof
-    return (4.0 / (spec.m * t * spec.sigma_x**2)) * acc
+    prof = spec.mean.profile(np.arange(1, t + 1), spec.m, spec.n).reshape(-1, spec.n)
+    return (4.0 / (spec.m * t * spec.sigma_x**2)) * (prof.T @ prof)
 
 
 def mu_bar_lambda_min(spec: ModelSpec, t: int, agent: int | None = None) -> float:
@@ -272,7 +274,8 @@ def mu_bar_lambda_min(spec: ModelSpec, t: int, agent: int | None = None) -> floa
 def difference_transform(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise differencing that cancels a time-invariant feature mean.
 
-    Rows of ``sample_block``'s ``(x, y)`` are taken two at a time:
+    Rows of ``sample_block``'s ``(x, y)`` are taken two at a time along the
+    first (time) axis, for every agent at once:
     ``x_hat_k = x_{2k-1} - x_{2k}`` and ``y_hat_k = y_{2k-1} - y_{2k}``. The
     ``len(x) // 2`` output rows are zero-mean with doubled feature and noise
     variances and still satisfy ``y_hat = theta @ x_hat + eta_hat``.

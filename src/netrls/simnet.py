@@ -93,11 +93,7 @@ def _block_increments(config: SimConfig, stream: SeededStream, run_index: int,
                       t_start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample terms ``y x^T`` and ``x x^T`` for steps ``t_start ..``, as
     ``(count, m, l, n)`` and ``(count, m, n, n)`` arrays."""
-    # streams are keyed by agent, so each agent's block is one draw
-    draws = [sample_block(config.model, stream, run_index, i, t_start, count)
-             for i in range(config.model.m)]
-    x = np.stack([d[0] for d in draws], axis=1)
-    y = np.stack([d[1] for d in draws], axis=1)
+    x, y = sample_block(config.model, stream, run_index, t_start, count)
     return y[..., :, None] * x[..., None, :], x[..., :, None] * x[..., None, :]
 
 

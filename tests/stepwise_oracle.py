@@ -33,11 +33,8 @@ class SimWorld:
         self.theta_comm = np.zeros((model.m, model.l, model.n))
         self.pooled_invertible = False
         stream = nr.SeededStream(config.seed)
-        # whole-horizon draws per agent; identical to stepwise sampling
-        self._draws = [
-            nr.sample_block(model, stream, run_index, i, 1, config.horizon)
-            for i in range(model.m)
-        ]
+        # whole-horizon draws of every agent; identical to stepwise sampling
+        self._x, self._y = nr.sample_block(model, stream, run_index, 1, config.horizon)
 
     def step(self) -> bool:
         """Advance one data step; returns True when a communication phase ran."""
@@ -45,8 +42,7 @@ class SimWorld:
         if t > self.config.horizon:
             raise RuntimeError("stepped past the configured horizon")
         for i, agent in enumerate(self.agents):
-            x, y = self._draws[i]
-            agent.ingest(x[t - 1], y[t - 1])
+            agent.ingest(self._x[t - 1, i], self._y[t - 1, i])
         if not self.pooled_invertible:
             self.pooled_invertible = bool(full_rank(self.pooled_statistics()[1]))
 

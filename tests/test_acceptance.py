@@ -73,7 +73,7 @@ def test_criterion_4_oracle_equivalences(capsys):
     stream = SeededStream(424242)
 
     # (a) streamed rank-one updates equal the batch solution after 1e3 steps
-    x, y = nr.sample_block(model, stream, 0, 0, 1, 1000)
+    x, y = (a[:, 0] for a in nr.sample_block(model, stream, 0, 1, 1000))
     state = nr.AgentState(model.n, model.l)
     for k in range(1000):
         state.ingest(x[k], y[k])
@@ -97,9 +97,9 @@ def test_criterion_4_oracle_equivalences(capsys):
 
     # (c) complete averaging with one step reproduces the pooled estimator
     complete = nr.complete_weights(6)
-    xs = [nr.sample_block(model, stream, 1, i, 1, 60) for i in range(6)]
-    al = np.stack([yy.T @ xx for xx, yy in xs])
-    be = np.stack([xx.T @ xx for xx, _ in xs])
+    x, y = nr.sample_block(model, stream, 1, 1, 60)
+    al = np.einsum("tak,taj->akj", y, x)
+    be = np.einsum("tai,taj->aij", x, x)
     mixed_a, mixed_b = nr.run_comm_phase(complete, al, be, 1)
     pooled = al.sum(axis=0) @ np.linalg.pinv(be.sum(axis=0))
     worst_c = max(
@@ -179,8 +179,9 @@ def test_criterion_6_bound_coverage(paper_inputs, capsys):
     violations = 0
     total = 0
     for run_index in range(200):
+        x_all, y_all = nr.sample_block(model, stream, run_index, 1, 400)
         for agent in range(model.m):
-            x, y = nr.sample_block(model, stream, run_index, agent, 1, 400)
+            x, y = x_all[:, agent], y_all[:, agent]
             theta_hat = (y.T @ x) @ np.linalg.inv(x.T @ x)
             err = np.linalg.norm(theta_hat - model.theta, 2)
             violations += int(err > bound)

@@ -350,8 +350,9 @@ def test_global_and_comm_bound_coverage(paper_model, ring6, paper_inputs):
     alphas = np.empty((runs, m, len(times), paper_model.l, paper_model.n))
     betas = np.empty((runs, m, len(times), paper_model.n, paper_model.n))
     for run in range(runs):
+        x_all, y_all = nr.sample_block(paper_model, stream, run, 1, times[-1])
         for agent in range(m):
-            x, y = nr.sample_block(paper_model, stream, run, agent, 1, times[-1])
+            x, y = x_all[:, agent], y_all[:, agent]
             for k, t in enumerate(times):
                 alphas[run, agent, k] = y[:t].T @ x[:t]
                 betas[run, agent, k] = x[:t].T @ x[:t]
@@ -404,8 +405,9 @@ def test_bound_coverage_with_nonzero_means(ring6, kind):
     alphas = np.empty((runs, m, len(times), model.l, model.n))
     betas = np.empty((runs, m, len(times), model.n, model.n))
     for run in range(runs):
+        x_all, y_all = nr.sample_block(model, stream, run, 1, times[-1])
         for agent in range(m):
-            x, y = nr.sample_block(model, stream, run, agent, 1, times[-1])
+            x, y = x_all[:, agent], y_all[:, agent]
             for k, t in enumerate(times):
                 alphas[run, agent, k] = y[:t].T @ x[:t]
                 betas[run, agent, k] = x[:t].T @ x[:t]

@@ -481,11 +481,15 @@ def test_write_trace_matches_rows_formatted_one_at_a_time(tmp_path, rows, bound,
 
 
 def test_golden_trace_schema_stability(tmp_path):
-    cfg = str(DATA_DIR / "golden_config.json")
-    out = tmp_path / "golden.csv"
-    assert main(["simulate", cfg, "-o", str(out)]) == 0
-    expected = (DATA_DIR / "golden_trace.csv").read_bytes()
-    assert out.read_bytes() == expected
+    for config, golden in [
+        ("golden_config.json", "golden_trace.csv"),
+        # the paper's 2x2 theta on a 3-agent ring with a sinusoid mean and
+        # write-back: the 2x2 closed forms and the mixed sums carried on
+        ("golden_config_2x2.json", "golden_trace_2x2.csv"),
+    ]:
+        out = tmp_path / golden
+        assert main(["simulate", str(DATA_DIR / config), "-o", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
 
 
 @pytest.mark.parametrize("config, golden, first_line", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,14 +22,15 @@ def test_noiseless_pairs_satisfy_model_exactly():
     spec = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=0.0, m=2)
     stream = nr.SeededStream(123)
     for t in (1, 5, 17):
-        x, y = nr.sample_block(spec, stream, 0, 1, t, 1)
-        assert y[0] == pytest.approx(spec.theta @ x[0], rel=1e-14, abs=0.0)
+        x, y = nr.sample_block(spec, stream, 0, t, 1)
+        for agent in range(spec.m):
+            assert y[0, agent] == pytest.approx(spec.theta @ x[0, agent], rel=1e-14, abs=0.0)
 
 
 def test_zero_map_yields_zero_labels():
     spec = nr.ModelSpec(theta=[[0.0]], sigma_x=1.0, sigma_eta=0.0, m=1)
     stream = nr.SeededStream(5)
-    x, y = nr.sample_block(spec, stream, 0, 0, 1, 50)
+    x, y = nr.sample_block(spec, stream, 0, 1, 50)
     assert np.all(y == 0.0)
     assert np.any(x != 0.0)
 
@@ -38,7 +40,7 @@ def test_feature_covariance_matches_reference_scale():
     # over 1e5 draws must land within 2% of 9 on every entry
     spec = reference_model()
     stream = nr.SeededStream(2023)
-    x, _ = nr.sample_block(spec, stream, 0, 0, 1, 100_000)
+    x = nr.sample_block(spec, stream, 0, 1, 100_000)[0][:, 0]
     cov = x.T @ x / x.shape[0]
     assert np.all(np.abs(cov - 9.0 * np.eye(2)) <= 0.02 * 9.0)
 
@@ -46,38 +48,85 @@ def test_feature_covariance_matches_reference_scale():
 def test_noise_variance_scale():
     spec = nr.ModelSpec(theta=[[0.0, 0.0]], sigma_x=1.0, sigma_eta=2.0, m=1)
     stream = nr.SeededStream(99)
-    _, y = nr.sample_block(spec, stream, 0, 0, 1, 100_000)
+    _, y = nr.sample_block(spec, stream, 0, 1, 100_000)
     # theta = 0 so y is pure noise with variance 4
     assert np.var(y) == pytest.approx(4.0, rel=0.03)
 
 
 def test_bit_identical_reproduction():
     spec = reference_model()
-    a = nr.sample_block(spec, nr.SeededStream(777), 3, 2, 41, 1)
-    b = nr.sample_block(spec, nr.SeededStream(777), 3, 2, 41, 1)
+    a = nr.sample_block(spec, nr.SeededStream(777), 3, 41, 1)
+    b = nr.sample_block(spec, nr.SeededStream(777), 3, 41, 1)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = nr.sample_block(spec, nr.SeededStream(778), 3, 2, 41, 1)
+    c = nr.sample_block(spec, nr.SeededStream(778), 3, 41, 1)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_draws_are_order_insensitive():
     spec = reference_model()
     stream = nr.SeededStream(42)
-    x_block, y_block = nr.sample_block(spec, stream, 1, 4, 1, 30)
+    x_block, y_block = nr.sample_block(spec, stream, 1, 1, 30)
     order = np.random.default_rng(0).permutation(30)
     for t_idx in order:
-        x, y = nr.sample_block(spec, stream, 1, 4, int(t_idx) + 1, 1)
+        x, y = nr.sample_block(spec, stream, 1, int(t_idx) + 1, 1)
         assert np.array_equal(x[0], x_block[t_idx])
         assert np.array_equal(y[0], y_block[t_idx])
+
+
+# sha256 of x then y for every call in DIGEST_CALLS, with each agent drawn on
+# its own and the draws stacked on axis 1: the layout of an all-agent block.
+# Recorded before sample_block drew every agent in one call.
+DIGEST_THETAS = {"2x2": [[1.6, 0.3], [0.8, 0.3]], "n1l3": [[1.0], [-0.5], [2.0]],
+                 "n3l2": [[0.5, -1.0, 0.25], [1.5, 0.0, -0.75]]}
+DIGEST_CALLS = [(0, 1, 1), (0, 1, 600), (3, 41, 1), (1, 513, 37), (2**32 - 1, 10**6, 5)]
+PER_AGENT_DIGESTS = {
+    ("zero", "2x2"): "742f6629f5f08e07fdb63603df7f63f70f12aced9c0806ee283ca2ec0de6c639",
+    ("zero", "n1l3"): "f9054296f8885a948e0bf729910951e162c2e44a90ee92c827cf5ddaa7f25c08",
+    ("zero", "n3l2"): "ddc65ce39d97fb8cdc1eb6faac31868cca5f1bf8c0b5bf800c02d3b301a184d5",
+    ("constant", "2x2"): "cb46e91845b610c56748826bb9d36d7804b616d42e2e2bda0abc2a59dbfe561a",
+    ("constant", "n1l3"): "e836dfaefde2046400aeb09e12e3915f53e959f820ca75cb7884a37148e18def",
+    ("constant", "n3l2"): "46ef669bdea361daea4e7ba2b5cae7bd48dd01a547620f31ee956aac98d358d1",
+    ("sinusoid", "2x2"): "a6de09efb61d79658d7febe1477902651aff3e0e5c96eef711a5c14cb3e3c572",
+    ("sinusoid", "n1l3"): "ba9e9cf8d00b0a0b6f7b307774b4c3c43722b455074ae52bbdfe20acfa71dd53",
+    ("sinusoid", "n3l2"): "7ffddef24d4862db8629b873bdf653b33aa1accdac00523ec890abb7dd8249e6",
+}
+
+
+def _digest_mean(kind: str, n: int):
+    if kind == "zero":
+        return nr.ZeroMean()
+    if kind == "constant":
+        return nr.ConstantMean(vectors=np.arange(3 * n, dtype=float).reshape(3, n) - 1.5)
+    return nr.SinusoidMean(amplitudes=np.linspace(-1.0, 2.0, 3 * n).reshape(3, n),
+                           periods=[7.0, 19.5, 250.0])
+
+
+@pytest.mark.parametrize("kind, shape", sorted(PER_AGENT_DIGESTS))
+def test_all_agent_draws_match_the_per_agent_digests(kind, shape):
+    theta = DIGEST_THETAS[shape]
+    spec = nr.ModelSpec(theta=theta, sigma_x=3.0, sigma_eta=0.5, m=3,
+                        mean=_digest_mean(kind, np.shape(theta)[1]))
+    stream = nr.SeededStream(2022)
+    digest = hashlib.sha256()
+    for run, t_start, count in DIGEST_CALLS:
+        x, y = nr.sample_block(spec, stream, run, t_start, count)
+        assert x.shape == (count, 3, spec.n) and y.shape == (count, 3, spec.l)
+        digest.update(x.tobytes())
+        digest.update(y.tobytes())
+        # the last row drawn alone is the same row drawn inside the block
+        x_row, y_row = nr.sample_block(spec, stream, run, t_start + count - 1, 1)
+        assert np.array_equal(x_row[0], x[-1]) and np.array_equal(y_row[0], y[-1])
+    assert digest.hexdigest() == PER_AGENT_DIGESTS[kind, shape]
 
 
 def test_distinct_triples_are_distinct():
     spec = reference_model()
     stream = nr.SeededStream(42)
-    base, _ = nr.sample_block(spec, stream, 0, 0, 1, 1)
-    for run, agent, t in [(1, 0, 1), (0, 1, 1), (0, 0, 2)]:
-        other, _ = nr.sample_block(spec, stream, run, agent, t, 1)
-        assert not np.array_equal(base, other)
+    # (run, agent, t) = (0, 0, 1) against (1, 0, 1), (0, 1, 1) and (0, 0, 2)
+    x, _ = nr.sample_block(spec, stream, 0, 1, 2)
+    other_run, _ = nr.sample_block(spec, stream, 1, 1, 1)
+    for other in (other_run[0, 0], x[0, 1], x[1, 0]):
+        assert not np.array_equal(x[0, 0], other)
 
 
 def test_zero_mean_sample_average():
@@ -85,17 +134,17 @@ def test_zero_mean_sample_average():
     spec = reference_model()
     stream = nr.SeededStream(11)
     for run, agent, n_draws in [(0, 0, 4000), (1, 3, 8000), (2, 5, 2000)]:
-        x, _ = nr.sample_block(spec, stream, run, agent, 1, n_draws)
+        x, _ = nr.sample_block(spec, stream, run, 1, n_draws)
         bound = 4.0 * spec.sigma_x * np.sqrt(spec.n / n_draws)
-        assert np.linalg.norm(x.mean(axis=0)) <= bound
+        assert np.linalg.norm(x[:, agent].mean(axis=0)) <= bound
 
 
 def test_counter_layout_padding():
     # width 5 spans two counter blocks per step; rows must still line up
     spec = nr.ModelSpec(theta=np.zeros((2, 3)), sigma_x=1.0, sigma_eta=1.0, m=1)
     stream = nr.SeededStream(1)
-    solo = _normal_rows(stream, 0, 0, 9, 1, 5)
-    block = _normal_rows(stream, 0, 0, 1, 20, 5)
+    solo = _normal_rows(stream, 0, 2, 9, 1, 5)
+    block = _normal_rows(stream, 0, 2, 1, 20, 5)
     assert np.array_equal(solo[0], block[8])
 
 
@@ -124,7 +173,7 @@ assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) ==
 assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
 print("scipy" in sys.modules)
 netrls.sample_block(netrls.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=1.0, m=1),
-                    netrls.SeededStream(0), run=0, agent=0, t_start=1, count=1)
+                    netrls.SeededStream(0), run=0, t_start=1, count=1)
 print("scipy" in sys.modules)
 """
     src = str(Path(nr.__file__).resolve().parent.parent)
@@ -138,8 +187,8 @@ def test_constant_mean_shifts_draws():
     mean = nr.ConstantMean(vectors=[[10.0, -4.0], [0.0, 0.0]])
     spec = nr.ModelSpec(theta=np.eye(2), sigma_x=1.0, sigma_eta=0.0, m=2, mean=mean)
     stream = nr.SeededStream(3)
-    x, _ = nr.sample_block(spec, stream, 0, 0, 1, 20_000)
-    assert np.allclose(x.mean(axis=0), [10.0, -4.0], atol=0.05)
+    x, _ = nr.sample_block(spec, stream, 0, 1, 20_000)
+    assert np.allclose(x.mean(axis=0), [[10.0, -4.0], [0.0, 0.0]], atol=0.05)
     assert spec.mu_hat == pytest.approx(np.hypot(10.0, 4.0))
 
 
@@ -176,6 +225,16 @@ def test_mu_bar_pooled_averages_agents():
     assert np.allclose(nr.mu_bar_pooled(spec, 5), np.mean(per_agent, axis=0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("agent", [-1, 2, 5])
+@pytest.mark.parametrize("mean", [nr.ZeroMean(), nr.ConstantMean(vectors=[[1.0], [2.0]])])
+def test_mu_bar_rejects_an_agent_out_of_range(mean, agent):
+    spec = nr.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=0.0, m=2, mean=mean)
+    with pytest.raises(ValueError, match=rf"agent index {agent} out of range \[0, 2\)"):
+        nr.mu_bar(spec, agent, 10)
+    with pytest.raises(ValueError, match="out of range"):
+        nr.mu_bar_lambda_min(spec, 10, agent=agent)
+
+
 def test_difference_transform_definition():
     x = np.array([[1.0, 2.0], [0.5, -1.0]])
     y = np.array([[3.0], [1.0]])
@@ -198,20 +257,22 @@ def test_difference_transform_drops_odd_tail_and_warns_when_short():
 
 
 def test_difference_transform_cancels_constant_mean():
-    mean = nr.ConstantMean(vectors=[[5.0, 5.0]])
-    spec = nr.ModelSpec(theta=[[1.0, 0.5]], sigma_x=2.0, sigma_eta=0.3, m=1, mean=mean)
+    # an all-agent block is differenced along its time axis, every agent at once
+    mean = nr.ConstantMean(vectors=[[5.0, 5.0], [-3.0, 1.0]])
+    spec = nr.ModelSpec(theta=[[1.0, 0.5]], sigma_x=2.0, sigma_eta=0.3, m=2, mean=mean)
     stream = nr.SeededStream(60)
-    x, y = nr.sample_block(spec, stream, 0, 0, 1, 20_000)
+    x, y = nr.sample_block(spec, stream, 0, 1, 20_000)
     xs, ys = nr.difference_transform(x, y)
-    assert xs.shape == (10_000, 2) and ys.shape == (10_000, 1)
+    assert xs.shape == (10_000, 2, 2) and ys.shape == (10_000, 2, 1)
+    assert np.array_equal(xs[:, 1], nr.difference_transform(x[:, 1], y[:, 1])[0])
 
     # model still holds: y_hat - theta x_hat equals the differenced noise
-    eta_hat = (y - x @ spec.theta.T)[0::2] - (y - x @ spec.theta.T)[1::2]
-    assert np.allclose(ys - xs @ spec.theta.T, eta_hat, atol=1e-12)
+    eta = y - x @ spec.theta.T
+    assert np.allclose(ys - xs @ spec.theta.T, eta[0::2] - eta[1::2], atol=1e-12)
 
     # transformed features are zero-mean with doubled variance
     se = np.sqrt(2.0 * spec.sigma_x**2 * spec.n / len(xs))
-    assert np.linalg.norm(xs.mean(axis=0)) <= 3.0 * se
+    assert np.all(np.linalg.norm(xs.mean(axis=0), axis=1) <= 3.0 * se)
 
     twin = nr.differenced_model(spec)
     assert twin.sigma_x == pytest.approx(np.sqrt(2.0) * spec.sigma_x)
@@ -232,9 +293,28 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         nr.SeededStream(-1)
     with pytest.raises(ValueError):
-        nr.sample_block(reference_model(), nr.SeededStream(0), 0, 6, 1, 1)
-    with pytest.raises(ValueError):
-        nr.sample_block(reference_model(), nr.SeededStream(0), 0, 0, 0, 1)
+        nr.sample_block(reference_model(), nr.SeededStream(0), 0, 0, 1)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, make", [
+    ("sigma_eta", lambda: nr.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=NAN, m=1)),
+    ("sigma_eta", lambda: nr.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=INF, m=1)),
+    ("sigma_x", lambda: nr.ModelSpec(theta=[[1.0]], sigma_x=INF, sigma_eta=1.0, m=1)),
+    ("sigma_x", lambda: nr.ModelSpec(theta=[[1.0]], sigma_x=NAN, sigma_eta=1.0, m=1)),
+    ("theta", lambda: nr.ModelSpec(theta=[[1.0, NAN]], sigma_x=1.0, sigma_eta=1.0, m=1)),
+    ("theta", lambda: nr.ModelSpec(theta=[[-INF]], sigma_x=1.0, sigma_eta=1.0, m=1)),
+    ("periods", lambda: nr.SinusoidMean(amplitudes=[[1.0], [1.0]], periods=[10.0, NAN])),
+    ("amplitudes", lambda: nr.SinusoidMean(amplitudes=[[NAN], [1.0]], periods=[10.0, 5.0])),
+    ("vectors", lambda: nr.ConstantMean(vectors=[[0.0, NAN]])),
+    ("vectors", lambda: nr.ConstantMean(vectors=[[INF, 0.0]])),
+])
+def test_non_finite_model_inputs_are_rejected_naming_the_field(field, make):
+    # the message opens with the field, so a config section can route it
+    with pytest.raises(ValueError, match=rf"^{field} must be "):
+        make()
 
 
 def test_theta_norm_property():

@@ -1,0 +1,43 @@
+"""The shape of the paper's rates on the reference ring, measured by simulation.
+
+Past the local bound's burn-in the run-averaged local error falls like
+``t**-1/2``, and pooling the ``m * t`` samples of all agents divides it by
+``sqrt(m)``. The tolerances are about four standard deviations of each
+statistic over seeds 1 to 10 of this setup (slope: mean -0.509, sd 0.014;
+ratio: mean 2.462, sd 0.046), measured before the tests were written.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+import netrls as nr
+
+HORIZON, RUNS = 500, 100
+
+
+@pytest.fixture(scope="module")
+def past_burn_in():
+    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6)
+    weights = nr.ring_weights(6)
+    inputs = nr.BoundInputs.from_model(model, weights, delta=0.05, delta_hat=0.001)
+    # no phase: the local and pooled estimates do not depend on the schedule
+    config = nr.SimConfig(model=model, weights=weights, schedule=nr.Schedule(zeta=20, T=1, S=0),
+                          horizon=HORIZON, runs=RUNS, seed=1008)
+    trace = nr.run(config)
+    past = trace.t >= nr.local_bound(inputs, HORIZON).valid_from
+    return model.m, trace.t[past], trace.local_err[past], trace.global_err[past]
+
+
+def test_local_error_falls_like_one_over_sqrt_t(past_burn_in):
+    _, t, local, _ = past_burn_in
+    slope = np.polyfit(np.log(t), np.log(local), 1)[0]
+    assert slope == pytest.approx(-0.5, abs=0.07)
+
+
+def test_pooling_divides_the_local_error_by_sqrt_m(past_burn_in):
+    m, _, local, pooled = past_burn_in
+    assert local.mean() / pooled.mean() == pytest.approx(math.sqrt(m), rel=0.08)

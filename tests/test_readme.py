@@ -17,4 +17,5 @@ def test_readme_python_example_runs():
     result = namespace["result"]
     assert (result.T, result.S) == (38, 1620)
     assert abs(namespace["weights"].rho - 2 / 3) < 1e-12
-    assert namespace["x"].shape == (1000, 2) and namespace["y_hat"].shape == (500, 2)
+    assert namespace["x"].shape == (1000, 6, 2) and namespace["x0"].shape == (1000, 2)
+    assert namespace["y_hat"].shape == (500, 6, 2)

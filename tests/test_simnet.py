@@ -120,14 +120,9 @@ def test_global_estimate_matches_batch_over_union():
     for _ in range(500):
         world.step()
 
-    stream = nr.SeededStream(config.seed)
-    xs, ys = [], []
-    for i in range(6):
-        x, y = nr.sample_block(config.model, stream, 0, i, 1, 500)
-        xs.append(x)
-        ys.append(y)
-    x_all = np.concatenate(xs)
-    y_all = np.concatenate(ys)
+    x, y = nr.sample_block(config.model, nr.SeededStream(config.seed), 0, 1, 500)
+    x_all = x.reshape(-1, config.model.n)
+    y_all = y.reshape(-1, config.model.l)
     batch = np.linalg.lstsq(x_all, y_all, rcond=None)[0].T
     scale = max(np.linalg.norm(batch, 2), 1e-12)
     assert np.linalg.norm(world.global_estimate() - batch, 2) <= 1e-8 * scale
@@ -316,7 +311,7 @@ def test_long_horizon_cumulative_sums_stay_accurate():
                           schedule=nr.Schedule(zeta=10, T=1, S=0),
                           horizon=horizon, runs=1, seed=23)
     averaged = nr.run(config)
-    x, y = nr.sample_block(model, nr.SeededStream(config.seed), 0, 0, 1, horizon)
+    x, y = (a[:, 0] for a in nr.sample_block(model, nr.SeededStream(config.seed), 0, 1, horizon))
     alpha = np.array([[math.fsum(y[:, i] * x[:, j]) for j in range(model.n)]
                       for i in range(model.l)])
     beta = np.array([[math.fsum(x[:, i] * x[:, j]) for j in range(model.n)]
