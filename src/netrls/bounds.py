@@ -128,16 +128,13 @@ class BurnInError(ValueError):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound plus the constants and burn-ins behind it.
+    """One evaluated bound plus the constants behind it.
 
     ``value = network_term + noise_term``; the network term is zero for the
     local and global regimes. The three terms are arrays when the bound was
     evaluated on an array of times.
     """
 
-    t1: float
-    t2: float
-    t3: float
     C1: float
     c1: float
     c2: float
@@ -229,7 +226,7 @@ def _check_burn_in(t, threshold: float, regime: str) -> int:
     return valid_from
 
 
-def _report(inputs: BoundInputs, bi: BurnIn, t, samples: int, mu_bar_lambda_min: float,
+def _report(inputs: BoundInputs, t, samples: int, mu_bar_lambda_min: float,
             regime: str, valid_from: int, network=0.0) -> BoundReport:
     """The report of a bound whose noise term pools ``samples`` agents' ``t``
     samples each, plus the bound's ``network`` term."""
@@ -237,7 +234,7 @@ def _report(inputs: BoundInputs, bi: BurnIn, t, samples: int, mu_bar_lambda_min:
         raise ValueError("lambda_min(I + mu_bar) is always >= 1")
     C1 = _C1(inputs, inputs.delta)
     noise = C1 / (np.sqrt(samples * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min)
-    return BoundReport(t1=bi.t1, t2=bi.t2, t3=bi.t3, C1=C1, c1=_c1(inputs),
+    return BoundReport(C1=C1, c1=_c1(inputs),
                        c2=_c2(inputs, inputs.delta_hat), c3=_c3(inputs),
                        value=network + noise, regime=regime, valid_from=valid_from,
                        network_term=network, noise_term=noise)
@@ -249,17 +246,15 @@ def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> Bound
     Decays like ``1/sqrt(t)``; ``mu_bar_lambda_min`` is the smallest
     eigenvalue of ``I + mu_bar`` and defaults to the conservative value 1.
     """
-    bi = burn_in(inputs, "delta")
-    valid_from = _check_burn_in(t, bi.threshold, "local")
-    return _report(inputs, bi, t, 1, mu_bar_lambda_min, "local", valid_from)
+    valid_from = _check_burn_in(t, burn_in(inputs, "delta").threshold, "local")
+    return _report(inputs, t, 1, mu_bar_lambda_min, "local", valid_from)
 
 
 def global_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for the pooled all-agent estimate; local bound with
     ``t`` replaced by ``m * t`` and burn-in divided by ``m``."""
-    bi = burn_in(inputs, "delta")
-    valid_from = _check_burn_in(t, bi.threshold / inputs.m, "global")
-    return _report(inputs, bi, t, inputs.m, mu_bar_lambda_min, "global", valid_from)
+    valid_from = _check_burn_in(t, burn_in(inputs, "delta").threshold / inputs.m, "global")
+    return _report(inputs, t, inputs.m, mu_bar_lambda_min, "global", valid_from)
 
 
 def comm_bound(inputs: BoundInputs, t, steps: int,
@@ -274,8 +269,7 @@ def comm_bound(inputs: BoundInputs, t, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    bi = burn_in(inputs, "delta_hat")
-    valid_from = _check_burn_in(t, bi.threshold, "communicated")
+    valid_from = _check_burn_in(t, burn_in(inputs, "delta_hat").threshold, "communicated")
     network = inputs.rho**steps * _C0(inputs, t, steps)
-    return _report(inputs, bi, t, inputs.m, mu_bar_lambda_min, "communicated", valid_from,
+    return _report(inputs, t, inputs.m, mu_bar_lambda_min, "communicated", valid_from,
                    network)

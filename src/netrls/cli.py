@@ -3,7 +3,7 @@
 Commands::
 
     netrls plan <config.json> [-o result.json]
-    netrls simulate <config.json> -o <trace.csv> [--parallel-runs N]
+    netrls simulate <config.json> -o <trace.csv>
     netrls bounds <config.json> --at t1,t2,...
 
 Exit codes: 0 ok, 2 configuration error, 3 runtime error. All file output
@@ -215,9 +215,7 @@ def cmd_plan(config_path: str, out_path: str) -> int:
     return 0
 
 
-def cmd_simulate(config_path: str, out_path: str, parallel: int) -> int:
-    if parallel < 1:
-        raise ConfigError("--parallel-runs", "must be >= 1")
+def cmd_simulate(config_path: str, out_path: str) -> int:
     _check_output(out_path)
     cfg = load_config(config_path)
     if cfg.run is None:
@@ -227,7 +225,7 @@ def cmd_simulate(config_path: str, out_path: str, parallel: int) -> int:
         raise ConfigError("run.horizon",
                           f"horizon {cfg.run.horizon} does not cover the stopping time {schedule.S}")
     sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule, **asdict(cfg.run))
-    averaged = run(sim, parallel=parallel)
+    averaged = run(sim)
     write_trace(out_path, averaged, _trace_meta(cfg, schedule, planned),
                 cfg.bound_inputs, schedule)
     print(f"wrote {out_path} ({len(averaged.t)} rows, {cfg.run.runs} runs averaged)")
@@ -288,7 +286,9 @@ def main(argv=None) -> int:
     p_sim = sub.add_parser("simulate", help="run the simulation and write a CSV trace")
     p_sim.add_argument("config")
     p_sim.add_argument("-o", "--output", required=True)
-    p_sim.add_argument("--parallel-runs", type=int, default=1)
+    # the next benchmark change drops this flag and perfbench's use of it
+    p_sim.add_argument("--parallel-runs", type=int, choices=[1], default=1,
+                       help=argparse.SUPPRESS)
 
     p_bounds = sub.add_parser("bounds", help="tabulate the error bounds at given times")
     p_bounds.add_argument("config")
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
         if args.command == "plan":
             return cmd_plan(args.config, args.output)
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.output, args.parallel_runs)
+            return cmd_simulate(args.config, args.output)
         return cmd_bounds(args.config, args.at)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

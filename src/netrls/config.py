@@ -306,8 +306,8 @@ def resolve_config(data: dict) -> ResolvedConfig:
                         **sec.given(sec.boolean, ["writeback_mixed"]))
         if run.horizon < 1:
             raise ConfigError("run.horizon", "must be >= 1")
-        if run.runs < 1:
-            raise ConfigError("run.runs", "must be >= 1")
+        if not 1 <= run.runs <= 2**32:
+            raise ConfigError("run.runs", "must be in [1, 2**32]")
         if not 0 <= run.seed < 2**64:
             raise ConfigError("run.seed", "must fit in 64 bits")
 

@@ -24,7 +24,6 @@ rank tests are closed forms (``local_estimator``); other shapes use LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -73,8 +72,8 @@ class SimConfig:
             raise ValueError("horizon must be >= 1")
         if self.horizon < self.schedule.S:
             raise ValueError("horizon must cover the stopping time S")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not 1 <= self.runs <= 2**32:
+            raise ValueError("runs must be in [1, 2**32]")
 
 
 @dataclass
@@ -200,38 +199,23 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     return trace
 
 
-def run(config: SimConfig, parallel: int = 1) -> ErrorTrace:
+def run(config: SimConfig) -> ErrorTrace:
     """Simulate ``config.runs`` independent replications and return the
     averaged trace: the arithmetic mean of every error column across runs.
 
-    The mean is a running sum over the runs in index order, divided by the
-    run count at the end. Only one run's trace is held at a time, so memory
-    does not grow with ``config.runs``. The sum rounds as
-    ``np.mean(..., axis=0)`` over the stacked runs does, except on a
-    horizon of 1, where numpy sums 8 or more runs pairwise. Replications
-    use disjoint substreams indexed by run, so results are independent of
-    ``parallel`` and of execution order.
+    The runs execute in index order in this process. The mean is a running
+    sum over them, divided by the run count at the end, so only one run's
+    trace is held at a time and memory does not grow with ``config.runs``.
+    The sum rounds as ``np.mean(..., axis=0)`` over the stacked runs does,
+    except on a horizon of 1, where numpy sums 8 or more runs pairwise.
+    Replications use disjoint substreams indexed by run.
     """
-    if parallel < 1:
-        raise ValueError("parallel must be >= 1")
-    indices = range(config.runs)
-    workers = min(parallel, config.runs)
-    if workers == 1:
-        return _average(config.runs, map(partial(_simulate_run, config), indices))
-    # the pool's import loads multiprocessing, so only a pooled run pays for it
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _average(config.runs, pool.map(partial(_simulate_run, config), indices))
-
-
-def _average(runs: int, traces) -> ErrorTrace:
-    """The mean of ``runs`` traces from the iterable ``traces``, summed in order."""
-    traces = iter(traces)
-    first = next(traces)
+    first = _simulate_run(config, 0)
     sums = {name: getattr(first, name).astype(np.float64)
             for name in ("local_err", "comm_err", "global_err", "pre_invertible_count")}
-    for trace in traces:
+    for run_index in range(1, config.runs):
+        trace = _simulate_run(config, run_index)
         for name, total in sums.items():
             total += getattr(trace, name)
     return ErrorTrace(t=first.t, comm_fired=first.comm_fired,
-                      **{name: total / runs for name, total in sums.items()})
+                      **{name: total / config.runs for name, total in sums.items()})

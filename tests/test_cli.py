@@ -14,7 +14,7 @@ import pytest
 import netrls as nr
 from netrls import cli
 from netrls.cli import ROWS_PER_CHUNK, _f12, main, write_trace
-from netrls.config import config_to_dict, load_config, resolve_config
+from netrls.config import ConfigError, config_to_dict, load_config, resolve_config
 
 DATA_DIR = Path(__file__).parent / "data"
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
@@ -253,19 +253,14 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert hashlib.sha256(d1).hexdigest() == hashlib.sha256(d2).hexdigest()
 
 
-def test_parallel_runs_do_not_change_output(tmp_path):
-    cfg = write_config(tmp_path, small_config_dict())
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["simulate", cfg, "-o", str(out1)]) == 0
-    assert main(["simulate", cfg, "-o", str(out2), "--parallel-runs", "2"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-@pytest.mark.parametrize("parallel", ["0", "-1"])
+@pytest.mark.parametrize("parallel", ["0", "-1", "2"])
 def test_bad_parallel_runs_exits_2_naming_it(tmp_path, capsys, parallel):
+    # the flag stays for the benchmark's callers and accepts only 1
     cfg = write_config(tmp_path, small_config_dict())
     out = tmp_path / "t.csv"
-    assert main(["simulate", cfg, "-o", str(out), "--parallel-runs", parallel]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", cfg, "-o", str(out), "--parallel-runs", parallel])
+    assert exc.value.code == 2
     assert "--parallel-runs" in capsys.readouterr().err
     assert not out.exists()
 
@@ -486,6 +481,8 @@ def test_golden_trace_schema_stability(tmp_path):
         # the paper's 2x2 theta on a 3-agent ring with a sinusoid mean and
         # write-back: the 2x2 closed forms and the mixed sums carried on
         ("golden_config_2x2.json", "golden_trace_2x2.csv"),
+        # 12 runs: the running sum over runs in index order
+        ("golden_config_runs.json", "golden_trace_runs.csv"),
     ]:
         out = tmp_path / golden
         assert main(["simulate", str(DATA_DIR / config), "-o", str(out)]) == 0
@@ -613,6 +610,22 @@ def test_committed_configs_are_valid():
     assert paper.weights.rho == pytest.approx(2.0 / 3.0, abs=1e-10)
     smoke = load_config(str(CONFIGS_DIR / "smoke.json"))
     assert smoke.schedule.T == 3
+
+
+def test_runs_must_fit_32_bit_run_indices():
+    # runs 0 .. runs-1 key the draws in 32 bits: 2**32 runs fit, one more is
+    # rejected when the config is built, not after 2**32 runs
+    data = small_config_dict()
+    data["run"]["runs"] = 2**32
+    cfg = resolve_config(data)
+    data["run"]["runs"] = 2**32 + 1
+    with pytest.raises(ConfigError, match=r"^run\.runs: "):
+        resolve_config(data)
+    sim = dict(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
+               horizon=cfg.run.horizon, seed=cfg.run.seed)
+    assert nr.SimConfig(**sim, runs=2**32).runs == 2**32
+    with pytest.raises(ValueError, match="runs"):
+        nr.SimConfig(**sim, runs=2**32 + 1)
 
 
 def test_writeback_flag_parses():

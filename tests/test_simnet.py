@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -173,41 +172,22 @@ def test_run_is_deterministic():
         assert np.array_equal(getattr(first, field), getattr(second, field))
 
 
-def test_parallel_runs_match_serial():
-    config = _small_config(runs=3, horizon=60, schedule=nr.Schedule(zeta=20, T=5, S=60))
-    serial = nr.run(config, parallel=1)
-    parallel = nr.run(config, parallel=3)
-    assert np.array_equal(serial.local_err, parallel.local_err)
-    assert np.array_equal(serial.global_err, parallel.global_err)
-
-
-def test_process_pool_capped_at_runs(monkeypatch):
-    asked = []
-
-    class SerialPool:
-        """Records the worker count and maps in this process."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # run imports the pool class from concurrent.futures when it needs it
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    config = _small_config(runs=2, horizon=60, schedule=nr.Schedule(zeta=20, T=5, S=60))
-    pooled = nr.run(config, parallel=8)
-    assert asked == [2]
-    serial = nr.run(config, parallel=1)
-    assert asked == [2]
+def test_run_adds_runs_in_index_order():
+    # on a horizon of 1 numpy's mean sums 8 or more runs pairwise, and at
+    # this seed its local_err differs from the running sum in the last bit
+    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=3)
+    config = nr.SimConfig(model=model, weights=nr.ring_weights(3),
+                          schedule=nr.Schedule(zeta=10, T=1, S=0),
+                          horizon=1, runs=12, seed=5)
+    traces = [simnet._simulate_run(config, i) for i in range(config.runs)]
+    averaged = nr.run(config)
     for field in ("local_err", "comm_err", "global_err", "pre_invertible_count"):
-        assert np.array_equal(getattr(pooled, field), getattr(serial, field))
+        total = getattr(traces[0], field).astype(np.float64)
+        for trace in traces[1:]:
+            total = total + getattr(trace, field)
+        assert np.array_equal(getattr(averaged, field), total / config.runs)
+    pairwise = np.mean([trace.local_err for trace in traces], axis=0)
+    assert not np.array_equal(averaged.local_err, pairwise)
 
 
 def test_run_memory_does_not_grow_with_runs():
@@ -227,17 +207,18 @@ def test_run_memory_does_not_grow_with_runs():
     assert peak < 400_000
 
 
-def test_process_pool_is_imported_only_by_a_pooled_run(tmp_path):
+def test_no_command_imports_the_process_pool(tmp_path):
     # a fresh interpreter, so the imports of this test session do not mask it
-    config = Path(__file__).parent.parent / "configs" / "paper.json"
+    configs = Path(__file__).parent.parent / "configs"
+    paper, smoke = str(configs / "paper.json"), str(configs / "smoke.json")
     script = f"""
 import sys
 import netrls, netrls.cli
-after_import = "concurrent.futures.process" in sys.modules
 from netrls.cli import main
-assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) == 0
-assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
-print(after_import, "concurrent.futures.process" in sys.modules)
+assert main(["plan", {paper!r}, "-o", {str(tmp_path / "plan.json")!r}]) == 0
+assert main(["bounds", {paper!r}, "--at", "200,400"]) == 0
+assert main(["simulate", {smoke!r}, "-o", {str(tmp_path / "trace.csv")!r}]) == 0
+print("concurrent.futures.process" in sys.modules, "multiprocessing" in sys.modules)
 """
     src = str(Path(nr.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
