@@ -9,7 +9,6 @@ Commands::
 Exit codes: 0 ok, 2 configuration error, 3 runtime error. All file output
 is byte-deterministic: floats are written with fixed significant digits
 (17 in config/plan echoes, 12 in trace columns) and keys in sorted order.
-The environment variable ``NETRLS_SEED`` overrides the configured seed.
 """
 
 from __future__ import annotations
@@ -221,10 +220,12 @@ def cmd_simulate(config_path: str, out_path: str) -> int:
     if cfg.run is None:
         raise ConfigError("run", "the simulate command needs a 'run' section")
     schedule, planned = _resolve_schedule(cfg)
-    if cfg.run.horizon < schedule.S:
-        raise ConfigError("run.horizon",
-                          f"horizon {cfg.run.horizon} does not cover the stopping time {schedule.S}")
-    sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule, **asdict(cfg.run))
+    try:
+        sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule, **asdict(cfg.run))
+    except ValueError as e:
+        # the run passed RunParams at load and the weights have m agents, so
+        # only the horizon against the stopping time can fail here
+        raise ConfigError("run.horizon", str(e)) from None
     averaged = run(sim)
     write_trace(out_path, averaged, _trace_meta(cfg, schedule, planned),
                 cfg.bound_inputs, schedule)

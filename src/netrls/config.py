@@ -9,7 +9,6 @@ Validation errors carry the dotted path of the offending field.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,11 +23,10 @@ from .consensus import (
 )
 from .model_gen import ConstantMean, ModelSpec, SinusoidMean, ZeroMean
 from .planner import DEFAULT_MAX_T, Schedule
+from .simnet import RunParams
 
 __all__ = ["ConfigError", "PlanParams", "RunParams", "ResolvedConfig", "BOUND_KEYS",
-           "load_config", "resolve_config", "config_to_dict", "SEED_ENV_VAR"]
-
-SEED_ENV_VAR = "NETRLS_SEED"
+           "load_config", "resolve_config", "config_to_dict"]
 
 # the ``bounds`` fields a config may set; each one that it leaves out takes
 # the default of ``BoundInputs.from_model``
@@ -51,13 +49,15 @@ class PlanParams:
     epsilon_N: float
     max_t: int = DEFAULT_MAX_T
 
-
-@dataclass(frozen=True)
-class RunParams:
-    horizon: int
-    runs: int
-    seed: int
-    writeback_mixed: bool = False
+    def __post_init__(self):
+        if self.zeta < 1:
+            raise ValueError("zeta must be >= 1")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if self.epsilon_N <= 0:
+            raise ValueError("epsilon_N must be positive")
+        if self.max_t < 1:
+            raise ValueError("max_t must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,14 @@ class _Section:
     def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
         return self._array(key, (rows, cols))
 
+    def build(self, make, *args, **fields):
+        """``make(*args, **fields)``, whose ``ValueError`` names the field of
+        this section that failed (``owner_error``)."""
+        try:
+            return make(*args, **fields)
+        except ValueError as e:
+            raise self.owner_error(e) from None
+
     def owner_error(self, error: ValueError) -> ConfigError:
         """``error`` from the object this section configures, at the first
         field its message names that the section sets. The message opens with
@@ -185,12 +193,8 @@ def _resolve_mean(section: _Section, m: int, n: int):
         return ConstantMean(vectors=section.matrix("vectors", m, n))
     if kind == "sinusoid":
         section.unknown_keys({"kind", "amplitudes", "periods"})
-        amplitudes = section.matrix("amplitudes", m, n)
-        periods = section.vector("periods", m)
-        try:
-            return SinusoidMean(amplitudes=amplitudes, periods=periods)
-        except ValueError as e:
-            raise section.owner_error(e) from None
+        return section.build(SinusoidMean, amplitudes=section.matrix("amplitudes", m, n),
+                             periods=section.vector("periods", m))
     raise ConfigError(section.sub("kind"), f"expected 'zero', 'constant' or 'sinusoid', got {kind!r}")
 
 
@@ -206,16 +210,8 @@ def _resolve_model(section: _Section) -> ModelSpec:
     theta = section.matrix("theta", l, n)
     mean_raw = section.data.get("mean_schedule", {"kind": "zero"})
     mean = _resolve_mean(_Section(mean_raw, section.sub("mean_schedule")), m, n)
-    try:
-        return ModelSpec(
-            theta=theta,
-            sigma_x=section.number("sigma_x"),
-            sigma_eta=section.number("sigma_eta"),
-            m=m,
-            mean=mean,
-        )
-    except ValueError as e:
-        raise section.owner_error(e) from None
+    return section.build(ModelSpec, theta=theta, sigma_x=section.number("sigma_x"),
+                         sigma_eta=section.number("sigma_eta"), m=m, mean=mean)
 
 
 def _resolve_network(section: _Section, m: int) -> WeightMatrix:
@@ -248,11 +244,8 @@ def resolve_config(data: dict) -> ResolvedConfig:
     weights = _resolve_network(_Section(root.require("network"), "network"), model.m)
     bounds = _Section(root.data.get("bounds", {}), "bounds")
     bounds.unknown_keys(set(BOUND_KEYS))
-    try:
-        bound_inputs = BoundInputs.from_model(model, weights,
-                                              **bounds.given(bounds.number, BOUND_KEYS))
-    except ValueError as e:
-        raise bounds.owner_error(e) from None
+    bound_inputs = bounds.build(BoundInputs.from_model, model, weights,
+                                **bounds.given(bounds.number, BOUND_KEYS))
 
     has_plan = "plan" in data
     has_schedule = "schedule" in data
@@ -267,49 +260,21 @@ def resolve_config(data: dict) -> ResolvedConfig:
     if has_plan:
         sec = _Section(data["plan"], "plan")
         sec.unknown_keys({"zeta", "epsilon", "epsilon_N", "max_t"})
-        plan = PlanParams(
-            zeta=sec.integer("zeta"),
-            epsilon=sec.number("epsilon"),
-            epsilon_N=sec.number("epsilon_N"),
-            **sec.given(sec.integer, ["max_t"]),
-        )
-        if plan.zeta < 1:
-            raise ConfigError("plan.zeta", "must be >= 1")
-        if plan.epsilon <= 0:
-            raise ConfigError("plan.epsilon", "must be positive")
-        if plan.epsilon_N <= 0:
-            raise ConfigError("plan.epsilon_N", "must be positive")
-        if plan.max_t < 1:
-            raise ConfigError("plan.max_t", "must be >= 1")
+        plan = sec.build(PlanParams, zeta=sec.integer("zeta"), epsilon=sec.number("epsilon"),
+                         epsilon_N=sec.number("epsilon_N"),
+                         **sec.given(sec.integer, ["max_t"]))
     else:
         sec = _Section(data["schedule"], "schedule")
         sec.unknown_keys({"zeta", "T", "S"})
-        try:
-            schedule = Schedule(
-                zeta=sec.integer("zeta"), T=sec.integer("T"), S=sec.integer("S")
-            )
-        except ValueError as e:
-            raise sec.owner_error(e) from None
+        schedule = sec.build(Schedule, zeta=sec.integer("zeta"), T=sec.integer("T"),
+                             S=sec.integer("S"))
 
     run = None
     if "run" in data:
         sec = _Section(data["run"], "run")
         sec.unknown_keys({"horizon", "runs", "seed", "writeback_mixed"})
-        seed = sec.integer("seed")
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError("run.seed", f"{SEED_ENV_VAR} is not an integer: {env_seed!r}") from None
-        run = RunParams(horizon=sec.integer("horizon"), runs=sec.integer("runs"), seed=seed,
-                        **sec.given(sec.boolean, ["writeback_mixed"]))
-        if run.horizon < 1:
-            raise ConfigError("run.horizon", "must be >= 1")
-        if not 1 <= run.runs <= 2**32:
-            raise ConfigError("run.runs", "must be in [1, 2**32]")
-        if not 0 <= run.seed < 2**64:
-            raise ConfigError("run.seed", "must fit in 64 bits")
+        run = sec.build(RunParams, seed=sec.integer("seed"), horizon=sec.integer("horizon"),
+                        runs=sec.integer("runs"), **sec.given(sec.boolean, ["writeback_mixed"]))
 
     return ResolvedConfig(model=model, weights=weights, bound_inputs=bound_inputs,
                           plan=plan, schedule=schedule, run=run)
@@ -321,7 +286,7 @@ def load_config(path: str) -> ResolvedConfig:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(str(path), f"cannot read config: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top-level JSON value must be an object")

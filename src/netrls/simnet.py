@@ -50,30 +50,42 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One experiment: model, network, schedule, and replication settings."""
+@dataclass(frozen=True, kw_only=True)
+class RunParams:
+    """Replication settings: horizon, run count and seed."""
 
-    model: ModelSpec
-    weights: WeightMatrix
-    schedule: Schedule
     horizon: int
     runs: int
     seed: int
     writeback_mixed: bool = False
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if not 1 <= self.runs <= 2**32:
+            raise ValueError("runs must be in [1, 2**32]")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(RunParams):
+    """One experiment: replication settings plus model, network and schedule."""
+
+    model: ModelSpec
+    weights: WeightMatrix
+    schedule: Schedule
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.weights.m != self.model.m:
             raise ValueError(
                 f"weight matrix is {self.weights.m}x{self.weights.m} "
                 f"but the model has {self.model.m} agents"
             )
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
         if self.horizon < self.schedule.S:
-            raise ValueError("horizon must cover the stopping time S")
-        if not 1 <= self.runs <= 2**32:
-            raise ValueError("runs must be in [1, 2**32]")
+            raise ValueError(
+                f"horizon {self.horizon} does not cover the stopping time {self.schedule.S}")
 
 
 @dataclass

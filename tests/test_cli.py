@@ -162,6 +162,12 @@ def _set_mean(data: dict, mean: dict) -> None:
          "sigma_x_lower=1e-200, sigma_x_upper=1e-200"),
         (lambda d: d["bounds"].update(delta=1e-320), "delta=1e-320, delta_hat=0.001"),
         (lambda d: d["plan"].update(zeta=10**30), "plan.zeta: must fit in 64 bits"),
+        # the range checks of PlanParams and RunParams name their field
+        (lambda d: d["plan"].update(zeta=0), "plan.zeta: must be >= 1"),
+        (lambda d: d["plan"].update(epsilon_N=0.0), "plan.epsilon_N: must be positive"),
+        (lambda d: d["run"].update(horizon=0), "run.horizon: must be >= 1"),
+        (lambda d: d["run"].update(runs=0), "run.runs: must be in [1, 2**32]"),
+        (lambda d: d["run"].update(seed=-1), "run.seed: must fit in 64 bits"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):
@@ -220,6 +226,27 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["plan", str(path)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def _with_5000_digit_sigma_x(path: Path) -> None:
+    text = json.dumps(paper_config_dict()).replace('"sigma_x": 3.0', '"sigma_x": 1' + "0" * 4999)
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: path.write_bytes(b'{"model": "\xff"}'), "invalid JSON: 'utf-8' codec"),
+    # a Python without the digit limit reads the number and rejects it later,
+    # as model.sigma_x, so only the prefix is checked
+    (_with_5000_digit_sigma_x, None),
+], ids=["non-utf-8", "5000-digit-integer"])
+def test_undecodable_config_exits_2_naming_the_file(tmp_path, capsys, write, message):
+    path = tmp_path / "broken.json"
+    write(path)
+    assert main(["plan", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if message is not None:
+        assert err.startswith(f"config error: {path}: {message}")
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -341,22 +368,13 @@ def test_simulate_takes_64_bit_schedules(tmp_path, schedule):
                      for t in range(1, 61)]
 
 
-def test_seed_env_override_changes_trace(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, small_config_dict())
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["simulate", cfg, "-o", str(out1)]) == 0
-    monkeypatch.setenv("NETRLS_SEED", "12345")
-    assert main(["simulate", cfg, "-o", str(out2)]) == 0
-    assert out1.read_bytes() != out2.read_bytes()
-    assert "run.seed=12345" in out2.read_text()
-
-
 def test_simulate_with_plan_section_covers_stopping_time(tmp_path, capsys):
     data = paper_config_dict()
     data["run"]["horizon"] = 100  # below the planned S = 1620
     cfg = write_config(tmp_path, data)
     assert main(["simulate", cfg, "-o", str(tmp_path / "t.csv")]) == 2
-    assert "run.horizon" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: run.horizon: horizon 100 does not cover the stopping time 1620\n")
 
 
 def _trace_rows(path: Path) -> list[list[str]]:
@@ -626,6 +644,14 @@ def test_runs_must_fit_32_bit_run_indices():
     assert nr.SimConfig(**sim, runs=2**32).runs == 2**32
     with pytest.raises(ValueError, match="runs"):
         nr.SimConfig(**sim, runs=2**32 + 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sim_config_rejects_a_seed_beyond_64_bits(seed):
+    cfg = resolve_config(small_config_dict())
+    with pytest.raises(ValueError, match="seed"):
+        nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
+                     horizon=cfg.run.horizon, runs=cfg.run.runs, seed=seed)
 
 
 def test_writeback_flag_parses():

@@ -12,16 +12,24 @@ bound's ``rho**T``: averaging over agents cancels the first-order
 disagreement. Over seeds 1 to 12 the slope of log(gap) against ``T`` in
 {1, 2, 4, 8} had mean -0.805 and sd 0.025 (``2 log rho = -0.811``), so the
 tolerance is 0.1; at ``T = 38`` the gap is about 1e-15, the rounding floor.
+
+At the stopping time the planner picks for ``configs/paper.json``, the
+communicated error is within ``epsilon`` in at least ``1 - delta`` of the
+runs.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import netrls as nr
+from netrls import simnet
+from netrls.config import load_config
 
 HORIZON, RUNS = 500, 100
 
@@ -65,3 +73,16 @@ def test_network_gap_falls_like_rho_to_the_2T():
     slope = np.polyfit(steps[:4], np.log(gaps[:4]), 1)[0]
     assert slope == pytest.approx(2 * math.log(weights.rho), abs=0.1)
     assert abs(gaps[-1]) < 1e-12
+
+
+def test_planned_stopping_time_meets_epsilon_with_confidence_1_minus_delta():
+    cfg = load_config(str(Path(__file__).parent.parent / "configs" / "paper.json"))
+    planned = nr.plan(cfg.bound_inputs, **asdict(cfg.plan))
+    assert (planned.T, planned.S) == (38, 1620)
+    config = nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=planned.schedule(),
+                          horizon=planned.S, runs=40, seed=cfg.run.seed)
+    # the engine keeps no per-agent errors: comm_err is the mean over the
+    # agents of each one's communicated error, so this checks the agent mean
+    errs = np.array([simnet._simulate_run(config, r).comm_err[planned.S - 1]
+                     for r in range(config.runs)])
+    assert np.mean(errs <= cfg.plan.epsilon) >= 1 - cfg.bound_inputs.delta
