@@ -23,7 +23,6 @@ from .consensus import (
     run_comm_phase,
     validate_weights,
 )
-from .local_estimator import AgentState
 from .model_gen import (
     ConstantMean,
     ModelSpec,
@@ -50,7 +49,6 @@ from .simnet import ErrorTrace, SimConfig, run, spectral_norms
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "BoundInputs",
     "BoundReport",
     "BurnIn",

@@ -79,7 +79,10 @@ def _json_text(value, indent: int = 0) -> str:
 
 
 def _check_output(path: str) -> None:
-    """Reject an output path whose directory does not exist, before any work."""
+    """Reject an empty output path, or one whose directory does not exist,
+    before any work."""
+    if not path:
+        raise ConfigError("--output", f"expected a file path, got {path!r}")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError("--output", f"the directory of {path!r} does not exist")
 

@@ -144,12 +144,6 @@ class _Section:
             raise ConfigError(self.sub(key), "must fit in 64 bits")
         return v
 
-    def boolean(self, key: str) -> bool:
-        v = self.require(key)
-        if not isinstance(v, bool):
-            raise ConfigError(self.sub(key), f"expected a boolean, got {v!r}")
-        return v
-
     def vector(self, key: str, length: int) -> np.ndarray:
         return self._array(key, (length,))
 
@@ -272,9 +266,9 @@ def resolve_config(data: dict) -> ResolvedConfig:
     run = None
     if "run" in data:
         sec = _Section(data["run"], "run")
-        sec.unknown_keys({"horizon", "runs", "seed", "writeback_mixed"})
+        sec.unknown_keys({"horizon", "runs", "seed"})
         run = sec.build(RunParams, seed=sec.integer("seed"), horizon=sec.integer("horizon"),
-                        runs=sec.integer("runs"), **sec.given(sec.boolean, ["writeback_mixed"]))
+                        runs=sec.integer("runs"))
 
     return ResolvedConfig(model=model, weights=weights, bound_inputs=bound_inputs,
                           plan=plan, schedule=schedule, run=run)

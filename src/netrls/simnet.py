@@ -2,23 +2,21 @@
 
 Every data step each agent ingests one fresh pair and refreshes its local
 estimate; at communication times (``t % zeta == 0`` and ``t <= S``) a phase
-of ``T`` consensus rounds mixes the sufficient statistics and refreshes the
-post-communication estimate, which otherwise carries over unchanged. The
-consensus rounds complete atomically between data steps. A central pooled
-estimator over all agents' statistics is recorded as an oracle column;
-errors are spectral norms against the ground truth.
+of ``T`` consensus rounds mixes copies of the sufficient statistics and
+refreshes the post-communication estimate, which otherwise carries over
+unchanged. The consensus rounds complete atomically between data steps. A
+central pooled estimator over all agents' statistics is recorded as an oracle
+column; errors are spectral norms against the ground truth.
 
 The engine computes a run in batches over agents and steps rather than one
 sample at a time: the running sums ``alpha`` and ``beta`` are cumulative
 sums of the per-sample terms. The pooled sums are one more lane behind the
 ``m`` agents, so all ``m + 1`` lanes share one sticky rank rule and one
 batched estimate, and the engine keeps their error norms, not the estimates.
-A phase only reads the running sums unless its mixed sums are written back,
-so the horizon is cut at communication times only with write-back; the
-phases that fall in one piece are mixed by one ``W**T`` product.
-``AgentState`` is the per-sample online form of the same recursion. On 2x2
-matrices, the shape of the paper's example, the error norms, inverses and
-rank tests are closed forms (``local_estimator``); other shapes use LAPACK.
+A phase only reads the running sums, so the phases that fall in one piece
+are mixed by one ``W**T`` product. On 2x2 matrices, the shape of the paper's
+example, the error norms, inverses and rank tests are closed forms; other
+shapes use LAPACK.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import WeightMatrix, run_comm_phase
-from .local_estimator import full_rank, inverse, is_2x2, singular_values_2x2
 from .model_gen import ModelSpec, SeededStream, sample_block
 from .planner import Schedule
 
@@ -41,13 +38,50 @@ BLOCK = 512
 # LANE_STEPS // (m + 1) steps, so its (steps, m + 1, ...) lanes and their
 # temporaries do not grow with the number of agents
 LANE_STEPS = 4096
+# beta counts as invertible once its smallest singular value exceeds
+# RANK_TOL times the largest
+RANK_TOL = 1e-8
+
+
+def is_2x2(a: np.ndarray) -> bool:
+    """True for a stack of 2x2 matrices, which have closed forms below."""
+    return a.shape[-2:] == (2, 2)
+
+
+def _extreme_singular_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest singular values over the trailing two axes.
+
+    For 2x2 matrices ``[[p, q], [r, s]]`` with ``h1 = hypot(p + s, r - q)``
+    and ``h2 = hypot(p - s, q + r)`` they are ``(h1 + h2) / 2`` and
+    ``|h1 - h2| / 2``; the largest has no cancellation. Other shapes use
+    LAPACK.
+    """
+    if not is_2x2(a):
+        sv = np.linalg.svd(a, compute_uv=False)
+        return sv[..., 0], sv[..., -1]
+    p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    h1, h2 = np.hypot(p + s, r - q), np.hypot(p - s, q + r)
+    return (h1 + h2) / 2, np.abs(h1 - h2) / 2
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
     """Largest singular value over the trailing two axes."""
-    if is_2x2(a):
-        return singular_values_2x2(a)[0]
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+    return _extreme_singular_values(a)[0]
+
+
+def full_rank(beta: np.ndarray) -> np.ndarray:
+    """The invertibility test on ``(..., n, n)`` matrices, one flag per matrix."""
+    largest, smallest = _extreme_singular_values(beta)
+    return (largest > 0) & (smallest > RANK_TOL * largest)
+
+
+def inverse(beta: np.ndarray) -> np.ndarray:
+    """``inv`` over ``(..., n, n)`` matrices; 2x2 ones as ``adj(beta) / det(beta)``."""
+    if not is_2x2(beta):
+        return np.linalg.inv(beta)
+    p, q, r, s = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 0], beta[..., 1, 1]
+    adj = np.stack([s, -q, -r, p], axis=-1).reshape(beta.shape)
+    return adj / (p * s - q * r)[..., None, None]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -57,7 +91,6 @@ class RunParams:
     horizon: int
     runs: int
     seed: int
-    writeback_mixed: bool = False
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -129,14 +162,14 @@ def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     """One run, batched over agents and over the steps between cuts.
 
-    The horizon is cut every ``BLOCK`` steps, every ``LANE_STEPS // (m + 1)``
-    steps within a block, and, with write-back only, after every
-    communication time. Within a piece the running sums are cumulative sums
-    seeded with the carried sums. The ``m`` agents and the pooled sums behind
-    them as lane ``m`` follow ``AgentState``'s sticky invertibility rule, and
-    each piece is reduced to its error norms at once. The ``k`` phases of a
-    piece are mixed by one ``run_comm_phase`` call; with write-back a piece
-    ends at its one phase, whose mixed sums it carries on.
+    The horizon is cut every ``BLOCK`` steps and every ``LANE_STEPS // (m + 1)``
+    steps within a block. Within a piece the running sums are cumulative sums
+    seeded with the carried sums. Each of the ``m`` agents and the pooled sums
+    behind them as lane ``m`` is estimated with ``inverse`` from the first step
+    whose ``beta`` passes the rank test on, and with ``pinv`` before it; the
+    flag is sticky, so an ill-conditioned later sum stays on ``inverse``. Each
+    piece is reduced to its error norms at once, and its ``k`` phases are
+    mixed by one ``run_comm_phase`` call.
     """
     model, schedule = config.model, config.schedule
     horizon, m, l, n = config.horizon, model.m, model.l, model.n
@@ -153,8 +186,6 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     )
     trace.comm_fired[np.asarray(comm_times, dtype=np.int64) - 1] = True
     cut = (trace.t % BLOCK % max(1, LANE_STEPS // (m + 1)) == 0) | (trace.t == horizon)
-    if config.writeback_mixed:
-        cut |= trace.comm_fired
 
     # carried state: the agents' running sums after the last step and the
     # invertibility of all m + 1 lanes
@@ -179,7 +210,7 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         lanes_b = np.concatenate([b, b.sum(axis=1, keepdims=True)], axis=1)
         flags = invertible | np.logical_or.accumulate(full_rank(lanes_b), axis=0)
         errs = _errors(lanes_a, lanes_b, flags, theta)
-        alpha, beta = a[-1], b[-1]
+        alpha, beta, invertible = a[-1], b[-1], flags[-1]
 
         fired = np.flatnonzero(trace.comm_fired[start:end])
         if fired.size:
@@ -191,17 +222,9 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
                                    np.moveaxis(b[fired], 0, 1).reshape(m, k * n, n),
                                    schedule.T)
             mixed_alpha, mixed_beta = (np.moveaxis(x.reshape(m, k, -1, n), 1, 0) for x in mixed)
-            mixed_invertible = full_rank(mixed_beta)
-            mixed_err = _errors(mixed_alpha, mixed_beta, mixed_invertible, theta)
+            mixed_err = _errors(mixed_alpha, mixed_beta, full_rank(mixed_beta), theta)
             phase_err.extend(mixed_err.mean(axis=1))
-            if config.writeback_mixed:
-                # the piece ends at its one phase, its last row. W is doubly
-                # stochastic, so mixing keeps the pooled sums and only the
-                # agents' lanes change
-                alpha, beta = mixed_alpha[-1], mixed_beta[-1]
-                errs[-1, :m], flags[-1, :m] = mixed_err[-1], mixed_invertible[-1]
 
-        invertible = flags[-1]
         piece = slice(start, end)
         trace.local_err[piece] = errs[:, :m].mean(axis=1)
         trace.global_err[piece] = errs[:, m]

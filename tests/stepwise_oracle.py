@@ -3,7 +3,7 @@
 This is the literal reading of the two-time-scale loop and the oracle the
 batched engine in ``netrls.simnet`` is checked against. Every data step each
 agent ingests one pair through ``AgentState.ingest``; at communication times
-a phase of ``T`` rounds mixes the statistics and refreshes the
+a phase of ``T`` rounds mixes copies of the statistics and refreshes the
 post-communication estimate, which otherwise carries over unchanged: the
 mixed ``alpha @ inv(beta)`` where the mixed ``beta`` passes the rank test and
 ``alpha @ pinv(beta)`` where it does not. The pooled estimate is
@@ -17,7 +17,51 @@ from __future__ import annotations
 import numpy as np
 
 import netrls as nr
-from netrls.local_estimator import AgentState, full_rank
+from netrls.simnet import full_rank
+
+
+class AgentState:
+    """Streaming least-squares state of one agent: the sums ``alpha = sum y x^T``
+    and ``beta = sum x x^T``, and the estimate ``alpha @ inv(beta)`` once
+    ``beta`` has passed the rank test, ``alpha @ pinv(beta)`` before."""
+
+    __slots__ = ("alpha", "beta", "invertible", "theta_local")
+
+    def __init__(self, n: int, l: int):
+        if n < 1 or l < 1:
+            raise ValueError("dimensions must be >= 1")
+        self.alpha = np.zeros((l, n))
+        self.beta = np.zeros((n, n))
+        self.invertible = False
+        self.theta_local = np.zeros((l, n))
+
+    @property
+    def n(self) -> int:
+        return self.beta.shape[0]
+
+    @property
+    def l(self) -> int:
+        return self.alpha.shape[0]
+
+    @property
+    def pre_invertible(self) -> bool:
+        """True while beta is still rank deficient and estimates use pinv."""
+        return not self.invertible
+
+    def ingest(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Absorb one observation and refresh the local estimate."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape != (self.n,):
+            raise ValueError(f"feature has shape {x.shape}, expected {(self.n,)}")
+        if y.shape != (self.l,):
+            raise ValueError(f"label has shape {y.shape}, expected {(self.l,)}")
+        self.alpha += np.outer(y, x)
+        self.beta += np.outer(x, x)
+        # sticky: once invertible, an ill-conditioned later sum stays on inv
+        self.invertible = self.invertible or bool(full_rank(self.beta))
+        invert = np.linalg.inv if self.invertible else np.linalg.pinv
+        self.theta_local = self.alpha @ invert(self.beta)
 
 
 class SimWorld:
@@ -55,13 +99,9 @@ class SimWorld:
                 np.stack([a.beta for a in self.agents]),
                 schedule.T,
             )
-            for i, agent in enumerate(self.agents):
-                if self.config.writeback_mixed:
-                    agent.replace_statistics(alphas[i], betas[i])
-                    self.theta_comm[i] = agent.theta_local
-                else:
-                    invert = np.linalg.inv if full_rank(betas[i]) else np.linalg.pinv
-                    self.theta_comm[i] = alphas[i] @ invert(betas[i])
+            for i, (alpha, beta) in enumerate(zip(alphas, betas)):
+                invert = np.linalg.inv if full_rank(beta) else np.linalg.pinv
+                self.theta_comm[i] = alpha @ invert(beta)
         self.t = t
         return fired
 

