@@ -15,13 +15,17 @@ with ``k = m``, and the communicated bound adds the network term
 
 The time ``t`` of ``local_bound``, ``global_bound`` and ``comm_bound`` may be
 a scalar or a numpy array of times; each element of an array result equals
-the scalar evaluation at that time, bit for bit.
+the scalar evaluation at that time, bit for bit. A report carries only what
+depends on ``t``: ``value``, ``network_term``, ``noise_term`` and
+``valid_from``. The constants ``C1``, ``c1``, ``c2`` and ``c3`` do not; they
+are computed once per inputs, as ``inputs.C1`` and so on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,11 +81,44 @@ class BoundInputs:
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = all(map(math.isfinite, (
                     burn_in(self, "delta").threshold, burn_in(self, "delta_hat").threshold,
-                    _C1(self, self.delta) / self.sigma_x_lower**2, _C0(self, 1, 0))))
+                    self.C1 / self.sigma_x_lower**2, _C0(self, 1, 0))))
         except (OverflowError, ZeroDivisionError):
             finite = False
         if not finite:
             raise ValueError(f"bound constants are not finite for {self!r}")
+
+    @cached_property
+    def C1(self) -> float:
+        """Noise-accumulation constant of the local/global bounds."""
+        n, l, d = self.n, self.l, self.delta
+        return 8.0 * self.sigma_eta_upper * (
+            4.0 * self.sigma_x_upper * math.sqrt((n + l) * math.log(9.0 / d))
+            + self.mu_hat_upper * (math.sqrt(2.0 * (l + n)) + 2.0 * math.sqrt(math.log(2.0 / d)))
+        )
+
+    @cached_property
+    def c1(self) -> float:
+        """Per-sample magnitude of the label-feature statistic."""
+        return self.theta_norm_upper * (
+            19.0 / 8.0 * self.sigma_x_upper**2 + self.mu_hat_upper**2
+        )
+
+    @cached_property
+    def c2(self) -> float:
+        """Square-root-rate noise contribution to the statistic magnitude."""
+        n, l, d = self.n, self.l, self.delta_hat
+        return self.sigma_eta_upper * (
+            4.0 * self.sigma_x_upper * math.sqrt((n + l) * math.log(9.0 / d))
+            + self.mu_hat_upper * (math.sqrt(2.0 * (l + n)) + math.sqrt(2.0 * math.log(2.0 / d)))
+        )
+
+    @cached_property
+    def c3(self) -> float:
+        """Sensitivity of the inverted statistic to mixing error."""
+        m32 = self.m**1.5
+        root = math.sqrt(5.0 * self.n)
+        return (152.0 * m32 * root / self.sigma_x_lower**2
+                + 64.0 * m32 * root * self.mu_hat_upper**2 / self.sigma_x_lower**4)
 
     @classmethod
     def from_model(cls, model, weights, delta: float = 0.05, delta_hat: float = 0.001,
@@ -128,22 +165,17 @@ class BurnInError(ValueError):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One evaluated bound plus the constants behind it.
+    """One bound evaluated at ``t``.
 
     ``value = network_term + noise_term``; the network term is zero for the
-    local and global regimes. The three terms are arrays when the bound was
+    local and global bounds. The three terms are arrays when the bound was
     evaluated on an array of times.
     """
 
-    C1: float
-    c1: float
-    c2: float
-    c3: float
     value: float | np.ndarray
-    regime: str
-    valid_from: int
     network_term: float | np.ndarray
     noise_term: float | np.ndarray
+    valid_from: int
 
 
 def _delta_of(inputs: BoundInputs, which: str) -> float:
@@ -175,47 +207,13 @@ def burn_in(inputs: BoundInputs, which_delta: str = "delta") -> BurnIn:
     return BurnIn(t1=t1, t2=t2, t3=t3)
 
 
-def _C1(inputs: BoundInputs, d: float) -> float:
-    """Noise-accumulation constant of the local/global bounds."""
-    n, l = inputs.n, inputs.l
-    return 8.0 * inputs.sigma_eta_upper * (
-        4.0 * inputs.sigma_x_upper * math.sqrt((n + l) * math.log(9.0 / d))
-        + inputs.mu_hat_upper * (math.sqrt(2.0 * (l + n)) + 2.0 * math.sqrt(math.log(2.0 / d)))
-    )
-
-
-def _c1(inputs: BoundInputs) -> float:
-    """Per-sample magnitude of the label-feature statistic."""
-    return inputs.theta_norm_upper * (
-        19.0 / 8.0 * inputs.sigma_x_upper**2 + inputs.mu_hat_upper**2
-    )
-
-
-def _c2(inputs: BoundInputs, d: float) -> float:
-    """Square-root-rate noise contribution to the statistic magnitude."""
-    n, l = inputs.n, inputs.l
-    return inputs.sigma_eta_upper * (
-        4.0 * inputs.sigma_x_upper * math.sqrt((n + l) * math.log(9.0 / d))
-        + inputs.mu_hat_upper * (math.sqrt(2.0 * (l + n)) + math.sqrt(2.0 * math.log(2.0 / d)))
-    )
-
-
-def _c3(inputs: BoundInputs) -> float:
-    """Sensitivity of the inverted statistic to mixing error."""
-    m32 = inputs.m**1.5
-    root = math.sqrt(5.0 * inputs.n)
-    return (152.0 * m32 * root / inputs.sigma_x_lower**2
-            + 64.0 * m32 * root * inputs.mu_hat_upper**2 / inputs.sigma_x_lower**4)
-
-
 def _C0(inputs: BoundInputs, t, steps: int):
     """Amplitude of the network-convergence error before the rho**T decay."""
-    g = _c1(inputs) + _c2(inputs, inputs.delta_hat) / np.sqrt(t)
+    g = inputs.c1 + inputs.c2 / np.sqrt(t)
     m32_rl = inputs.m**1.5 * math.sqrt(inputs.l)
-    c3 = _c3(inputs)
-    return (c3 * g
+    return (inputs.c3 * g
             + 8.0 * m32_rl * g / inputs.sigma_x_lower**2
-            + inputs.rho**steps * m32_rl * c3 * g)
+            + inputs.rho**steps * m32_rl * inputs.c3 * g)
 
 
 def _check_burn_in(t, threshold: float, regime: str) -> int:
@@ -227,17 +225,14 @@ def _check_burn_in(t, threshold: float, regime: str) -> int:
 
 
 def _report(inputs: BoundInputs, t, samples: int, mu_bar_lambda_min: float,
-            regime: str, valid_from: int, network=0.0) -> BoundReport:
+            valid_from: int, network=0.0) -> BoundReport:
     """The report of a bound whose noise term pools ``samples`` agents' ``t``
     samples each, plus the bound's ``network`` term."""
     if mu_bar_lambda_min < 1.0:
         raise ValueError("lambda_min(I + mu_bar) is always >= 1")
-    C1 = _C1(inputs, inputs.delta)
-    noise = C1 / (np.sqrt(samples * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min)
-    return BoundReport(C1=C1, c1=_c1(inputs),
-                       c2=_c2(inputs, inputs.delta_hat), c3=_c3(inputs),
-                       value=network + noise, regime=regime, valid_from=valid_from,
-                       network_term=network, noise_term=noise)
+    noise = inputs.C1 / (np.sqrt(samples * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min)
+    return BoundReport(value=network + noise, network_term=network, noise_term=noise,
+                       valid_from=valid_from)
 
 
 def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
@@ -247,14 +242,14 @@ def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> Bound
     eigenvalue of ``I + mu_bar`` and defaults to the conservative value 1.
     """
     valid_from = _check_burn_in(t, burn_in(inputs, "delta").threshold, "local")
-    return _report(inputs, t, 1, mu_bar_lambda_min, "local", valid_from)
+    return _report(inputs, t, 1, mu_bar_lambda_min, valid_from)
 
 
 def global_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for the pooled all-agent estimate; local bound with
     ``t`` replaced by ``m * t`` and burn-in divided by ``m``."""
     valid_from = _check_burn_in(t, burn_in(inputs, "delta").threshold / inputs.m, "global")
-    return _report(inputs, t, inputs.m, mu_bar_lambda_min, "global", valid_from)
+    return _report(inputs, t, inputs.m, mu_bar_lambda_min, valid_from)
 
 
 def comm_bound(inputs: BoundInputs, t, steps: int,
@@ -271,5 +266,4 @@ def comm_bound(inputs: BoundInputs, t, steps: int,
         raise ValueError("steps must be >= 1")
     valid_from = _check_burn_in(t, burn_in(inputs, "delta_hat").threshold, "communicated")
     network = inputs.rho**steps * _C0(inputs, t, steps)
-    return _report(inputs, t, inputs.m, mu_bar_lambda_min, "communicated", valid_from,
-                   network)
+    return _report(inputs, t, inputs.m, mu_bar_lambda_min, valid_from, network)

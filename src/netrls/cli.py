@@ -54,15 +54,11 @@ def _json_text(value, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [
             f"{inner}\"{k}\": {_json_text(value[k], indent + 1)}" for k in sorted(value)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
         items = [f"{inner}{_json_text(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool):
@@ -73,8 +69,6 @@ def _json_text(value, indent: int = 0) -> str:
         return _f17(value)
     if isinstance(value, str):
         return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
-    if value is None:
-        return "null"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

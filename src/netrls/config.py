@@ -220,7 +220,7 @@ def _resolve_network(section: _Section, m: int) -> WeightMatrix:
         section.unknown_keys({"topology", "self_weight"})
         try:
             return ring_weights(m, **section.given(section.number, ["self_weight"]))
-        except (ValueError, WeightMatrixError) as e:
+        except ValueError as e:
             raise ConfigError(section.sub("self_weight"), str(e)) from None
     if topology == "complete":
         section.unknown_keys({"topology"})

@@ -65,17 +65,17 @@ def validate_weights(w) -> WeightMatrix:
         raise WeightMatrixError("shape", f"weight matrix must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise WeightMatrixError("finite", f"non-finite weight {arr[i, j]!r} at ({i}, {j})")
+        raise WeightMatrixError("finite", f"non-finite weight {float(arr[i, j])!r} at ({i}, {j})")
     if np.any(arr < 0):
         i, j = np.argwhere(arr < 0)[0]
         raise WeightMatrixError(
-            "nonnegative", f"negative weight {arr[i, j]!r} at ({i}, {j})"
+            "nonnegative", f"negative weight {float(arr[i, j])!r} at ({i}, {j})"
         )
     row_sums = arr.sum(axis=1)
     worst = int(np.argmax(np.abs(row_sums - 1.0)))
     if abs(row_sums[worst] - 1.0) > ROW_SUM_TOL:
         raise WeightMatrixError(
-            "row_stochastic", f"row {worst} sums to {row_sums[worst]!r}, expected 1"
+            "row_stochastic", f"row {worst} sums to {float(row_sums[worst])!r}, expected 1"
         )
     if np.max(np.abs(arr - arr.T)) > SYMMETRY_TOL:
         raise WeightMatrixError("symmetric", "weight matrix is not symmetric")

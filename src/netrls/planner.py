@@ -163,7 +163,6 @@ def plan(inputs: BoundInputs, zeta: int, epsilon: float, epsilon_N: float,
     """Run both searches and package the outcome."""
     T, t_first = plan_T(inputs, zeta, epsilon_N)
     S = plan_S(inputs, zeta, T, epsilon, max_t=max_t)
-    report = comm_bound(inputs, float(max(t_first, S)), T)
     return PlanResult(zeta=zeta, T=T, S=S, t_first=t_first,
                       epsilon=epsilon, epsilon_N=epsilon_N, rho=inputs.rho,
-                      C1=report.C1, c1=report.c1, c2=report.c2, c3=report.c3)
+                      C1=inputs.C1, c1=inputs.c1, c2=inputs.c2, c3=inputs.c3)

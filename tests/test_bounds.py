@@ -73,10 +73,9 @@ def test_burn_in_with_nonzero_mean():
 
 
 def test_local_bound_frozen_values(paper_inputs):
+    assert paper_inputs.C1 == pytest.approx(C1_REF, rel=1e-12)
     rep = nr.local_bound(paper_inputs, 1620)
-    assert rep.C1 == pytest.approx(C1_REF, rel=1e-12)
     assert rep.value == pytest.approx(LOCAL_AT_1620, rel=1e-12)
-    assert rep.regime == "local"
     assert rep.network_term == 0.0
     assert rep.noise_term == rep.value
     assert rep.valid_from == 76
@@ -102,7 +101,6 @@ def test_noiseless_bounds_vanish(paper_inputs):
 def test_global_bound_frozen_values(paper_inputs):
     rep = nr.global_bound(paper_inputs, 1620)
     assert rep.value == pytest.approx(GLOBAL_AT_1620, rel=1e-12)
-    assert rep.regime == "global"
     # burn-in divided by the agent count
     assert rep.valid_from == math.ceil(T1_AT_005 / 6.0)
 
@@ -119,14 +117,13 @@ def test_global_equals_local_for_single_agent():
 
 
 def test_comm_bound_frozen_values(paper_inputs):
+    assert paper_inputs.c1 == pytest.approx(C1_SMALL_REF, rel=1e-12)
+    assert paper_inputs.c2 == pytest.approx(C2_REF, rel=1e-12)
+    assert paper_inputs.c3 == pytest.approx(C3_REF, rel=1e-12)
     rep = nr.comm_bound(paper_inputs, 1620, 38)
-    assert rep.c1 == pytest.approx(C1_SMALL_REF, rel=1e-12)
-    assert rep.c2 == pytest.approx(C2_REF, rel=1e-12)
-    assert rep.c3 == pytest.approx(C3_REF, rel=1e-12)
     assert rep.network_term == pytest.approx(NET_1620_38, rel=1e-12)
     assert rep.noise_term == pytest.approx(GLOBAL_AT_1620, rel=1e-12)
     assert rep.value == pytest.approx(TOTAL_1620_38, rel=1e-12)
-    assert rep.regime == "communicated"
     assert rep.valid_from == 138
 
     assert nr.comm_bound(paper_inputs, 1600, 38).value == pytest.approx(
@@ -155,6 +152,17 @@ def test_every_bound_rejects_mu_bar_lambda_min_below_one(paper_inputs):
                   lambda inputs, t, **kw: nr.comm_bound(inputs, t, 38, **kw)):
         with pytest.raises(ValueError, match="lambda_min"):
             bound(paper_inputs, 1620, mu_bar_lambda_min=0.5)
+
+
+@pytest.mark.parametrize("lam", [1.5, 4.0])
+def test_mu_bar_lambda_min_divides_only_the_noise_term(paper_inputs, lam):
+    for bound in (nr.local_bound, nr.global_bound,
+                  lambda inputs, t, **kw: nr.comm_bound(inputs, t, 38, **kw)):
+        base = bound(paper_inputs, 1620)
+        scaled = bound(paper_inputs, 1620, mu_bar_lambda_min=lam)
+        assert scaled.noise_term == pytest.approx(base.noise_term / lam, rel=1e-14)
+        assert scaled.network_term == base.network_term
+        assert scaled.valid_from == base.valid_from
 
 
 def test_comm_noise_term_is_the_global_bound(paper_inputs):

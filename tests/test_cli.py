@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ def _set_mean(data: dict, mean: dict) -> None:
     data["model"]["mean_schedule"] = mean
 
 
+class Rewrite(NamedTuple):
+    """A config error case that runs ``command`` on ``data`` in place of
+    ``plan`` on the edited paper config."""
+
+    command: str
+    data: object
+
+
 @pytest.mark.parametrize(
     "mutate, path_fragment",
     [
@@ -168,13 +177,42 @@ def _set_mean(data: dict, mean: dict) -> None:
         (lambda d: d["run"].update(horizon=0), "run.horizon: must be >= 1"),
         (lambda d: d["run"].update(runs=0), "run.runs: must be in [1, 2**32]"),
         (lambda d: d["run"].update(seed=-1), "run.seed: must fit in 64 bits"),
+        # the shape of each section and of the file
+        (lambda d: _set_mean(d, {"kind": "linear"}),
+         "model.mean_schedule.kind: expected 'zero', 'constant' or 'sinusoid', got 'linear'"),
+        (lambda d: d["model"].update(n=0), "model.n: must be >= 1"),
+        (lambda d: d["model"].update(l=0), "model.l: must be >= 1"),
+        (lambda d: d["model"].update(m=0), "model.m: must be >= 1"),
+        (lambda d: d["model"].update(theta=[1.6, 0.3, 0.8]),
+         "model.theta: flat row-major array has 3 entries, expected 4"),
+        (lambda d: d.update(run=[]), "run: expected an object, got list"),
+        (lambda d: Rewrite("plan", [d]), "top-level JSON value must be an object"),
+        (lambda d: d.update(network={}),
+         "network: needs either 'weights' or 'topology' in {'ring', 'complete'}"),
+        # each clause of a dense weight matrix, with plain floats in the message
+        (lambda d: d["network"]["weights"][0].__setitem__(0, -0.1),
+         "network.weights: nonnegative: negative weight -0.1 at (0, 0)"),
+        (lambda d: d["network"]["weights"][0].__setitem__(0, 0.2),
+         "network.weights: row_stochastic: row 0 sums to 0.8666666666666667, expected 1"),
+        (lambda d: d["network"]["weights"][0].__setitem__(slice(0, 2), [2.0 / 3.0, 0.0]),
+         "network.weights: symmetric: weight matrix is not symmetric"),
+        (lambda d: d["network"].update(weights=np.eye(6).tolist()),
+         "network.weights: spectral_gap: mixing rate rho = 1.0 must be strictly below 1"),
+        # each command needs its own section
+        (lambda d: (d.pop("plan"), d.update(schedule={"zeta": 20, "T": 38, "S": 1620})),
+         "plan: the plan command needs a 'plan' section"),
+        (lambda d: Rewrite("simulate", {k: v for k, v in d.items() if k != "run"}),
+         "run: the simulate command needs a 'run' section"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):
     data = paper_config_dict()
-    mutate(data)
+    command = "plan"
+    rewrite = mutate(data)
+    if isinstance(rewrite, Rewrite):
+        command, data = rewrite
     cfg = write_config(tmp_path, data)
-    assert main(["plan", cfg]) == 2
+    assert main([command, cfg, "-o", str(tmp_path / "out")]) == 2
     assert path_fragment in capsys.readouterr().err
 
 
@@ -507,6 +545,23 @@ def test_golden_trace_schema_stability(tmp_path):
         assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
 
 
+# the result lines plan prints after the first one, for each golden
+PLAN_RESULT_LINES = {
+    "golden_plan_result.json": [
+        "stopping time: S = 1620 (first communication at t = 140)",
+        "mixing rate rho = 0.666666666667, period zeta = 20",
+        "constants: C1 = 437.530754749, c1 = 39.1977625689, c2 = 72.4187019853, "
+        "c3 = 784.924624831",
+    ],
+    "golden_plan_overrides_result.json": [
+        "stopping time: S = 4890 (first communication at t = 1650)",
+        "mixing rate rho = 0.4, period zeta = 15",
+        "constants: C1 = 176.476443374, c1 = 18.08625, c2 = 26.4191681794, "
+        "c3 = 1273.58672294",
+    ],
+}
+
+
 @pytest.mark.parametrize("config, golden, first_line", [
     (CONFIGS_DIR / "paper.json", "golden_plan_result.json",
      "consensus steps per phase: T = 38"),
@@ -518,7 +573,8 @@ def test_golden_plan_result(tmp_path, capsys, config, golden, first_line):
     out = tmp_path / "plan_result.json"
     assert main(["plan", str(config), "-o", str(out)]) == 0
     assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
-    assert capsys.readouterr().out.splitlines()[0] == first_line
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:4] == [first_line, *PLAN_RESULT_LINES[golden]]
 
 
 def test_bounds_command_table(tmp_path, capsys):
@@ -568,6 +624,8 @@ def test_golden_bounds_table(capsys):
 def test_bounds_command_rejects_bad_at(tmp_path, capsys):
     cfg = write_config(tmp_path, paper_config_dict())
     assert main(["bounds", cfg, "--at", "ten"]) == 2
+    assert main(["bounds", cfg, "--at", ","]) == 2
+    assert "--at: needs at least one time step" in capsys.readouterr().err
 
 
 def test_config_round_trip_preserves_outputs(tmp_path):

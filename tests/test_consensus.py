@@ -57,15 +57,18 @@ def test_validation_clauses_are_distinct():
     with pytest.raises(nr.WeightMatrixError) as e:
         nr.validate_weights([[1.5, -0.5], [-0.5, 1.5]])
     assert e.value.clause == "nonnegative"
+    assert str(e.value) == "negative weight -0.5 at (0, 1)"  # a float, not a numpy repr
 
     for bad in (float("nan"), float("inf")):
         with pytest.raises(nr.WeightMatrixError) as e:
             nr.validate_weights([[0.5, 0.5], [0.5, bad]])
         assert e.value.clause == "finite"
+        assert str(e.value) == f"non-finite weight {bad} at (1, 1)"
 
     with pytest.raises(nr.WeightMatrixError) as e:
         nr.validate_weights([[0.5, 0.4], [0.4, 0.5]])
     assert e.value.clause == "row_stochastic"
+    assert str(e.value) == "row 0 sums to 0.9, expected 1"
 
     with pytest.raises(nr.WeightMatrixError) as e:
         nr.validate_weights(np.ones((2, 3)))
