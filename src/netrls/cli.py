@@ -9,6 +9,12 @@ Commands::
 Exit codes: 0 ok, 2 configuration error, 3 runtime error. All file output
 is byte-deterministic: floats are written with fixed significant digits
 (17 in config/plan echoes, 12 in trace columns) and keys in sorted order.
+
+Numbers are formatted one block at a time: a ``%`` template repeated once
+per value (or row) of the block and filled by a single ``%``. This is how
+the plan echo writes a float array, the trace header a matrix, the trace a
+burn-in segment of rows and ``bounds`` a run of rows with one burn-in
+pattern.
 """
 
 from __future__ import annotations
@@ -59,8 +65,12 @@ def _json_text(value, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        items = [f"{inner}{_json_text(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        if all(isinstance(v, (float, np.floating)) for v in value):
+            # a float array: one template per item, filled by a single %
+            text = ",\n".join([inner + "%.17g"] * len(value)) % tuple(value)
+        else:
+            text = ",\n".join(f"{inner}{_json_text(v, indent + 1)}" for v in value)
+        return "[\n" + text + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -97,7 +107,8 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 
 def _matrix_flat(a: np.ndarray) -> str:
-    return ",".join(_f17(v) for v in np.asarray(a).ravel())
+    values = np.asarray(a, dtype=float).ravel().tolist()
+    return ",".join(["%.17g"] * len(values)) % tuple(values)
 
 
 def _trace_meta(cfg: ResolvedConfig, schedule: Schedule, planned: PlanResult | None) -> dict:
@@ -136,11 +147,6 @@ def _past_burn_in(bound, ts: np.ndarray):
         return keep, bound(ts[keep])
 
 
-def _aligned(values: np.ndarray, width: int):
-    """``values`` formatted to 12 significant digits, right-aligned to ``width``."""
-    return (f"{v:.12g}".rjust(width) for v in values.tolist())
-
-
 def write_trace(path: str, trace: ErrorTrace, meta: dict,
                 bound_inputs: BoundInputs, schedule: Schedule) -> None:
     """Write the averaged trace as CSV with a ``# key=value`` header block.
@@ -150,8 +156,8 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
     stay empty. ``trace.t`` ascends, so each bound's rows past its burn-in
     are a suffix, and a chunk of ``ROWS_PER_CHUNK`` rows splits into at most
     three burn-in segments. Each segment is formatted by one ``%`` template
-    repeated over its rows, as the chunks are written, so no copy of the
-    file is held.
+    repeated over its rows (the module's block idiom), as the chunks are
+    written, so no copy of the file is held.
     """
     header = [f"# {k}={meta[k]}\n" for k in sorted(meta)]
     header.append("t,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
@@ -232,8 +238,12 @@ def cmd_simulate(config_path: str, out_path: str) -> int:
 
 def cmd_bounds(config_path: str, at: str) -> int:
     cfg = load_config(config_path)
+    parts = [part for part in map(str.strip, at.split(",")) if part]
     try:
-        ts = [int(part) for part in at.split(",") if part.strip()]
+        # int() alone would also take '_' separators and non-ASCII digits
+        if "_" in at or not "".join(parts).isascii():
+            raise ValueError(at)
+        ts = [int(part) for part in parts]
         times = np.array(ts, dtype=float)
     except (ValueError, OverflowError):
         raise ConfigError("--at", f"expected comma-separated integers, got {at!r}") from None
@@ -245,28 +255,39 @@ def cmd_bounds(config_path: str, at: str) -> int:
     local_keep, local = _past_burn_in(lambda t: local_bound(bi, t), times)
     global_keep, glob = _past_burn_in(lambda t: global_bound(bi, t), times)
     comm_keep, comm = _past_burn_in(lambda t: comm_bound(bi, t, schedule.T), times)
-    # per bound: its mask, its value columns, their cell widths, its note
-    columns = [
-        (local_keep.tolist(), [local.value], (12,), "local"),
-        (global_keep.tolist(), [glob.value], (12,), "global"),
-        (comm_keep.tolist(), [comm.value, comm.network_term, comm.noise_term], (14, 12, 12),
-         "communicated"),
-    ]
-    # per bound, its joined cells of each row past its burn-in, made as printed
-    cells = [map("  ".join, zip(*map(_aligned, values, widths)))
-             for _, values, widths, _ in columns]
+    keeps = np.column_stack([local_keep, global_keep, comm_keep])
+    # the five value columns, padded with zeros below their bound's burn-in
+    # as in write_trace
+    values = np.zeros((len(ts), 5))
+    values[local_keep, 0] = local.value
+    values[global_keep, 1] = glob.value
+    values[comm_keep, 2:] = np.column_stack([comm.value, comm.network_term, comm.noise_term])
+    # per bound: its value columns, their cell widths, its note
+    columns = [((0,), (12,), "local"), ((1,), (12,), "global"),
+               ((2, 3, 4), (14, 12, 12), "communicated")]
+
+    # the rows between two changes of the burn-in pattern form a segment,
+    # formatted by one row template repeated over its rows
+    changes = np.flatnonzero((keeps[1:] != keeps[:-1]).any(axis=1)) + 1
+    edges = [0, *changes.tolist(), len(ts)]
+    table = []
+    for start, end in zip(edges, edges[1:]):
+        cells, kept, notes = ["%8d"], [], []
+        for keep, (cols, widths, name) in zip(keeps[start].tolist(), columns):
+            if keep:
+                cells.extend(f"%{w}.12g" for w in widths)
+                kept.extend(cols)
+            else:
+                cells.extend("-".rjust(w) for w in widths)
+                notes.append(name)
+        row = "  ".join(cells) + (f"  below burn-in: {', '.join(notes)}" if notes else "")
+        # t from the parsed ints, so times past 2**53 print exactly
+        rows = zip(ts[start:end], *values[start:end, kept].T.tolist())
+        table.append((row + "\n") * (end - start) % tuple(itertools.chain.from_iterable(rows)))
 
     print(f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "
           f"{'network':>12}  {'noise':>12}  note")
-    for i, t in enumerate(ts):
-        parts, notes = [f"{t:>8}"], []
-        for (keep, _, widths, name), row_cells in zip(columns, cells):
-            if keep[i]:
-                parts.append(next(row_cells))
-            else:
-                parts.extend("-".rjust(w) for w in widths)
-                notes.append(name)
-        print("  ".join(parts) + (f"  below burn-in: {', '.join(notes)}" if notes else ""))
+    print("".join(table), end="")
     return 0
 
 

@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -559,6 +560,12 @@ PLAN_RESULT_LINES = {
         "constants: C1 = 176.476443374, c1 = 18.08625, c2 = 26.4191681794, "
         "c3 = 1273.58672294",
     ],
+    "golden_plan_ring64_result.json": [
+        "stopping time: S = 160 (first communication at t = 140)",
+        "mixing rate rho = 0.996789817781, period zeta = 20",
+        "constants: C1 = 437.530754749, c1 = 39.1977625689, c2 = 72.4187019853, "
+        "c3 = 27344.5662917",
+    ],
 }
 
 
@@ -568,6 +575,9 @@ PLAN_RESULT_LINES = {
     # sinusoid mean, ring with self_weight, every bounds override, plan.max_t
     (DATA_DIR / "golden_plan_overrides.json", "golden_plan_overrides_result.json",
      "consensus steps per phase: T = 16"),
+    # the reference model on a 64-agent ring: a 64x64 weights echo
+    (DATA_DIR / "golden_plan_ring64.json", "golden_plan_ring64_result.json",
+     "consensus steps per phase: T = 5803"),
 ])
 def test_golden_plan_result(tmp_path, capsys, config, golden, first_line):
     out = tmp_path / "plan_result.json"
@@ -575,6 +585,56 @@ def test_golden_plan_result(tmp_path, capsys, config, golden, first_line):
     assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
     printed = capsys.readouterr().out.splitlines()
     assert printed[:4] == [first_line, *PLAN_RESULT_LINES[golden]]
+
+
+def _json_text_recursive(value, indent: int = 0) -> str:
+    """``_json_text`` with one recursive call per item, floats included: the
+    plain rule the templated float arrays must match byte for byte."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        items = [f"{inner}\"{k}\": {_json_text_recursive(value[k], indent + 1)}"
+                 for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        items = [f"{inner}{_json_text_recursive(v, indent + 1)}" for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _plan_payload(config: Path) -> dict:
+    cfg = load_config(str(config))
+    result = nr.plan(cfg.bound_inputs, **asdict(cfg.plan))
+    return {**asdict(result), "config": config_to_dict(cfg)}
+
+
+FLOAT_STYLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1e16,
+                np.float64(0.1), np.float64(-2.5e-7), np.float64(1e16)]
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(lambda: _plan_payload(CONFIGS_DIR / "paper.json"), id="paper"),
+    pytest.param(lambda: _plan_payload(DATA_DIR / "golden_plan_overrides.json"), id="overrides"),
+    pytest.param(lambda: _plan_payload(DATA_DIR / "golden_plan_ring64.json"), id="ring64"),
+    pytest.param(lambda: {"floats": FLOAT_STYLES, "tuple": tuple(FLOAT_STYLES),
+                          "one": [0.1], "empty": [],
+                          "rows": [FLOAT_STYLES[:3], FLOAT_STYLES[3:]]}, id="float-styles"),
+    # ints, bools and floats in one list keep their ints as ints
+    pytest.param(lambda: {"mixed": [1, 2.0, True, np.int64(3), np.float64(4.5), False, -7],
+                          "ints": [1, 2, 3], "bools": [True, False],
+                          "nested": [[1.5, 2], [0.25], 3.0, [[-0.0]]]}, id="mixed"),
+])
+def test_json_text_matches_the_recursive_formatter(payload):
+    value = payload()
+    assert cli._json_text(value) == _json_text_recursive(value)
 
 
 def test_bounds_command_table(tmp_path, capsys):
@@ -621,9 +681,98 @@ def test_golden_bounds_table(capsys):
         assert capsys.readouterr().out.encode() == (DATA_DIR / golden).read_bytes()
 
 
+def _bounds_table_row_by_row(config: Path, ts: list[int]) -> str:
+    """The ``bounds`` table with one f-string per cell and one line per row:
+    the plain rule the command's segment templates must match byte for byte."""
+    cfg = load_config(str(config))
+    schedule, _ = cli._resolve_schedule(cfg)
+    bi = cfg.bound_inputs
+    times = np.array(ts, dtype=float)
+
+    def aligned(values, width):
+        return (f"{v:.12g}".rjust(width) for v in values.tolist())
+
+    local_keep, local = cli._past_burn_in(lambda t: nr.local_bound(bi, t), times)
+    global_keep, glob = cli._past_burn_in(lambda t: nr.global_bound(bi, t), times)
+    comm_keep, comm = cli._past_burn_in(lambda t: nr.comm_bound(bi, t, schedule.T), times)
+    columns = [
+        (local_keep.tolist(), [local.value], (12,), "local"),
+        (global_keep.tolist(), [glob.value], (12,), "global"),
+        (comm_keep.tolist(), [comm.value, comm.network_term, comm.noise_term], (14, 12, 12),
+         "communicated"),
+    ]
+    cells = [map("  ".join, zip(*map(aligned, values, widths)))
+             for _, values, widths, _ in columns]
+    lines = [f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "
+             f"{'network':>12}  {'noise':>12}  note"]
+    for i, t in enumerate(ts):
+        parts, notes = [f"{t:>8}"], []
+        for (keep, _, widths, name), row_cells in zip(columns, cells):
+            if keep[i]:
+                parts.append(next(row_cells))
+            else:
+                parts.extend("-".rjust(w) for w in widths)
+                notes.append(name)
+        lines.append("  ".join(parts) + (f"  below burn-in: {', '.join(notes)}" if notes else ""))
+    return "\n".join(lines) + "\n"
+
+
+def _alternating_burn_ins(config: Path) -> list[int]:
+    """Times just below and at each bound's burn-in, between times past all
+    of them, so that the burn-in pattern changes on every row."""
+    cfg = load_config(str(config))
+    schedule, _ = cli._resolve_schedule(cfg)
+    bi = cfg.bound_inputs
+    firsts = []
+    for bound in (lambda t: nr.local_bound(bi, t), lambda t: nr.global_bound(bi, t),
+                  lambda t: nr.comm_bound(bi, t, schedule.T)):
+        with pytest.raises(nr.BurnInError) as caught:
+            bound(0)
+        firsts.append(caught.value.valid_from)
+    past = 10 * max(firsts)
+    return [t for first in sorted(firsts) for t in (past, first - 1, first)]
+
+
+BOUNDS_CASES = {
+    "ladder": lambda config: [5 + 3 * k for k in range(1000)],
+    "unsorted": lambda config: [1620, 5, 100, 5, 1, 13, 12, 137, 138, 3000, 138, 1, 20000, 5],
+    "alternating": _alternating_burn_ins,
+    "single": lambda config: [1620],
+    "zero": lambda config: [0],
+    "negative": lambda config: [-5],
+    "past-2**53": lambda config: [2**53 + 1],
+    "1e18": lambda config: [10**18],
+    "extremes": lambda config: [0, -5, 2**53 + 1, 1, 10**18, -(2**63), 2**53 + 1],
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDS_CASES))
+@pytest.mark.parametrize("config", [CONFIGS_DIR / "paper.json",
+                                    DATA_DIR / "golden_plan_overrides.json"],
+                         ids=["paper", "overrides"])
+def test_bounds_table_matches_rows_formatted_one_at_a_time(capsys, config, case):
+    ts = BOUNDS_CASES[case](config)
+    assert main(["bounds", str(config), "--at", ",".join(map(str, ts))]) == 0
+    out = capsys.readouterr().out
+    lines, expected = out.splitlines(True), _bounds_table_row_by_row(config, ts).splitlines(True)
+    # the first line that differs: pytest's own diff of two 1000-line tables takes minutes
+    first_difference = next(((a, b) for a, b in zip(lines, expected) if a != b), None)
+    assert (first_difference, len(lines)) == (None, len(expected))
+    if case == "alternating":
+        notes = [line.partition("below burn-in")[2] for line in out.splitlines()[1:]]
+        assert all(a != b for a, b in zip(notes, notes[1:]))
+    if case == "past-2**53":
+        assert out.splitlines()[1].split()[0] == "9007199254740993"
+
+
 def test_bounds_command_rejects_bad_at(tmp_path, capsys):
     cfg = write_config(tmp_path, paper_config_dict())
-    assert main(["bounds", cfg, "--at", "ten"]) == 2
+    # int() alone takes '_' separators and non-ASCII digits such as Arabic-Indic ones
+    for at in ["ten", "1_620, \u0661\u0662", "1_620", "\u0661\u0662", "1620,+-5", "0x10",
+               "1.5", "1e3"]:
+        assert main(["bounds", cfg, "--at", at]) == 2, at
+        assert capsys.readouterr().err == (
+            f"config error: --at: expected comma-separated integers, got {at!r}\n")
     assert main(["bounds", cfg, "--at", ","]) == 2
     assert "--at: needs at least one time step" in capsys.readouterr().err
 
