@@ -14,8 +14,8 @@ with ``k = m``, and the communicated bound adds the network term
 ``rho**T C0`` to the global one.
 
 The time ``t`` of ``local_bound``, ``global_bound`` and ``comm_bound`` may be
-a scalar or a numpy array of times; each element of an array result equals
-the scalar evaluation at that time, bit for bit. A report carries only what
+a scalar or a numpy array of finite times; each element of an array result
+equals the scalar evaluation at that time, bit for bit. A report carries only what
 depends on ``t``: ``value``, ``network_term``, ``noise_term`` and
 ``valid_from``. The constants ``C1``, ``c1``, ``c2`` and ``c3`` do not; they
 are computed once per inputs, as ``inputs.C1`` and so on.
@@ -198,11 +198,8 @@ def burn_in(inputs: BoundInputs, which_delta: str = "delta") -> BurnIn:
     n, l = inputs.n, inputs.l
     t1 = 8.0 * n + 16.0 * math.log(2.0 / d)
     mu = inputs.mu_hat_upper
-    if mu == 0.0:
-        t2 = 0.0
-    else:
-        t2 = (16.0 * mu * (math.sqrt(4.0 * n) + math.sqrt(2.0 * math.log(2.0 / d)))
-              / inputs.sigma_x_lower) ** 2
+    t2 = (16.0 * mu * (math.sqrt(4.0 * n) + math.sqrt(2.0 * math.log(2.0 / d)))
+          / inputs.sigma_x_lower) ** 2
     t3 = 2.0 * (n + l) * math.log(1.0 / d)
     return BurnIn(t1=t1, t2=t2, t3=t3)
 
@@ -217,9 +214,12 @@ def _C0(inputs: BoundInputs, t, steps: int):
 
 
 def _check_burn_in(t, threshold: float, regime: str) -> int:
-    """First valid time of a bound; raises if any of ``t`` is below ``threshold``."""
+    """First valid time of a bound; raises if any of ``t`` is not finite or below ``threshold``."""
     valid_from = max(1, math.ceil(threshold))
-    if np.any(t < threshold):
+    # one numpy reduction for both tests: the planner makes many scalar calls
+    if not (np.isfinite(t) & (t >= threshold)).all():
+        if not np.isfinite(t).all():
+            raise ValueError("t must be finite")
         raise BurnInError(f"t = {np.min(t)} below {regime} burn-in {threshold:.6g}", valid_from)
     return valid_from
 

@@ -37,7 +37,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .planner import PlanResult, Schedule, plan
+from .planner import Schedule
 from .simnet import ErrorTrace, SimConfig, run
 
 __all__ = ["main"]
@@ -111,7 +111,7 @@ def _matrix_flat(a: np.ndarray) -> str:
     return ",".join(["%.17g"] * len(values)) % tuple(values)
 
 
-def _trace_meta(cfg: ResolvedConfig, schedule: Schedule, planned: PlanResult | None) -> dict:
+def _trace_meta(cfg: ResolvedConfig) -> dict:
     meta = {
         **{f"bounds.{k}": _f17(getattr(cfg.bound_inputs, k)) for k in BOUND_KEYS},
         "model.l": str(cfg.model.l),
@@ -126,14 +126,14 @@ def _trace_meta(cfg: ResolvedConfig, schedule: Schedule, planned: PlanResult | N
         "run.horizon": str(cfg.run.horizon),
         "run.runs": str(cfg.run.runs),
         "run.seed": str(cfg.run.seed),
-        "schedule.S": str(schedule.S),
-        "schedule.T": str(schedule.T),
-        "schedule.zeta": str(schedule.zeta),
+        "schedule.S": str(cfg.schedule.S),
+        "schedule.T": str(cfg.schedule.T),
+        "schedule.zeta": str(cfg.schedule.zeta),
     }
-    if planned is not None:
-        meta["plan.epsilon"] = _f17(planned.epsilon)
-        meta["plan.epsilon_N"] = _f17(planned.epsilon_N)
-        meta["plan.t_first"] = str(planned.t_first)
+    if cfg.planned is not None:
+        meta["plan.epsilon"] = _f17(cfg.planned.epsilon)
+        meta["plan.epsilon_N"] = _f17(cfg.planned.epsilon_N)
+        meta["plan.t_first"] = str(cfg.planned.t_first)
     return meta
 
 
@@ -193,19 +193,12 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
     _write_atomic(path, itertools.chain(header, segments()))
 
 
-def _resolve_schedule(cfg: ResolvedConfig) -> tuple[Schedule, PlanResult | None]:
-    if cfg.schedule is not None:
-        return cfg.schedule, None
-    result = plan(cfg.bound_inputs, **asdict(cfg.plan))
-    return result.schedule(), result
-
-
 def cmd_plan(config_path: str, out_path: str) -> int:
     _check_output(out_path)
     cfg = load_config(config_path)
-    if cfg.plan is None:
+    result = cfg.planned
+    if result is None:
         raise ConfigError("plan", "the plan command needs a 'plan' section")
-    _, result = _resolve_schedule(cfg)
     payload = {**asdict(result), "config": config_to_dict(cfg)}
     _write_atomic(out_path, [_json_text(payload), "\n"])
     print(f"consensus steps per phase: T = {result.T}")
@@ -222,22 +215,20 @@ def cmd_simulate(config_path: str, out_path: str) -> int:
     cfg = load_config(config_path)
     if cfg.run is None:
         raise ConfigError("run", "the simulate command needs a 'run' section")
-    schedule, planned = _resolve_schedule(cfg)
     try:
-        sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=schedule, **asdict(cfg.run))
+        sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
+                        **asdict(cfg.run))
     except ValueError as e:
         # the run passed RunParams at load and the weights have m agents, so
         # only the horizon against the stopping time can fail here
         raise ConfigError("run.horizon", str(e)) from None
     averaged = run(sim)
-    write_trace(out_path, averaged, _trace_meta(cfg, schedule, planned),
-                cfg.bound_inputs, schedule)
+    write_trace(out_path, averaged, _trace_meta(cfg), cfg.bound_inputs, cfg.schedule)
     print(f"wrote {out_path} ({len(averaged.t)} rows, {cfg.run.runs} runs averaged)")
     return 0
 
 
 def cmd_bounds(config_path: str, at: str) -> int:
-    cfg = load_config(config_path)
     parts = [part for part in map(str.strip, at.split(",")) if part]
     try:
         # int() alone would also take '_' separators and non-ASCII digits
@@ -249,8 +240,9 @@ def cmd_bounds(config_path: str, at: str) -> int:
         raise ConfigError("--at", f"expected comma-separated integers, got {at!r}") from None
     if not ts:
         raise ConfigError("--at", "needs at least one time step")
-    schedule, _ = _resolve_schedule(cfg)
-    bi = cfg.bound_inputs
+    # read (and plan) the config only once the times are known to be good
+    cfg = load_config(config_path)
+    schedule, bi = cfg.schedule, cfg.bound_inputs
 
     local_keep, local = _past_burn_in(lambda t: local_bound(bi, t), times)
     global_keep, glob = _past_burn_in(lambda t: global_bound(bi, t), times)

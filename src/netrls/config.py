@@ -4,6 +4,11 @@ A config file has sections ``model``, ``network``, optional ``bounds``,
 exactly one of ``plan`` or ``schedule``, and (for simulation) ``run``.
 Matrices may be given as nested rows or as flat row-major arrays.
 Validation errors carry the dotted path of the offending field.
+
+A ``plan`` section is planned once every section is checked, so
+``ResolvedConfig.schedule`` is always set and ``planned`` holds the planner's
+result (None for a ``schedule`` section); an unreachable target raises
+``StoppingTimeNotReachable`` from ``load_config``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .consensus import (
     validate_weights,
 )
 from .model_gen import ConstantMean, ModelSpec, SinusoidMean, ZeroMean
-from .planner import DEFAULT_MAX_T, Schedule
+from .planner import DEFAULT_MAX_T, PlanResult, Schedule, plan
 from .simnet import RunParams
 
 __all__ = ["ConfigError", "PlanParams", "RunParams", "ResolvedConfig", "BOUND_KEYS",
@@ -44,20 +49,12 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class PlanParams:
+    """The ``plan`` section, echoed in the plan output; ``plan`` checks it."""
+
     zeta: int
     epsilon: float
     epsilon_N: float
     max_t: int = DEFAULT_MAX_T
-
-    def __post_init__(self):
-        if self.zeta < 1:
-            raise ValueError("zeta must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.epsilon_N <= 0:
-            raise ValueError("epsilon_N must be positive")
-        if self.max_t < 1:
-            raise ValueError("max_t must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,8 @@ class ResolvedConfig:
     weights: WeightMatrix
     bound_inputs: BoundInputs
     plan: PlanParams | None
-    schedule: Schedule | None
+    schedule: Schedule
+    planned: PlanResult | None
     run: RunParams | None
 
 
@@ -218,10 +216,8 @@ def _resolve_network(section: _Section, m: int) -> WeightMatrix:
     topology = section.data.get("topology")
     if topology == "ring":
         section.unknown_keys({"topology", "self_weight"})
-        try:
-            return ring_weights(m, **section.given(section.number, ["self_weight"]))
-        except ValueError as e:
-            raise ConfigError(section.sub("self_weight"), str(e)) from None
+        return section.build(ring_weights, m,
+                             **section.given(section.number, ["self_weight"]))
     if topology == "complete":
         section.unknown_keys({"topology"})
         return complete_weights(m)
@@ -249,14 +245,14 @@ def resolve_config(data: dict) -> ResolvedConfig:
             "exactly one of 'plan' or 'schedule' must be present",
         )
 
-    plan = None
-    schedule = None
+    plan_params = None
     if has_plan:
-        sec = _Section(data["plan"], "plan")
-        sec.unknown_keys({"zeta", "epsilon", "epsilon_N", "max_t"})
-        plan = sec.build(PlanParams, zeta=sec.integer("zeta"), epsilon=sec.number("epsilon"),
-                         epsilon_N=sec.number("epsilon_N"),
-                         **sec.given(sec.integer, ["max_t"]))
+        plan_sec = _Section(data["plan"], "plan")
+        plan_sec.unknown_keys({"zeta", "epsilon", "epsilon_N", "max_t"})
+        plan_params = PlanParams(zeta=plan_sec.integer("zeta"),
+                                 epsilon=plan_sec.number("epsilon"),
+                                 epsilon_N=plan_sec.number("epsilon_N"),
+                                 **plan_sec.given(plan_sec.integer, ["max_t"]))
     else:
         sec = _Section(data["schedule"], "schedule")
         sec.unknown_keys({"zeta", "T", "S"})
@@ -270,8 +266,13 @@ def resolve_config(data: dict) -> ResolvedConfig:
         run = sec.build(RunParams, seed=sec.integer("seed"), horizon=sec.integer("horizon"),
                         runs=sec.integer("runs"))
 
+    # planned last, so that no bad field waits on the search
+    planned = None
+    if plan_params is not None:
+        planned = plan_sec.build(plan, bound_inputs, **asdict(plan_params))
+        schedule = planned.schedule()
     return ResolvedConfig(model=model, weights=weights, bound_inputs=bound_inputs,
-                          plan=plan, schedule=schedule, run=run)
+                          plan=plan_params, schedule=schedule, planned=planned, run=run)
 
 
 def load_config(path: str) -> ResolvedConfig:
@@ -315,7 +316,8 @@ def config_to_dict(cfg: ResolvedConfig) -> dict:
         "network": {"weights": cfg.weights.w.tolist()},
         "bounds": {k: getattr(cfg.bound_inputs, k) for k in BOUND_KEYS},
     }
-    for name in ("plan", "schedule", "run"):
+    # a planned config echoes its plan section, not the schedule planned from it
+    for name in ("schedule" if cfg.planned is None else "plan", "run"):
         section = getattr(cfg, name)
         if section is not None:
             out[name] = asdict(section)

@@ -143,6 +143,8 @@ class ModelSpec:
         object.__setattr__(self, "theta", _readonly(theta))
         if theta.ndim != 2:
             raise ValueError("theta must be a 2-D matrix")
+        if theta.size == 0:
+            raise ValueError(f"theta must not be empty, got shape {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
         if not 0 < self.sigma_x < math.inf:

@@ -140,6 +140,8 @@ def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if max_t < 1:
+        raise ValueError("max_t must be >= 1")
     start = _first_multiple_at_or_after(
         max(burn_in(inputs, "delta").threshold, burn_in(inputs, "delta_hat").threshold),
         zeta,

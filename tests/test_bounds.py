@@ -339,6 +339,19 @@ def test_array_with_one_time_below_burn_in_is_rejected(paper_inputs):
         assert bound(np.array([t for t in ts if t >= valid_from])).valid_from == valid_from
 
 
+@pytest.mark.parametrize("bound", ["local", "global", "comm"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, np.array([1620.0, math.nan, 3000.0]),
+                               np.array([1620.0, math.inf])],
+                         ids=["nan", "inf", "-inf", "array-nan", "array-inf"])
+def test_non_finite_times_are_rejected(paper_inputs, bound, t):
+    # NaN compares false with the burn-in, and inf would give a 0 bound
+    call = {"local": lambda: nr.local_bound(paper_inputs, t),
+            "global": lambda: nr.global_bound(paper_inputs, t),
+            "comm": lambda: nr.comm_bound(paper_inputs, t, 38)}[bound]
+    with pytest.raises(ValueError, match="^t must be finite$"):
+        call()
+
+
 def test_empty_array_of_times_gives_empty_bounds(paper_inputs):
     empty = np.array([], dtype=np.int64)
     assert nr.local_bound(paper_inputs, empty).value.shape == (0,)

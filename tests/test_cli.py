@@ -122,11 +122,14 @@ class Rewrite(NamedTuple):
         (lambda d: d["plan"].update(epsilon=-2.0), "plan.epsilon"),
         (lambda d: d["model"].update(bogus=1), "model.bogus"),
         (lambda d: d["run"].update(seed="abc"), "run.seed"),
-        (lambda d: d["plan"].update(max_t=0), "plan.max_t"),
+        (lambda d: d["plan"].update(max_t=0), "plan.max_t: must be >= 1"),
         (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1.0, 0.0]] * 6,
                                  "periods": [10.0] * 5 + [0.0]}), "model.mean_schedule.periods"),
         (lambda d: d.update(network={"topology": "ring", "self_weight": 1.5}),
-         "network.self_weight"),
+         "network.self_weight: must be in [0, 1]"),
+        # a ring with self_weight 1 is the identity: the network does not mix
+        (lambda d: d.update(network={"topology": "ring", "self_weight": 1.0}),
+         "network: mixing rate rho = 1.0 must be strictly below 1"),
         # matrix and vector entries are JSON numbers, as scalar fields are
         (lambda d: d["model"].update(theta=[["1.6", "0.3"], ["0.8", "0.3"]]),
          "model.theta: expected a number, got '1.6'"),
@@ -172,8 +175,9 @@ class Rewrite(NamedTuple):
          "sigma_x_lower=1e-200, sigma_x_upper=1e-200"),
         (lambda d: d["bounds"].update(delta=1e-320), "delta=1e-320, delta_hat=0.001"),
         (lambda d: d["plan"].update(zeta=10**30), "plan.zeta: must fit in 64 bits"),
-        # the range checks of PlanParams and RunParams name their field
+        # the range checks of the planner and RunParams name their field
         (lambda d: d["plan"].update(zeta=0), "plan.zeta: must be >= 1"),
+        (lambda d: d["plan"].update(epsilon=0), "plan.epsilon: must be positive"),
         (lambda d: d["plan"].update(epsilon_N=0.0), "plan.epsilon_N: must be positive"),
         (lambda d: d["run"].update(horizon=0), "run.horizon: must be >= 1"),
         (lambda d: d["run"].update(runs=0), "run.runs: must be in [1, 2**32]"),
@@ -685,7 +689,7 @@ def _bounds_table_row_by_row(config: Path, ts: list[int]) -> str:
     """The ``bounds`` table with one f-string per cell and one line per row:
     the plain rule the command's segment templates must match byte for byte."""
     cfg = load_config(str(config))
-    schedule, _ = cli._resolve_schedule(cfg)
+    schedule = cfg.schedule
     bi = cfg.bound_inputs
     times = np.array(ts, dtype=float)
 
@@ -721,7 +725,7 @@ def _alternating_burn_ins(config: Path) -> list[int]:
     """Times just below and at each bound's burn-in, between times past all
     of them, so that the burn-in pattern changes on every row."""
     cfg = load_config(str(config))
-    schedule, _ = cli._resolve_schedule(cfg)
+    schedule = cfg.schedule
     bi = cfg.bound_inputs
     firsts = []
     for bound in (lambda t: nr.local_bound(bi, t), lambda t: nr.global_bound(bi, t),
@@ -765,8 +769,13 @@ def test_bounds_table_matches_rows_formatted_one_at_a_time(capsys, config, case)
         assert out.splitlines()[1].split()[0] == "9007199254740993"
 
 
-def test_bounds_command_rejects_bad_at(tmp_path, capsys):
+def test_bounds_command_rejects_bad_at(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, paper_config_dict())
+
+    def no_work(path):
+        raise AssertionError("the config was read and planned before --at was checked")
+
+    monkeypatch.setattr(cli, "load_config", no_work)
     # int() alone takes '_' separators and non-ASCII digits such as Arabic-Indic ones
     for at in ["ten", "1_620, \u0661\u0662", "1_620", "\u0661\u0662", "1620,+-5", "0x10",
                "1.5", "1e3"]:
@@ -871,6 +880,27 @@ def test_writeback_field_is_rejected(tmp_path, capsys):
         nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
                      horizon=cfg.run.horizon, runs=cfg.run.runs, seed=cfg.run.seed,
                      writeback_mixed=True)
+
+
+def test_plan_config_is_planned_when_resolved():
+    cfg = load_config(str(CONFIGS_DIR / "paper.json"))
+    assert cfg.schedule == cfg.planned.schedule() == nr.Schedule(zeta=20, T=38, S=1620)
+    echo = config_to_dict(cfg)
+    assert "schedule" not in echo and echo["plan"]["max_t"] == 10**6
+    # a schedule config is not planned, and echoes its schedule
+    smoke = load_config(str(CONFIGS_DIR / "smoke.json"))
+    smoke_echo = config_to_dict(smoke)
+    assert smoke.planned is None and smoke.plan is None and "plan" not in smoke_echo
+    assert smoke_echo["schedule"] == {"zeta": 10, "T": 3, "S": 40}
+
+
+def test_bad_field_is_reported_before_an_unreachable_plan(tmp_path, capsys):
+    data = paper_config_dict()
+    data["plan"]["epsilon"] = 1e-9
+    data["run"]["seed"] = -1
+    cfg = write_config(tmp_path, data)
+    assert main(["plan", cfg, "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "config error: run.seed: must fit in 64 bits\n"
 
 
 def test_unreachable_plan_exits_3(tmp_path, capsys):

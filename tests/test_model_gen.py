@@ -317,6 +317,14 @@ def test_non_finite_model_inputs_are_rejected_naming_the_field(field, make):
         make()
 
 
+@pytest.mark.parametrize("theta", [[[]], [], np.zeros((0, 2)), np.zeros((2, 0))],
+                         ids=["empty-row", "empty", "no-rows", "no-columns"])
+def test_empty_theta_is_rejected_naming_it(theta):
+    # n or l of 0 would otherwise fail deep in the engine at the first run
+    with pytest.raises(ValueError, match=r"^theta must not be empty, got shape "):
+        nr.ModelSpec(theta=theta, sigma_x=1.0, sigma_eta=1.0, m=1)
+
+
 def test_theta_norm_property():
     spec = reference_model()
     assert spec.theta_norm == pytest.approx(np.linalg.norm(np.asarray(spec.theta), 2))

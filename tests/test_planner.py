@@ -88,6 +88,9 @@ def test_invalid_tolerances_rejected(paper_inputs):
         nr.plan_S(paper_inputs, zeta=20, T=38, epsilon=-1.0)
     with pytest.raises(ValueError):
         nr.plan_T(paper_inputs, zeta=0, epsilon_N=0.01)
+    # a horizon below 1 is a bad input, not a target the bounds miss
+    with pytest.raises(ValueError, match="^max_t must be >= 1$"):
+        nr.plan_S(paper_inputs, zeta=20, T=38, epsilon=0.5, max_t=0)
 
 
 def test_unreachable_target_is_reported(paper_inputs):
