@@ -7,7 +7,6 @@ number of consensus steps and the communication stopping time.
 from .bounds import (
     BoundInputs,
     BoundReport,
-    BurnIn,
     BurnInError,
     burn_in,
     comm_bound,
@@ -26,7 +25,6 @@ from .consensus import (
 from .model_gen import (
     ConstantMean,
     ModelSpec,
-    SeededStream,
     SinusoidMean,
     ZeroMean,
     difference_transform,
@@ -51,14 +49,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInputs",
     "BoundReport",
-    "BurnIn",
     "BurnInError",
     "ConstantMean",
     "ErrorTrace",
     "ModelSpec",
     "PlanResult",
     "Schedule",
-    "SeededStream",
     "SimConfig",
     "SinusoidMean",
     "StoppingTimeNotReachable",

@@ -3,10 +3,15 @@
 Evaluates, for confidence levels ``delta`` (single-agent events) and
 ``delta_hat`` (network-wide events), the high-probability spectral-norm
 error bounds of the purely local estimate, the pooled global estimate, and
-the post-communication estimate, together with their burn-in times. All
-logarithms are natural. Inputs are the *assumed* parameter bounds: lower
-bound on ``sigma_x`` in denominators, upper bounds everywhere else, so the
-reports stay valid when only bounds on the true scalars are known.
+the post-communication estimate. All logarithms are natural. Inputs are the
+*assumed* parameter bounds: lower bound on ``sigma_x`` in denominators, upper
+bounds everywhere else, so the reports stay valid when only bounds on the
+true scalars are known.
+
+A bound holds once ``t`` reaches its burn-in, the sample count
+``burn_in(inputs, delta)`` at the bound's confidence level: ``delta`` for the
+local and global bounds, ``delta_hat`` for the communicated one. The global
+bound's burn-in is divided by ``m``.
 
 The three bounds share one noise term, ``C1 / (sqrt(k t) sigma_x^2)`` for
 ``k`` pooled agents: the local bound is it with ``k = 1``, the global bound
@@ -32,7 +37,6 @@ import numpy as np
 __all__ = [
     "BoundInputs",
     "BoundReport",
-    "BurnIn",
     "BurnInError",
     "burn_in",
     "local_bound",
@@ -80,7 +84,7 @@ class BoundInputs:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = all(map(math.isfinite, (
-                    burn_in(self, "delta").threshold, burn_in(self, "delta_hat").threshold,
+                    burn_in(self, self.delta), burn_in(self, self.delta_hat),
                     self.C1 / self.sigma_x_lower**2, _C0(self, 1, 0))))
         except (OverflowError, ZeroDivisionError):
             finite = False
@@ -142,19 +146,6 @@ class BoundInputs:
         return cls(**values)
 
 
-@dataclass(frozen=True)
-class BurnIn:
-    """Minimum sample counts; a bound is valid once ``t >= threshold``."""
-
-    t1: float
-    t2: float
-    t3: float
-
-    @property
-    def threshold(self) -> float:
-        return max(self.t1, self.t2, self.t3)
-
-
 class BurnInError(ValueError):
     """Bound requested below its burn-in; ``valid_from`` is the first valid t."""
 
@@ -178,30 +169,21 @@ class BoundReport:
     valid_from: int
 
 
-def _delta_of(inputs: BoundInputs, which: str) -> float:
-    if which == "delta":
-        return inputs.delta
-    if which == "delta_hat":
-        return inputs.delta_hat
-    raise ValueError(f"which_delta must be 'delta' or 'delta_hat', got {which!r}")
+def burn_in(inputs: BoundInputs, delta: float) -> float:
+    """First sample count at which a bound at confidence level ``delta`` holds.
 
-
-def burn_in(inputs: BoundInputs, which_delta: str = "delta") -> BurnIn:
-    """Burn-in triple at the requested confidence level.
-
-    ``t1 = 8n + 16 ln(2/d)`` controls feature-covariance concentration,
-    ``t2`` the mean/fluctuation cross terms (zero for zero-mean features),
-    ``t3 = 2(n+l) ln(1/d)`` the noise-feature product. The global regime
-    divides the max by ``m``.
+    The max of three terms: ``8n + 16 ln(2/delta)`` controls the
+    feature-covariance concentration, a second term the mean/fluctuation
+    cross terms (zero for zero-mean features), and ``2(n+l) ln(1/delta)`` the
+    noise-feature product. The global regime divides it by ``m``.
     """
-    d = _delta_of(inputs, which_delta)
     n, l = inputs.n, inputs.l
-    t1 = 8.0 * n + 16.0 * math.log(2.0 / d)
+    t1 = 8.0 * n + 16.0 * math.log(2.0 / delta)
     mu = inputs.mu_hat_upper
-    t2 = (16.0 * mu * (math.sqrt(4.0 * n) + math.sqrt(2.0 * math.log(2.0 / d)))
+    t2 = (16.0 * mu * (math.sqrt(4.0 * n) + math.sqrt(2.0 * math.log(2.0 / delta)))
           / inputs.sigma_x_lower) ** 2
-    t3 = 2.0 * (n + l) * math.log(1.0 / d)
-    return BurnIn(t1=t1, t2=t2, t3=t3)
+    t3 = 2.0 * (n + l) * math.log(1.0 / delta)
+    return max(t1, t2, t3)
 
 
 def _C0(inputs: BoundInputs, t, steps: int):
@@ -217,7 +199,12 @@ def _check_burn_in(t, threshold: float, regime: str) -> int:
     """First valid time of a bound; raises if any of ``t`` is not finite or below ``threshold``."""
     valid_from = max(1, math.ceil(threshold))
     # one numpy reduction for both tests: the planner makes many scalar calls
-    if not (np.isfinite(t) & (t >= threshold)).all():
+    try:
+        ok = (np.isfinite(t) & (t >= threshold)).all()
+    except TypeError:  # numpy holds an int beyond 64 bits as an object
+        raise ValueError(f"t must be a float, an integer that fits in 64 bits or "
+                         f"an array of them, got {t!r}") from None
+    if not ok:
         if not np.isfinite(t).all():
             raise ValueError("t must be finite")
         raise BurnInError(f"t = {np.min(t)} below {regime} burn-in {threshold:.6g}", valid_from)
@@ -241,14 +228,14 @@ def local_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> Bound
     Decays like ``1/sqrt(t)``; ``mu_bar_lambda_min`` is the smallest
     eigenvalue of ``I + mu_bar`` and defaults to the conservative value 1.
     """
-    valid_from = _check_burn_in(t, burn_in(inputs, "delta").threshold, "local")
+    valid_from = _check_burn_in(t, burn_in(inputs, inputs.delta), "local")
     return _report(inputs, t, 1, mu_bar_lambda_min, valid_from)
 
 
 def global_bound(inputs: BoundInputs, t, mu_bar_lambda_min: float = 1.0) -> BoundReport:
     """Error bound for the pooled all-agent estimate; local bound with
     ``t`` replaced by ``m * t`` and burn-in divided by ``m``."""
-    valid_from = _check_burn_in(t, burn_in(inputs, "delta").threshold / inputs.m, "global")
+    valid_from = _check_burn_in(t, burn_in(inputs, inputs.delta) / inputs.m, "global")
     return _report(inputs, t, inputs.m, mu_bar_lambda_min, valid_from)
 
 
@@ -264,6 +251,6 @@ def comm_bound(inputs: BoundInputs, t, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    valid_from = _check_burn_in(t, burn_in(inputs, "delta_hat").threshold, "communicated")
+    valid_from = _check_burn_in(t, burn_in(inputs, inputs.delta_hat), "communicated")
     network = inputs.rho**steps * _C0(inputs, t, steps)
     return _report(inputs, t, inputs.m, mu_bar_lambda_min, valid_from, network)

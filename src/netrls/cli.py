@@ -195,10 +195,8 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
 
 def cmd_plan(config_path: str, out_path: str) -> int:
     _check_output(out_path)
-    cfg = load_config(config_path)
+    cfg = load_config(config_path, "plan")
     result = cfg.planned
-    if result is None:
-        raise ConfigError("plan", "the plan command needs a 'plan' section")
     payload = {**asdict(result), "config": config_to_dict(cfg)}
     _write_atomic(out_path, [_json_text(payload), "\n"])
     print(f"consensus steps per phase: T = {result.T}")
@@ -212,9 +210,7 @@ def cmd_plan(config_path: str, out_path: str) -> int:
 
 def cmd_simulate(config_path: str, out_path: str) -> int:
     _check_output(out_path)
-    cfg = load_config(config_path)
-    if cfg.run is None:
-        raise ConfigError("run", "the simulate command needs a 'run' section")
+    cfg = load_config(config_path, "simulate")
     try:
         sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
                         **asdict(cfg.run))

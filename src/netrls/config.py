@@ -226,8 +226,12 @@ def _resolve_network(section: _Section, m: int) -> WeightMatrix:
     )
 
 
-def resolve_config(data: dict) -> ResolvedConfig:
-    """Validate a parsed JSON object and build the typed configuration."""
+def resolve_config(data: dict, command: str | None = None) -> ResolvedConfig:
+    """Validate a parsed JSON object and build the typed configuration.
+
+    ``command`` names the CLI command the config is for; the section that
+    command needs (``plan`` for plan, ``run`` for simulate) is checked
+    before the plan search."""
     root = _Section(data, "")
     root.unknown_keys({"model", "network", "bounds", "plan", "schedule", "run"})
     model = _resolve_model(_Section(root.require("model"), "model"))
@@ -266,6 +270,9 @@ def resolve_config(data: dict) -> ResolvedConfig:
         run = sec.build(RunParams, seed=sec.integer("seed"), horizon=sec.integer("horizon"),
                         runs=sec.integer("runs"))
 
+    needs = {"plan": "plan", "simulate": "run"}.get(command)
+    if needs is not None and needs not in data:
+        raise ConfigError(needs, f"the {command} command needs a '{needs}' section")
     # planned last, so that no bad field waits on the search
     planned = None
     if plan_params is not None:
@@ -275,7 +282,7 @@ def resolve_config(data: dict) -> ResolvedConfig:
                           plan=plan_params, schedule=schedule, planned=planned, run=run)
 
 
-def load_config(path: str) -> ResolvedConfig:
+def load_config(path: str, command: str | None = None) -> ResolvedConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -285,7 +292,7 @@ def load_config(path: str) -> ResolvedConfig:
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top-level JSON value must be an object")
-    return resolve_config(data)
+    return resolve_config(data, command)
 
 
 def _mean_to_dict(mean) -> dict:

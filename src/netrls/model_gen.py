@@ -4,11 +4,12 @@ Each of ``m`` agents observes pairs ``(x, y)`` with ``y = theta @ x + eta``,
 where ``x`` is Gaussian with a deterministic per-agent mean profile and
 isotropic covariance ``sigma_x**2 * I`` and ``eta`` is zero-mean Gaussian
 noise with covariance ``sigma_eta**2 * I``. Draws are addressed by
-``(master_seed, run, agent, t)`` through a counter-based Philox stream, so
-any single sample can be regenerated in isolation, in any order, on any
-process, and Monte Carlo runs never share generator state. One call to
-``sample_block`` draws a block of steps for every agent at once; only
-``_normal_rows`` knows that each agent's stream has its own Philox key.
+``(seed, run, agent, t)`` through a counter-based Philox stream, so any
+single sample can be regenerated in isolation, in any order, on any process,
+and Monte Carlo runs never share generator state. One call to
+``sample_block(spec, seed, run, t_start, count)`` draws a block of steps for
+every agent at once; only ``_normal_rows`` knows the Philox key layout,
+``[seed, (run << 32) | agent]``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "SinusoidMean",
     "MeanSchedule",
     "ModelSpec",
-    "SeededStream",
     "sample_block",
     "mu_bar",
     "mu_bar_pooled",
@@ -174,43 +174,28 @@ class ModelSpec:
         return float(np.linalg.norm(self.theta, 2))
 
 
-@dataclass(frozen=True)
-class SeededStream:
-    """Counter-based source of per-(run, agent, t) Gaussian draws.
-
-    Distinct ``(run, agent, t)`` triples map to disjoint Philox counter
-    ranges under distinct keys, which makes draws independent and
-    insensitive to generation order.
-    """
-
-    master_seed: int
-
-    def __post_init__(self):
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
-
-    def key(self, run: int, agent: int) -> np.ndarray:
-        if not 0 <= run < 2**32:
-            raise ValueError("run index must fit in 32 bits")
-        if not 0 <= agent < 2**32:
-            raise ValueError("agent index must fit in 32 bits")
-        return np.array([self.master_seed, (run << 32) | agent], dtype=np.uint64)
-
-
-def _normal_rows(stream: SeededStream, run: int, m: int, t_start: int, count: int,
+def _normal_rows(seed: int, run: int, m: int, t_start: int, count: int,
                  width: int) -> np.ndarray:
     """Standard normal draws of agents ``0 .. m-1`` for time steps
     ``t_start .. t_start+count-1``, as a ``(count, m, width)`` array.
 
-    Each agent reads its own Philox key. Each time step owns
-    ``ceil(width/4)`` counter blocks and one float64 consumes exactly one
-    64-bit word, so row ``t`` is the same whether generated alone or as part
-    of a larger block.
+    Agent ``i`` of ``run`` reads the Philox stream keyed
+    ``[seed, (run << 32) | i]``, so distinct ``(run, agent)`` pairs own
+    disjoint streams. Each time step owns ``ceil(width/4)`` counter blocks and
+    one float64 consumes exactly one 64-bit word, so row ``t`` is the same
+    whether generated alone or as part of a larger block.
     """
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    if not 0 <= run < 2**32:
+        raise ValueError("run index must fit in 32 bits")
+    if m > 2**32:
+        raise ValueError("agent index must fit in 32 bits")
     blocks_per_step = -(-width // 4)
     u = np.empty((count, m, 4 * blocks_per_step))
     for agent in range(m):
-        bits = Philox(counter=(t_start - 1) * blocks_per_step, key=stream.key(run, agent))
+        key = np.array([seed, (run << 32) | agent], dtype=np.uint64)
+        bits = Philox(counter=(t_start - 1) * blocks_per_step, key=key)
         u[:, agent] = Generator(bits).random((count, 4 * blocks_per_step))
     return _standard_normal(u)[..., :width]
 
@@ -228,9 +213,10 @@ def _standard_normal(u: np.ndarray) -> np.ndarray:
     return ndtri(np.minimum(u + 2.0**-54, np.nextafter(1.0, 0.0)))
 
 
-def sample_block(spec: ModelSpec, stream: SeededStream, run: int, t_start: int,
+def sample_block(spec: ModelSpec, seed: int, run: int, t_start: int,
                  count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` consecutive pairs of every agent starting at time ``t_start``.
+    """Draw ``count`` consecutive pairs of every agent of run ``run`` of
+    ``seed``, starting at time ``t_start``.
 
     Returns ``(X, Y)`` with shapes ``(count, m, n)`` and ``(count, m, l)``;
     ``X[:, i]`` is agent ``i``'s stream. Row ``k`` is bit-identical to the
@@ -239,7 +225,7 @@ def sample_block(spec: ModelSpec, stream: SeededStream, run: int, t_start: int,
     if t_start < 1:
         raise ValueError("time steps start at 1")
     n, l, m = spec.n, spec.l, spec.m
-    z = _normal_rows(stream, run, m, t_start, count, n + l)
+    z = _normal_rows(seed, run, m, t_start, count, n + l)
     times = np.arange(t_start, t_start + count)
     x = spec.mean.profile(times, m, n) + spec.sigma_x * z[..., :n]
     # einsum keeps each row's rounding independent of the block size, so

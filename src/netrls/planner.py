@@ -120,7 +120,7 @@ def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float) -> tuple[int, int]:
         raise ValueError("zeta must be >= 1")
     if epsilon_N <= 0:
         raise ValueError("epsilon_N must be positive")
-    t_first = _first_multiple_at_or_after(burn_in(inputs, "delta_hat").threshold, zeta)
+    t_first = _first_multiple_at_or_after(burn_in(inputs, inputs.delta_hat), zeta)
     # the bounds get float times: numpy has no sqrt of an integer beyond 64 bits
     k = _first_true(lambda k: comm_bound(inputs, float(t_first), 1 + k).network_term
                     <= epsilon_N)
@@ -143,9 +143,7 @@ def plan_S(inputs: BoundInputs, zeta: int, T: int, epsilon: float,
     if max_t < 1:
         raise ValueError("max_t must be >= 1")
     start = _first_multiple_at_or_after(
-        max(burn_in(inputs, "delta").threshold, burn_in(inputs, "delta_hat").threshold),
-        zeta,
-    )
+        max(burn_in(inputs, inputs.delta), burn_in(inputs, inputs.delta_hat)), zeta)
 
     def reached(k: int) -> bool:
         t = float(start + k * zeta)

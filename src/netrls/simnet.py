@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import WeightMatrix, run_comm_phase
-from .model_gen import ModelSpec, SeededStream, sample_block
+from .model_gen import ModelSpec, sample_block
 from .planner import Schedule
 
 __all__ = ["SimConfig", "ErrorTrace", "run", "spectral_norms"]
@@ -133,11 +133,11 @@ class ErrorTrace:
     pre_invertible_count: np.ndarray
 
 
-def _block_increments(config: SimConfig, stream: SeededStream, run_index: int,
-                      t_start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_increments(config: SimConfig, run_index: int, t_start: int,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample terms ``y x^T`` and ``x x^T`` for steps ``t_start ..``, as
     ``(count, m, l, n)`` and ``(count, m, n, n)`` arrays."""
-    x, y = sample_block(config.model, stream, run_index, t_start, count)
+    x, y = sample_block(config.model, config.seed, run_index, t_start, count)
     return y[..., :, None] * x[..., None, :], x[..., :, None] * x[..., None, :]
 
 
@@ -174,7 +174,6 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     model, schedule = config.model, config.schedule
     horizon, m, l, n = config.horizon, model.m, model.l, model.n
     theta = model.theta
-    stream = SeededStream(config.seed)
     comm_times = schedule.comm_times(horizon)
     trace = ErrorTrace(
         t=np.arange(1, horizon + 1),
@@ -198,7 +197,7 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     for end in (np.flatnonzero(cut) + 1).tolist():
         if start % BLOCK == 0:
             inc_alpha, inc_beta = _block_increments(
-                config, stream, run_index, start + 1, min(BLOCK, horizon - start))
+                config, run_index, start + 1, min(BLOCK, horizon - start))
         rows = slice(start % BLOCK, start % BLOCK + end - start)
         a, b = inc_alpha[rows], inc_beta[rows]
         # same addition order as ``alpha += outer(y, x)`` step by step

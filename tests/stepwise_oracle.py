@@ -76,9 +76,8 @@ class SimWorld:
         # each agent's post-communication estimate, zero before the first phase
         self.theta_comm = np.zeros((model.m, model.l, model.n))
         self.pooled_invertible = False
-        stream = nr.SeededStream(config.seed)
         # whole-horizon draws of every agent; identical to stepwise sampling
-        self._x, self._y = nr.sample_block(model, stream, run_index, 1, config.horizon)
+        self._x, self._y = nr.sample_block(model, config.seed, run_index, 1, config.horizon)
 
     def step(self) -> bool:
         """Advance one data step; returns True when a communication phase ran."""

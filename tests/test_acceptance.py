@@ -14,7 +14,6 @@ import numpy as np
 
 import netrls as nr
 from netrls.cli import main
-from netrls.model_gen import SeededStream
 
 from conftest import random_connected_weights, reference_model
 from stepwise_oracle import AgentState
@@ -71,10 +70,10 @@ def test_criterion_3_error_curve_reproduction(paper_sim, capsys):
 
 def test_criterion_4_oracle_equivalences(capsys):
     model = reference_model()
-    stream = SeededStream(424242)
+    seed = 424242
 
     # (a) streamed rank-one updates equal the batch solution after 1e3 steps
-    x, y = (a[:, 0] for a in nr.sample_block(model, stream, 0, 1, 1000))
+    x, y = (a[:, 0] for a in nr.sample_block(model, seed, 0, 1, 1000))
     state = AgentState(model.n, model.l)
     for k in range(1000):
         state.ingest(x[k], y[k])
@@ -98,7 +97,7 @@ def test_criterion_4_oracle_equivalences(capsys):
 
     # (c) complete averaging with one step reproduces the pooled estimator
     complete = nr.complete_weights(6)
-    x, y = nr.sample_block(model, stream, 1, 1, 60)
+    x, y = nr.sample_block(model, seed, 1, 1, 60)
     al = np.einsum("tak,taj->akj", y, x)
     be = np.einsum("tai,taj->aij", x, x)
     mixed_a, mixed_b = nr.run_comm_phase(complete, al, be, 1)
@@ -152,8 +151,8 @@ def test_criterion_5_property_suites(capsys):
     ok_mono = True
     for _ in range(100):
         inputs = _random_inputs(rng)
-        start = int(np.ceil(max(nr.burn_in(inputs, "delta").threshold,
-                                nr.burn_in(inputs, "delta_hat").threshold))) + 1
+        start = int(np.ceil(max(nr.burn_in(inputs, inputs.delta),
+                                nr.burn_in(inputs, inputs.delta_hat)))) + 1
         ts = [start + 41 * k for k in range(4)]
         for make in (
             lambda t: nr.local_bound(inputs, t).value,
@@ -175,12 +174,11 @@ def test_criterion_5_property_suites(capsys):
 def test_criterion_6_bound_coverage(paper_inputs, capsys):
     start = time.perf_counter()
     model = reference_model()
-    stream = SeededStream(777)
     bound = nr.local_bound(paper_inputs, 400).value
     violations = 0
     total = 0
     for run_index in range(200):
-        x_all, y_all = nr.sample_block(model, stream, run_index, 1, 400)
+        x_all, y_all = nr.sample_block(model, 777, run_index, 1, 400)
         for agent in range(model.m):
             x, y = x_all[:, agent], y_all[:, agent]
             theta_hat = (y.T @ x) @ np.linalg.inv(x.T @ x)

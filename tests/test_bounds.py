@@ -4,6 +4,7 @@ and their structural properties (monotonicity, ordering, scaling)."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ import netrls as nr
 
 # frozen from a 40-digit arbitrary-precision evaluation of the closed forms
 T1_AT_005 = 75.02207126582298
-T3_AT_005 = 23.965858188431928
 T1_AT_0001 = 137.61443935267332
-T3_AT_0001 = 55.26204223185710
+T2_MEAN_AT_005 = 1967.5471084381827  # n = 2, sigma_x = 2, mu_hat = 1
+T3_WIDE_AT_005 = 185.73540096034744  # n = 1, l = 30
+T3_WIDE_AT_0001 = 428.28082729689250
 C1_REF = 437.5307547489853
 LOCAL_AT_1620 = 1.207837666500642
 GLOBAL_AT_1620 = 0.4930976625067486
@@ -49,27 +51,22 @@ def _random_inputs(rng: np.random.Generator) -> nr.BoundInputs:
 
 
 def test_burn_in_frozen_values(paper_inputs):
-    bi = nr.burn_in(paper_inputs, "delta")
-    assert bi.t1 == pytest.approx(T1_AT_005, rel=1e-12)
-    assert bi.t2 == 0.0
-    assert bi.t3 == pytest.approx(T3_AT_005, rel=1e-12)
-    assert bi.threshold == pytest.approx(T1_AT_005, rel=1e-12)
-
-    bih = nr.burn_in(paper_inputs, "delta_hat")
-    assert bih.t1 == pytest.approx(T1_AT_0001, rel=1e-12)
-    assert bih.t3 == pytest.approx(T3_AT_0001, rel=1e-12)
+    # the paper inputs: t1 = 8n + 16 ln(2/delta) dominates
+    assert nr.burn_in(paper_inputs, 0.05) == pytest.approx(T1_AT_005, rel=1e-12)
+    assert nr.burn_in(paper_inputs, 0.001) == pytest.approx(T1_AT_0001, rel=1e-12)
+    # many outputs per feature: t3 = 2(n+l) ln(1/delta) dominates
+    wide = replace(paper_inputs, n=1, l=30)
+    assert nr.burn_in(wide, 0.05) == pytest.approx(T3_WIDE_AT_005, rel=1e-12)
+    assert nr.burn_in(wide, 0.001) == pytest.approx(T3_WIDE_AT_0001, rel=1e-12)
 
 
 def test_burn_in_with_nonzero_mean():
+    # a feature mean as large as half the feature scale: t2 dominates
     inputs = nr.BoundInputs(
         n=2, l=2, m=3, sigma_x_lower=2.0, sigma_x_upper=2.0, sigma_eta_upper=1.0,
         mu_hat_upper=1.0, theta_norm_upper=1.0, delta=0.05, delta_hat=0.001, rho=0.5,
     )
-    bi = nr.burn_in(inputs, "delta")
-    expected = (16.0 * 1.0 * (math.sqrt(8.0) + math.sqrt(2.0 * math.log(40.0))) / 2.0) ** 2
-    assert bi.t2 == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        nr.burn_in(inputs, "other")
+    assert nr.burn_in(inputs, 0.05) == pytest.approx(T2_MEAN_AT_005, rel=1e-12)
 
 
 def test_local_bound_frozen_values(paper_inputs):
@@ -90,8 +87,6 @@ def test_local_bound_below_burn_in_rejected(paper_inputs):
 
 
 def test_noiseless_bounds_vanish(paper_inputs):
-    from dataclasses import replace
-
     silent = replace(paper_inputs, sigma_eta_upper=0.0)
     assert nr.local_bound(silent, 200).value == 0.0
     assert nr.global_bound(silent, 200).value == 0.0
@@ -198,7 +193,7 @@ def test_zero_rho_comm_equals_global(paper_model):
 def test_bounds_decrease_in_time_and_steps(seed):
     inputs = _random_inputs(np.random.default_rng(seed))
     start = max(
-        nr.burn_in(inputs, "delta").threshold, nr.burn_in(inputs, "delta_hat").threshold
+        nr.burn_in(inputs, inputs.delta), nr.burn_in(inputs, inputs.delta_hat)
     )
     ts = [math.ceil(start) + 1 + k * 37 for k in range(5)]
     locals_ = [nr.local_bound(inputs, t).value for t in ts]
@@ -216,7 +211,7 @@ def test_bounds_decrease_in_time_and_steps(seed):
 def test_comm_dominates_global_and_converges(seed):
     inputs = _random_inputs(np.random.default_rng(seed))
     t = math.ceil(max(
-        nr.burn_in(inputs, "delta").threshold, nr.burn_in(inputs, "delta_hat").threshold
+        nr.burn_in(inputs, inputs.delta), nr.burn_in(inputs, inputs.delta_hat)
     )) + 3
     glob = nr.global_bound(inputs, t).value
     assert nr.comm_bound(inputs, t, 3).value >= glob
@@ -225,8 +220,6 @@ def test_comm_dominates_global_and_converges(seed):
 
 
 def test_scaling_structure(paper_inputs):
-    from dataclasses import replace
-
     # linear in the noise scale (local/global bounds and the comm noise term)
     doubled = replace(paper_inputs, sigma_eta_upper=2.0 * paper_inputs.sigma_eta_upper)
     assert nr.local_bound(doubled, 1620).value == pytest.approx(
@@ -253,10 +246,10 @@ def test_scaling_structure(paper_inputs):
         sigma_eta_upper=kappa * base.sigma_eta_upper,
         mu_hat_upper=kappa * base.mu_hat_upper,
     )
-    t = math.ceil(max(nr.burn_in(base, "delta").threshold,
-                      nr.burn_in(base, "delta_hat").threshold,
-                      nr.burn_in(scaled, "delta").threshold,
-                      nr.burn_in(scaled, "delta_hat").threshold)) + 2
+    t = math.ceil(max(nr.burn_in(base, base.delta),
+                      nr.burn_in(base, base.delta_hat),
+                      nr.burn_in(scaled, scaled.delta),
+                      nr.burn_in(scaled, scaled.delta_hat))) + 2
     assert nr.local_bound(scaled, t).value == pytest.approx(
         nr.local_bound(base, t).value, rel=1e-10
     )
@@ -268,7 +261,12 @@ def test_scaling_structure(paper_inputs):
     )
 
 
-def test_inputs_validation_and_from_model(paper_model, ring6):
+def test_inputs_validation_and_from_model(paper_model, ring6, paper_inputs):
+    with pytest.raises(ValueError, match="^dimensions must be >= 1$"):
+        replace(paper_inputs, n=0)
+    for delta_hat in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^delta_hat must be in \(0, 1\)$"):
+            replace(paper_inputs, delta_hat=delta_hat)
     with pytest.raises(ValueError):
         nr.BoundInputs(n=2, l=2, m=2, sigma_x_lower=0.0, sigma_x_upper=1.0,
                        sigma_eta_upper=1.0, mu_hat_upper=0.0, theta_norm_upper=1.0,
@@ -293,7 +291,7 @@ def test_inputs_validation_and_from_model(paper_model, ring6):
 
 
 def _sinusoid_inputs() -> nr.BoundInputs:
-    """Reference model with oscillating means, so the burn-in term t2 is nonzero."""
+    """Reference model with oscillating means, so the burn-in's mean term t2 is nonzero."""
     model = nr.ModelSpec(
         theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6,
         mean=nr.SinusoidMean(amplitudes=[[0.5, 0.0], [0.0, 0.4]] * 3, periods=[50.0] * 6),
@@ -305,15 +303,16 @@ def _sinusoid_inputs() -> nr.BoundInputs:
 def test_array_times_equal_scalar_calls_exactly(paper_inputs, which):
     inputs = paper_inputs if which == "paper" else _sinusoid_inputs()
     if which == "sinusoid":
-        assert inputs.mu_hat_upper > 0 and nr.burn_in(inputs, "delta").t2 > 0
+        # the mean term t2 sets the burn-in
+        assert nr.burn_in(inputs, inputs.delta) > nr.burn_in(paper_inputs, inputs.delta)
     cases = [
-        (lambda t: nr.local_bound(inputs, t), "delta", 1),
-        (lambda t: nr.global_bound(inputs, t), "delta", inputs.m),
-        (lambda t: nr.comm_bound(inputs, t, 1), "delta_hat", 1),
-        (lambda t: nr.comm_bound(inputs, t, 38), "delta_hat", 1),
+        (lambda t: nr.local_bound(inputs, t), inputs.delta, 1),
+        (lambda t: nr.global_bound(inputs, t), inputs.delta, inputs.m),
+        (lambda t: nr.comm_bound(inputs, t, 1), inputs.delta_hat, 1),
+        (lambda t: nr.comm_bound(inputs, t, 38), inputs.delta_hat, 1),
     ]
-    for bound, which_delta, divisor in cases:
-        first = max(1, math.ceil(nr.burn_in(inputs, which_delta).threshold / divisor))
+    for bound, delta, divisor in cases:
+        first = max(1, math.ceil(nr.burn_in(inputs, delta) / divisor))
         ts = np.arange(first, first + 3000)
         curve = bound(ts)
         assert curve.valid_from == first
@@ -352,6 +351,20 @@ def test_non_finite_times_are_rejected(paper_inputs, bound, t):
         call()
 
 
+@pytest.mark.parametrize("bound", ["local", "global", "comm"])
+@pytest.mark.parametrize("t", [2**70, np.array([1620, 2**70], dtype=object)],
+                         ids=["int", "object-array"])
+def test_integer_times_beyond_64_bits_are_rejected_naming_t(paper_inputs, bound, t):
+    # numpy holds such an int as an object, which it cannot compare or take the sqrt of
+    call = {"local": lambda t: nr.local_bound(paper_inputs, t),
+            "global": lambda t: nr.global_bound(paper_inputs, t),
+            "comm": lambda t: nr.comm_bound(paper_inputs, t, 38)}[bound]
+    with pytest.raises(ValueError, match="^t must be a float, an integer that fits in 64 bits"):
+        call(t)
+    # the same times as floats are valid
+    assert np.all(call(np.asarray(t, dtype=float)).value > 0)
+
+
 def test_empty_array_of_times_gives_empty_bounds(paper_inputs):
     empty = np.array([], dtype=np.int64)
     assert nr.local_bound(paper_inputs, empty).value.shape == (0,)
@@ -364,14 +377,13 @@ def test_global_and_comm_bound_coverage(paper_model, ring6, paper_inputs):
     # bound in at most a fraction delta of runs, and the errors after a phase
     # of 38 rounds exceed the communicated bound in at most a fraction
     # delta_hat of (run, agent) pairs
-    stream = nr.SeededStream(777)
     times, steps, runs, m = (140, 400, 1620), 38, 200, paper_model.m
     theta = paper_model.theta
     # running sums indexed by (run, agent, time)
     alphas = np.empty((runs, m, len(times), paper_model.l, paper_model.n))
     betas = np.empty((runs, m, len(times), paper_model.n, paper_model.n))
     for run in range(runs):
-        x_all, y_all = nr.sample_block(paper_model, stream, run, 1, times[-1])
+        x_all, y_all = nr.sample_block(paper_model, 777, run, 1, times[-1])
         for agent in range(m):
             x, y = x_all[:, agent], y_all[:, agent]
             for k, t in enumerate(times):
@@ -420,13 +432,12 @@ def test_bound_coverage_with_nonzero_means(ring6, kind):
         "comm": nr.comm_bound(inputs, planned.S, planned.T).valid_from,
     }
     times = sorted({*first.values(), planned.S})
-    stream = nr.SeededStream(777)
     runs, m, theta = 200, model.m, model.theta
     # running sums indexed by (run, agent, time)
     alphas = np.empty((runs, m, len(times), model.l, model.n))
     betas = np.empty((runs, m, len(times), model.n, model.n))
     for run in range(runs):
-        x_all, y_all = nr.sample_block(model, stream, run, 1, times[-1])
+        x_all, y_all = nr.sample_block(model, 777, run, 1, times[-1])
         for agent in range(m):
             x, y = x_all[:, agent], y_all[:, agent]
             for k, t in enumerate(times):

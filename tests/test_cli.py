@@ -208,6 +208,13 @@ class Rewrite(NamedTuple):
          "plan: the plan command needs a 'plan' section"),
         (lambda d: Rewrite("simulate", {k: v for k, v in d.items() if k != "run"}),
          "run: the simulate command needs a 'run' section"),
+        # checked before the plan search, so a target it cannot reach does not mask it
+        pytest.param(
+            lambda d: Rewrite("simulate", {**{k: v for k, v in d.items() if k != "run"},
+                                           "plan": {"zeta": 20, "epsilon": 1e-9,
+                                                    "epsilon_N": 0.01, "max_t": 2000}}),
+            "run: the simulate command needs a 'run' section",
+            id="simulate-without-run-before-an-unreachable-plan"),
     ],
 )
 def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment):
@@ -570,6 +577,12 @@ PLAN_RESULT_LINES = {
         "constants: C1 = 437.530754749, c1 = 39.1977625689, c2 = 72.4187019853, "
         "c3 = 27344.5662917",
     ],
+    "golden_plan_constant_result.json": [
+        "stopping time: S = 5125 (first communication at t = 675)",
+        "mixing rate rho = 0.654508497187, period zeta = 25",
+        "constants: C1 = 211.357696142, c1 = 7.2559986334, c2 = 31.2398356838, "
+        "c3 = 2992.29952849",
+    ],
 }
 
 
@@ -582,6 +595,9 @@ PLAN_RESULT_LINES = {
     # the reference model on a 64-agent ring: a 64x64 weights echo
     (DATA_DIR / "golden_plan_ring64.json", "golden_plan_ring64_result.json",
      "consensus steps per phase: T = 5803"),
+    # a constant mean: its vectors in the echo, its norm setting the burn-in
+    (DATA_DIR / "golden_plan_constant.json", "golden_plan_constant_result.json",
+     "consensus steps per phase: T = 34"),
 ])
 def test_golden_plan_result(tmp_path, capsys, config, golden, first_line):
     out = tmp_path / "plan_result.json"
@@ -810,6 +826,20 @@ def test_config_round_trip_preserves_outputs(tmp_path):
     avg_b = nr.run(sim_b)
     assert np.array_equal(avg_a.local_err, avg_b.local_err)
     assert np.array_equal(avg_a.global_err, avg_b.global_err)
+
+    # a constant mean echoes its vectors, and they reach the plan and the draws
+    constant = small_config_dict()
+    constant["model"]["mean_schedule"] = {"kind": "constant", "vectors": [[0.5], [-1.5]]}
+    constant_cfg = resolve_config(constant)
+    echo = config_to_dict(constant_cfg)
+    assert echo["model"]["mean_schedule"] == constant["model"]["mean_schedule"]
+    constant_echo = resolve_config(json.loads(json.dumps(echo)))
+    assert constant_echo.bound_inputs == constant_cfg.bound_inputs
+    traces = [nr.run(nr.SimConfig(model=c.model, weights=c.weights, schedule=c.schedule,
+                                  **asdict(c.run)))
+              for c in (constant_cfg, constant_echo)]
+    assert np.array_equal(traces[0].local_err, traces[1].local_err)
+    assert np.array_equal(traces[0].comm_err, traces[1].comm_err)
 
 
 def test_flat_row_major_theta_accepted(tmp_path):

@@ -37,12 +37,16 @@ def test_ring_generator_matches_reference_matrix():
     assert np.array_equal(nr.ring_weights(1).w, [[1.0]])
     two = nr.ring_weights(2, self_weight=0.4)
     assert np.allclose(two.w, [[0.4, 0.6], [0.6, 0.4]])
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        nr.ring_weights(0)
 
 
 def test_complete_weights_mix_in_one_step():
     wm = nr.complete_weights(4)
     assert wm.rho == pytest.approx(0.0, abs=1e-12)
     assert nr.mixing_deficit(wm, 1) <= 1e-12
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        nr.complete_weights(0)
 
 
 def test_validation_clauses_are_distinct():
@@ -160,6 +164,8 @@ def test_mixing_deficit_values():
     # frozen from the direct matrix-power oracle
     wm2 = nr.complete_weights(2)
     assert nr.mixing_deficit(wm2, 0) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValueError, match="^steps must be >= 0$"):
+        nr.mixing_deficit(wm2, -1)
 
     ring = nr.validate_weights(ring6_matrix())
     assert nr.mixing_deficit(ring, 1) == pytest.approx(1.0, rel=1e-12)

@@ -108,7 +108,7 @@ def test_invertibility_is_sticky_like_agent_state(monkeypatch):
     assert not full_rank(betas[2])
 
     # the engine sees the same rows at two agents, with no phase in the horizon
-    def rows(config, stream, run_index, t_start, count):
+    def rows(config, run_index, t_start, count):
         steps = slice(t_start - 1, t_start - 1 + count)
         return (np.zeros((count, 2, 1, 2)),
                 np.repeat(outer[steps, None], 2, axis=1))

@@ -1,5 +1,6 @@
-"""Streaming estimator: the estimate from the sums, batch equivalence, PSD growth;
-the 2x2 kernels against LAPACK."""
+"""The per-agent estimate kernels: the stepwise oracle's ``AgentState`` (the
+estimate from the sums, batch equivalence, PSD growth) and simnet's
+``spectral_norms``, ``full_rank`` and ``inverse`` against LAPACK."""
 
 from __future__ import annotations
 

@@ -20,17 +20,15 @@ from conftest import reference_model
 
 def test_noiseless_pairs_satisfy_model_exactly():
     spec = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=0.0, m=2)
-    stream = nr.SeededStream(123)
     for t in (1, 5, 17):
-        x, y = nr.sample_block(spec, stream, 0, t, 1)
+        x, y = nr.sample_block(spec, 123, 0, t, 1)
         for agent in range(spec.m):
             assert y[0, agent] == pytest.approx(spec.theta @ x[0, agent], rel=1e-14, abs=0.0)
 
 
 def test_zero_map_yields_zero_labels():
     spec = nr.ModelSpec(theta=[[0.0]], sigma_x=1.0, sigma_eta=0.0, m=1)
-    stream = nr.SeededStream(5)
-    x, y = nr.sample_block(spec, stream, 0, 1, 50)
+    x, y = nr.sample_block(spec, 5, 0, 1, 50)
     assert np.all(y == 0.0)
     assert np.any(x != 0.0)
 
@@ -39,36 +37,34 @@ def test_feature_covariance_matches_reference_scale():
     # sigma_x = 3 so the feature covariance is 9 * I; sample-moment oracle
     # over 1e5 draws must land within 2% of 9 on every entry
     spec = reference_model()
-    stream = nr.SeededStream(2023)
-    x = nr.sample_block(spec, stream, 0, 1, 100_000)[0][:, 0]
+    x = nr.sample_block(spec, 2023, 0, 1, 100_000)[0][:, 0]
     cov = x.T @ x / x.shape[0]
     assert np.all(np.abs(cov - 9.0 * np.eye(2)) <= 0.02 * 9.0)
 
 
 def test_noise_variance_scale():
     spec = nr.ModelSpec(theta=[[0.0, 0.0]], sigma_x=1.0, sigma_eta=2.0, m=1)
-    stream = nr.SeededStream(99)
-    _, y = nr.sample_block(spec, stream, 0, 1, 100_000)
+    _, y = nr.sample_block(spec, 99, 0, 1, 100_000)
     # theta = 0 so y is pure noise with variance 4
     assert np.var(y) == pytest.approx(4.0, rel=0.03)
 
 
 def test_bit_identical_reproduction():
     spec = reference_model()
-    a = nr.sample_block(spec, nr.SeededStream(777), 3, 41, 1)
-    b = nr.sample_block(spec, nr.SeededStream(777), 3, 41, 1)
+    a = nr.sample_block(spec, 777, 3, 41, 1)
+    b = nr.sample_block(spec, 777, 3, 41, 1)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = nr.sample_block(spec, nr.SeededStream(778), 3, 41, 1)
+    c = nr.sample_block(spec, 778, 3, 41, 1)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_draws_are_order_insensitive():
     spec = reference_model()
-    stream = nr.SeededStream(42)
-    x_block, y_block = nr.sample_block(spec, stream, 1, 1, 30)
+    seed = 42
+    x_block, y_block = nr.sample_block(spec, seed, 1, 1, 30)
     order = np.random.default_rng(0).permutation(30)
     for t_idx in order:
-        x, y = nr.sample_block(spec, stream, 1, int(t_idx) + 1, 1)
+        x, y = nr.sample_block(spec, seed, 1, int(t_idx) + 1, 1)
         assert np.array_equal(x[0], x_block[t_idx])
         assert np.array_equal(y[0], y_block[t_idx])
 
@@ -106,25 +102,25 @@ def test_all_agent_draws_match_the_per_agent_digests(kind, shape):
     theta = DIGEST_THETAS[shape]
     spec = nr.ModelSpec(theta=theta, sigma_x=3.0, sigma_eta=0.5, m=3,
                         mean=_digest_mean(kind, np.shape(theta)[1]))
-    stream = nr.SeededStream(2022)
+    seed = 2022
     digest = hashlib.sha256()
     for run, t_start, count in DIGEST_CALLS:
-        x, y = nr.sample_block(spec, stream, run, t_start, count)
+        x, y = nr.sample_block(spec, seed, run, t_start, count)
         assert x.shape == (count, 3, spec.n) and y.shape == (count, 3, spec.l)
         digest.update(x.tobytes())
         digest.update(y.tobytes())
         # the last row drawn alone is the same row drawn inside the block
-        x_row, y_row = nr.sample_block(spec, stream, run, t_start + count - 1, 1)
+        x_row, y_row = nr.sample_block(spec, seed, run, t_start + count - 1, 1)
         assert np.array_equal(x_row[0], x[-1]) and np.array_equal(y_row[0], y[-1])
     assert digest.hexdigest() == PER_AGENT_DIGESTS[kind, shape]
 
 
 def test_distinct_triples_are_distinct():
     spec = reference_model()
-    stream = nr.SeededStream(42)
+    seed = 42
     # (run, agent, t) = (0, 0, 1) against (1, 0, 1), (0, 1, 1) and (0, 0, 2)
-    x, _ = nr.sample_block(spec, stream, 0, 1, 2)
-    other_run, _ = nr.sample_block(spec, stream, 1, 1, 1)
+    x, _ = nr.sample_block(spec, seed, 0, 1, 2)
+    other_run, _ = nr.sample_block(spec, seed, 1, 1, 1)
     for other in (other_run[0, 0], x[0, 1], x[1, 0]):
         assert not np.array_equal(x[0, 0], other)
 
@@ -132,9 +128,8 @@ def test_distinct_triples_are_distinct():
 def test_zero_mean_sample_average():
     # ||mean of N draws|| <= 4 sigma_x sqrt(n / N)
     spec = reference_model()
-    stream = nr.SeededStream(11)
     for run, agent, n_draws in [(0, 0, 4000), (1, 3, 8000), (2, 5, 2000)]:
-        x, _ = nr.sample_block(spec, stream, run, 1, n_draws)
+        x, _ = nr.sample_block(spec, 11, run, 1, n_draws)
         bound = 4.0 * spec.sigma_x * np.sqrt(spec.n / n_draws)
         assert np.linalg.norm(x[:, agent].mean(axis=0)) <= bound
 
@@ -142,9 +137,9 @@ def test_zero_mean_sample_average():
 def test_counter_layout_padding():
     # width 5 spans two counter blocks per step; rows must still line up
     spec = nr.ModelSpec(theta=np.zeros((2, 3)), sigma_x=1.0, sigma_eta=1.0, m=1)
-    stream = nr.SeededStream(1)
-    solo = _normal_rows(stream, 0, 2, 9, 1, 5)
-    block = _normal_rows(stream, 0, 2, 1, 20, 5)
+    seed = 1
+    solo = _normal_rows(seed, 0, 2, 9, 1, 5)
+    block = _normal_rows(seed, 0, 2, 1, 20, 5)
     assert np.array_equal(solo[0], block[8])
 
 
@@ -173,7 +168,7 @@ assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) ==
 assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
 print("scipy" in sys.modules)
 netrls.sample_block(netrls.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=1.0, m=1),
-                    netrls.SeededStream(0), run=0, t_start=1, count=1)
+                    seed=0, run=0, t_start=1, count=1)
 print("scipy" in sys.modules)
 """
     src = str(Path(nr.__file__).resolve().parent.parent)
@@ -186,8 +181,7 @@ print("scipy" in sys.modules)
 def test_constant_mean_shifts_draws():
     mean = nr.ConstantMean(vectors=[[10.0, -4.0], [0.0, 0.0]])
     spec = nr.ModelSpec(theta=np.eye(2), sigma_x=1.0, sigma_eta=0.0, m=2, mean=mean)
-    stream = nr.SeededStream(3)
-    x, _ = nr.sample_block(spec, stream, 0, 1, 20_000)
+    x, _ = nr.sample_block(spec, 3, 0, 1, 20_000)
     assert np.allclose(x.mean(axis=0), [[10.0, -4.0], [0.0, 0.0]], atol=0.05)
     assert spec.mu_hat == pytest.approx(np.hypot(10.0, 4.0))
 
@@ -197,6 +191,9 @@ def test_mu_bar_zero_schedule():
     assert np.array_equal(nr.mu_bar(spec, 0, 10), np.zeros((2, 2)))
     assert nr.mu_bar_lambda_min(spec, 10) == pytest.approx(1.0)
     assert nr.mu_bar_lambda_min(spec, 10, agent=2) == pytest.approx(1.0)
+    for at_zero in (lambda: nr.mu_bar(spec, 0, 0), lambda: nr.mu_bar_pooled(spec, 0)):
+        with pytest.raises(ValueError, match="^t must be >= 1$"):
+            at_zero()
 
 
 def test_mu_bar_constant_schedule_is_time_invariant():
@@ -260,8 +257,7 @@ def test_difference_transform_cancels_constant_mean():
     # an all-agent block is differenced along its time axis, every agent at once
     mean = nr.ConstantMean(vectors=[[5.0, 5.0], [-3.0, 1.0]])
     spec = nr.ModelSpec(theta=[[1.0, 0.5]], sigma_x=2.0, sigma_eta=0.3, m=2, mean=mean)
-    stream = nr.SeededStream(60)
-    x, y = nr.sample_block(spec, stream, 0, 1, 20_000)
+    x, y = nr.sample_block(spec, 60, 0, 1, 20_000)
     xs, ys = nr.difference_transform(x, y)
     assert xs.shape == (10_000, 2, 2) and ys.shape == (10_000, 2, 1)
     assert np.array_equal(xs[:, 1], nr.difference_transform(x[:, 1], y[:, 1])[0])
@@ -290,10 +286,34 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         nr.ModelSpec(theta=[[1.0, 0.0]], sigma_x=1.0, sigma_eta=0.0, m=2,
                      mean=nr.ConstantMean(vectors=[[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="^theta must be a 2-D matrix$"):
+        nr.ModelSpec(theta=np.ones((1, 2, 2)), sigma_x=1.0, sigma_eta=0.0, m=1)
+    with pytest.raises(ValueError, match=r"^sinusoid amplitudes have shape \(1, 2\), "
+                                         r"expected \(2, 2\)$"):
+        nr.ModelSpec(theta=[[1.0, 0.0]], sigma_x=1.0, sigma_eta=0.0, m=2,
+                     mean=nr.SinusoidMean(amplitudes=[[1.0, 0.0]], periods=[5.0, 5.0]))
+    with pytest.raises(ValueError, match=r"^sinusoid periods have shape \(3,\), "
+                                         r"expected \(2,\)$"):
+        nr.ModelSpec(theta=[[1.0, 0.0]], sigma_x=1.0, sigma_eta=0.0, m=2,
+                     mean=nr.SinusoidMean(amplitudes=np.ones((2, 2)), periods=[5.0] * 3))
     with pytest.raises(ValueError):
-        nr.SeededStream(-1)
-    with pytest.raises(ValueError):
-        nr.sample_block(reference_model(), nr.SeededStream(0), 0, 0, 1)
+        nr.sample_block(reference_model(), 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("seed, run, m, message", [
+    (-1, 0, 1, "seed must fit in 64 bits"),
+    (2**64, 0, 1, "seed must fit in 64 bits"),
+    (2**64 - 1, -1, 1, "run index must fit in 32 bits"),
+    (0, 2**32, 1, "run index must fit in 32 bits"),
+    (0, 2**32 - 1, 2**32 + 1, "agent index must fit in 32 bits"),
+])
+def test_philox_key_fields_out_of_range_are_rejected(seed, run, m, message):
+    # checked before any draw or allocation, so m may exceed what fits in memory
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _normal_rows(seed, run, m, 1, 0, 1)
+    if m == 1:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nr.sample_block(reference_model(), seed, run, 1, 1)
 
 
 NAN, INF = float("nan"), float("inf")

@@ -119,6 +119,8 @@ def test_schedule_validation():
         nr.Schedule(zeta=0, T=1, S=0)
     with pytest.raises(ValueError):
         nr.Schedule(zeta=5, T=0, S=5)
+    with pytest.raises(ValueError, match="^S must be >= 0$"):
+        nr.Schedule(zeta=5, T=1, S=-1)
 
     sched = nr.Schedule(zeta=5, T=2, S=20)
     assert sched.comm_times(17) == [5, 10, 15]
@@ -138,7 +140,7 @@ def test_slow_mixing_plans_past_one_hundred_thousand_steps(paper_inputs):
 
 # the linear scans the bisecting searches replaced, kept as their oracle
 def _scan_T(inputs, zeta, epsilon_N):
-    t_first = max(1, math.ceil(nr.burn_in(inputs, "delta_hat").threshold / zeta)) * zeta
+    t_first = max(1, math.ceil(nr.burn_in(inputs, inputs.delta_hat) / zeta)) * zeta
     steps = 1
     while nr.comm_bound(inputs, t_first, steps).network_term > epsilon_N:
         steps += 1
@@ -146,8 +148,8 @@ def _scan_T(inputs, zeta, epsilon_N):
 
 
 def _scan_S(inputs, zeta, T, epsilon, max_t):
-    start = max(1, math.ceil(max(nr.burn_in(inputs, "delta").threshold,
-                                 nr.burn_in(inputs, "delta_hat").threshold) / zeta)) * zeta
+    start = max(1, math.ceil(max(nr.burn_in(inputs, inputs.delta),
+                                 nr.burn_in(inputs, inputs.delta_hat)) / zeta)) * zeta
     for t in range(start, max_t + 1, zeta):
         if min(nr.local_bound(inputs, t).value, nr.comm_bound(inputs, t, T).value) < epsilon:
             return t
