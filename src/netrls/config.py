@@ -30,8 +30,8 @@ from .model_gen import ConstantMean, ModelSpec, SinusoidMean, ZeroMean
 from .planner import DEFAULT_MAX_T, PlanResult, Schedule, plan
 from .simnet import RunParams
 
-__all__ = ["ConfigError", "PlanParams", "RunParams", "ResolvedConfig", "BOUND_KEYS",
-           "load_config", "resolve_config", "config_to_dict"]
+__all__ = ["ConfigError", "PlanParams", "ResolvedConfig", "BOUND_KEYS", "load_config",
+           "resolve_config", "config_to_dict"]
 
 # the ``bounds`` fields a config may set; each one that it leaves out takes
 # the default of ``BoundInputs.from_model``

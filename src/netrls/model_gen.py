@@ -15,6 +15,7 @@ every agent at once; only ``_normal_rows`` knows the Philox key layout,
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,7 +26,6 @@ __all__ = [
     "ZeroMean",
     "ConstantMean",
     "SinusoidMean",
-    "MeanSchedule",
     "ModelSpec",
     "sample_block",
     "mu_bar",
@@ -40,6 +40,17 @@ def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _max_row_norm(rows: np.ndarray) -> float:
+    """Largest Euclidean norm of a row: ``np.linalg.norm``'s value, or, where
+    its squares overflow, the norm of the rows rescaled to at most 1."""
+    with np.errstate(over="ignore"):
+        norm = float(np.max(np.linalg.norm(rows, axis=1)))
+    if math.isfinite(norm):
+        return norm
+    scale = float(np.max(np.abs(rows)))
+    return scale * float(np.max(np.linalg.norm(rows / scale, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,7 @@ class ConstantMean:
 
     @property
     def mu_hat(self) -> float:
-        return float(np.max(np.linalg.norm(self.vectors, axis=1)))
+        return _max_row_norm(self.vectors)
 
     def check(self, m: int, n: int) -> None:
         if self.vectors.shape != (m, n):
@@ -103,7 +114,7 @@ class SinusoidMean:
 
     @property
     def mu_hat(self) -> float:
-        return float(np.max(np.linalg.norm(self.amplitudes, axis=1)))
+        return _max_row_norm(self.amplitudes)
 
     def check(self, m: int, n: int) -> None:
         if self.amplitudes.shape != (m, n):
@@ -185,6 +196,7 @@ def _normal_rows(seed: int, run: int, m: int, t_start: int, count: int,
     one float64 consumes exactly one 64-bit word, so row ``t`` is the same
     whether generated alone or as part of a larger block.
     """
+    seed, run = _integer(seed, "seed"), _integer(run, "run index")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     if not 0 <= run < 2**32:
@@ -198,6 +210,15 @@ def _normal_rows(seed: int, run: int, m: int, t_start: int, count: int,
         bits = Philox(counter=(t_start - 1) * blocks_per_step, key=key)
         u[:, agent] = Generator(bits).random((count, 4 * blocks_per_step))
     return _standard_normal(u)[..., :width]
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, so a numpy integer keys the same stream as
+    the equal int; a float is rejected rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _standard_normal(u: np.ndarray) -> np.ndarray:

@@ -105,6 +105,12 @@ def _set_mean(data: dict, mean: dict) -> None:
     data["model"]["mean_schedule"] = mean
 
 
+def _golden_constant_with_vectors(vectors: list) -> dict:
+    data = json.loads((DATA_DIR / "golden_plan_constant.json").read_text())
+    data["model"]["mean_schedule"]["vectors"] = vectors
+    return data
+
+
 class Rewrite(NamedTuple):
     """A config error case that runs ``command`` on ``data`` in place of
     ``plan`` on the edited paper config."""
@@ -174,6 +180,15 @@ class Rewrite(NamedTuple):
          "bounds: bound constants are not finite for BoundInputs(n=2, l=2, m=6, "
          "sigma_x_lower=1e-200, sigma_x_upper=1e-200"),
         (lambda d: d["bounds"].update(delta=1e-320), "delta=1e-320, delta_hat=0.001"),
+        # a mean norm whose square overflows: mu_hat stays finite, and no
+        # numpy overflow warning comes before the bounds error
+        (lambda d: Rewrite("plan", _golden_constant_with_vectors([[1e200] * 3] * 5)),
+         "bounds: bound constants are not finite for BoundInputs(n=3, l=2, m=5, sigma_x_lower=1.5, "
+         "sigma_x_upper=1.5, sigma_eta_upper=0.8, mu_hat_upper=1.7320508075688773e+200,"),
+        (lambda d: _set_mean(d, {"kind": "sinusoid", "amplitudes": [[1e200, -1e200]] * 6,
+                                 "periods": [10.0] * 6}),
+         "bounds: bound constants are not finite for BoundInputs(n=2, l=2, m=6, sigma_x_lower=3.0, "
+         "sigma_x_upper=3.0, sigma_eta_upper=1.0, mu_hat_upper=1.414213562373095e+200,"),
         (lambda d: d["plan"].update(zeta=10**30), "plan.zeta: must fit in 64 bits"),
         # the range checks of the planner and RunParams name their field
         (lambda d: d["plan"].update(zeta=0), "plan.zeta: must be >= 1"),

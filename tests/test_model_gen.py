@@ -306,6 +306,10 @@ def test_spec_validation():
     (2**64 - 1, -1, 1, "run index must fit in 32 bits"),
     (0, 2**32, 1, "run index must fit in 32 bits"),
     (0, 2**32 - 1, 2**32 + 1, "agent index must fit in 32 bits"),
+    # a float would otherwise be truncated onto another integer's stream
+    (1.5, 0, 1, "seed must be an integer, got 1.5"),
+    (1.0, 0, 1, "seed must be an integer, got 1.0"),
+    (1, 0.0, 1, "run index must be an integer, got 0.0"),
 ])
 def test_philox_key_fields_out_of_range_are_rejected(seed, run, m, message):
     # checked before any draw or allocation, so m may exceed what fits in memory
@@ -314,6 +318,13 @@ def test_philox_key_fields_out_of_range_are_rejected(seed, run, m, message):
     if m == 1:
         with pytest.raises(ValueError, match=f"^{message}$"):
             nr.sample_block(reference_model(), seed, run, 1, 1)
+
+
+def test_numpy_integer_seed_and_run_draw_the_stream_of_the_equal_int():
+    spec = reference_model()
+    x, y = nr.sample_block(spec, np.uint64(2**64 - 1), np.int64(3), 1, 3)
+    x_int, y_int = nr.sample_block(spec, 2**64 - 1, 3, 1, 3)
+    assert np.array_equal(x, x_int) and np.array_equal(y, y_int)
 
 
 NAN, INF = float("nan"), float("inf")
