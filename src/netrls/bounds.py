@@ -20,10 +20,11 @@ with ``k = m``, and the communicated bound adds the network term
 
 The time ``t`` of ``local_bound``, ``global_bound`` and ``comm_bound`` may be
 a scalar or a numpy array of finite times; each element of an array result
-equals the scalar evaluation at that time, bit for bit. A report carries only what
-depends on ``t``: ``value``, ``network_term``, ``noise_term`` and
-``valid_from``. The constants ``C1``, ``c1``, ``c2`` and ``c3`` do not; they
-are computed once per inputs, as ``inputs.C1`` and so on.
+equals the scalar evaluation at that time, bit for bit. A report carries
+what depends on ``t``, ``value``, ``network_term`` and ``noise_term``, and the
+burn-in ``valid_from``, which depends only on the inputs. The constants
+``C1``, ``c1``, ``c2`` and ``c3`` do not depend on ``t``; they are computed
+once per inputs, as ``inputs.C1`` and so on.
 """
 
 from __future__ import annotations
@@ -128,8 +129,10 @@ class BoundInputs:
     def from_model(cls, model, weights, delta: float = 0.05, delta_hat: float = 0.001,
                    **overrides) -> "BoundInputs":
         """Exact model parameters used as both lower and upper bounds;
-        keyword overrides substitute assumed bounds for any scalar."""
-        values = dict(
+        keyword overrides substitute assumed bounds for any scalar. An
+        assumed ``*_lower`` or ``*_upper`` bound must bound the model's own
+        value, checked after the inputs' own checks."""
+        exact = dict(
             n=model.n,
             l=model.l,
             m=model.m,
@@ -142,8 +145,15 @@ class BoundInputs:
             delta_hat=delta_hat,
             rho=weights.rho,
         )
-        values.update(overrides)
-        return cls(**values)
+        inputs = cls(**{**exact, **overrides})
+        for name, value in overrides.items():
+            if name.endswith("_lower") and value > exact[name]:
+                raise ValueError(f"{name} must be <= the model's {name[:-6]}, "
+                                 f"got {value!r} > {exact[name]!r}")
+            if name.endswith("_upper") and value < exact[name]:
+                raise ValueError(f"{name} must be >= the model's {name[:-6]}, "
+                                 f"got {value!r} < {exact[name]!r}")
+        return inputs
 
 
 class BurnInError(ValueError):

@@ -38,7 +38,7 @@ from .config import (
     load_config,
 )
 from .planner import Schedule
-from .simnet import ErrorTrace, SimConfig, run
+from .simnet import ErrorTrace, run
 
 __all__ = ["main"]
 
@@ -83,10 +83,12 @@ def _json_text(value, indent: int = 0) -> str:
 
 
 def _check_output(path: str) -> None:
-    """Reject an empty output path, or one whose directory does not exist,
-    before any work."""
+    """Reject an empty output path, a directory, or a path whose directory
+    does not exist, before any work."""
     if not path:
         raise ConfigError("--output", f"expected a file path, got {path!r}")
+    if os.path.isdir(path):
+        raise ConfigError("--output", f"{path!r} is a directory, expected a file path")
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise ConfigError("--output", f"the directory of {path!r} does not exist")
 
@@ -211,14 +213,7 @@ def cmd_plan(config_path: str, out_path: str) -> int:
 def cmd_simulate(config_path: str, out_path: str) -> int:
     _check_output(out_path)
     cfg = load_config(config_path, "simulate")
-    try:
-        sim = SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
-                        **asdict(cfg.run))
-    except ValueError as e:
-        # the run passed RunParams at load and the weights have m agents, so
-        # only the horizon against the stopping time can fail here
-        raise ConfigError("run.horizon", str(e)) from None
-    averaged = run(sim)
+    averaged = run(cfg.run)
     write_trace(out_path, averaged, _trace_meta(cfg), cfg.bound_inputs, cfg.schedule)
     print(f"wrote {out_path} ({len(averaged.t)} rows, {cfg.run.runs} runs averaged)")
     return 0

@@ -8,13 +8,15 @@ Validation errors carry the dotted path of the offending field.
 A ``plan`` section is planned once every section is checked, so
 ``ResolvedConfig.schedule`` is always set and ``planned`` holds the planner's
 result (None for a ``schedule`` section); an unreachable target raises
-``StoppingTimeNotReachable`` from ``load_config``.
+``StoppingTimeNotReachable`` from ``load_config``. A ``run`` section
+resolves to the ``SimConfig`` that ``simnet.run`` takes, so its horizon is
+checked against the stopping time whichever section sets it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .consensus import (
 )
 from .model_gen import ConstantMean, ModelSpec, SinusoidMean, ZeroMean
 from .planner import DEFAULT_MAX_T, PlanResult, Schedule, plan
-from .simnet import RunParams
+from .simnet import RunParams, SimConfig
 
 __all__ = ["ConfigError", "PlanParams", "ResolvedConfig", "BOUND_KEYS", "load_config",
            "resolve_config", "config_to_dict"]
@@ -65,7 +67,7 @@ class ResolvedConfig:
     plan: PlanParams | None
     schedule: Schedule
     planned: PlanResult | None
-    run: RunParams | None
+    run: SimConfig | None
 
 
 def _json_number(v, path: str) -> None:
@@ -265,10 +267,10 @@ def resolve_config(data: dict, command: str | None = None) -> ResolvedConfig:
 
     run = None
     if "run" in data:
-        sec = _Section(data["run"], "run")
-        sec.unknown_keys({"horizon", "runs", "seed"})
-        run = sec.build(RunParams, seed=sec.integer("seed"), horizon=sec.integer("horizon"),
-                        runs=sec.integer("runs"))
+        run_sec = _Section(data["run"], "run")
+        run_sec.unknown_keys({"horizon", "runs", "seed"})
+        run = run_sec.build(RunParams, seed=run_sec.integer("seed"),
+                            horizon=run_sec.integer("horizon"), runs=run_sec.integer("runs"))
 
     needs = {"plan": "plan", "simulate": "run"}.get(command)
     if needs is not None and needs not in data:
@@ -278,6 +280,9 @@ def resolve_config(data: dict, command: str | None = None) -> ResolvedConfig:
     if plan_params is not None:
         planned = plan_sec.build(plan, bound_inputs, **asdict(plan_params))
         schedule = planned.schedule()
+    if run is not None:
+        run = run_sec.build(SimConfig, model=model, weights=weights, schedule=schedule,
+                            **asdict(run))
     return ResolvedConfig(model=model, weights=weights, bound_inputs=bound_inputs,
                           plan=plan_params, schedule=schedule, planned=planned, run=run)
 
@@ -324,8 +329,8 @@ def config_to_dict(cfg: ResolvedConfig) -> dict:
         "bounds": {k: getattr(cfg.bound_inputs, k) for k in BOUND_KEYS},
     }
     # a planned config echoes its plan section, not the schedule planned from it
-    for name in ("schedule" if cfg.planned is None else "plan", "run"):
-        section = getattr(cfg, name)
-        if section is not None:
-            out[name] = asdict(section)
+    section = "schedule" if cfg.planned is None else "plan"
+    out[section] = asdict(getattr(cfg, section))
+    if cfg.run is not None:
+        out["run"] = {f.name: getattr(cfg.run, f.name) for f in fields(RunParams)}
     return out

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 __all__ = [
     "ZeroMean",
@@ -194,8 +193,11 @@ def _normal_rows(seed: int, run: int, m: int, t_start: int, count: int,
     ``[seed, (run << 32) | i]``, so distinct ``(run, agent)`` pairs own
     disjoint streams. Each time step owns ``ceil(width/4)`` counter blocks and
     one float64 consumes exactly one 64-bit word, so row ``t`` is the same
-    whether generated alone or as part of a larger block.
+    whether generated alone or as part of a larger block. ``numpy.random``
+    is imported here, at the first draw, as scipy is in ``_standard_normal``.
     """
+    from numpy.random import Generator, Philox
+
     seed, run = _integer(seed, "seed"), _integer(run, "run index")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")

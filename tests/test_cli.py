@@ -6,7 +6,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -105,6 +105,13 @@ def _set_mean(data: dict, mean: dict) -> None:
     data["model"]["mean_schedule"] = mean
 
 
+def _golden_overrides_with(edit) -> dict:
+    """The golden overrides config after ``edit(data)``."""
+    data = json.loads((DATA_DIR / "golden_plan_overrides.json").read_text())
+    edit(data)
+    return data
+
+
 def _golden_constant_with_vectors(vectors: list) -> dict:
     data = json.loads((DATA_DIR / "golden_plan_constant.json").read_text())
     data["model"]["mean_schedule"]["vectors"] = vectors
@@ -151,6 +158,22 @@ class Rewrite(NamedTuple):
          "schedule.S: must be an integer multiple of zeta"),
         (lambda d: d["bounds"].update(sigma_eta_upper=-0.5),
          "bounds.sigma_eta_upper: must be nonnegative"),
+        # an assumed bound must bound the model's own value
+        (lambda d: Rewrite("plan", _golden_overrides_with(
+            lambda g: g["model"]["mean_schedule"]["amplitudes"].__setitem__(0, [1000.0, 0.0]))),
+         "bounds.mu_hat_upper: must be >= the model's mu_hat, got 0.75 < 1000.0"),
+        (lambda d: Rewrite("plan", _golden_overrides_with(
+            lambda g: g["bounds"].update(sigma_eta_upper=0.1))),
+         "bounds.sigma_eta_upper: must be >= the model's sigma_eta, got 0.1 < 0.5"),
+        (lambda d: Rewrite("plan", _golden_overrides_with(
+            lambda g: g["bounds"].update(sigma_x_upper=1.9))),
+         "bounds.sigma_x_upper: must be >= the model's sigma_x, got 1.9 < 2.0"),
+        (lambda d: Rewrite("plan", _golden_overrides_with(
+            lambda g: g["bounds"].update(sigma_x_lower=2.1))),
+         "bounds.sigma_x_lower: must be <= the model's sigma_x, got 2.1 > 2.0"),
+        (lambda d: Rewrite("plan", _golden_overrides_with(
+            lambda g: g["bounds"].update(theta_norm_upper=0.01))),
+         "bounds.theta_norm_upper: must be >= the model's theta_norm, got 0.01 < "),
         # a check across two fields names the one the file set
         (lambda d: d["bounds"].update(sigma_x_lower=5),
          "bounds.sigma_x_lower: sigma_x_upper must be >= sigma_x_lower, got 3.0 < 5"),
@@ -396,11 +419,12 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, small_config_dict() if command == "simulate"
                        else paper_config_dict())
 
-    def no_work(path):
+    def no_work(*args):
         raise AssertionError("the config was read before the output path was checked")
 
     monkeypatch.setattr(cli, "load_config", no_work)
-    for out in (str(tmp_path / "missing_dir" / "out"), ""):
+    # a path in a missing directory, an empty path, and a directory
+    for out in (str(tmp_path / "missing_dir" / "out"), "", str(tmp_path)):
         assert main([command, cfg, "-o", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: --output: ") and repr(out) in err
@@ -408,11 +432,19 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["simulate", "plan"])
-def test_write_onto_a_directory_exits_3_naming_the_output(tmp_path, capsys, command):
+def test_write_onto_a_directory_exits_3_naming_the_output(tmp_path, monkeypatch, capsys,
+                                                          command):
     cfg = write_config(tmp_path, small_config_dict() if command == "simulate"
                        else paper_config_dict())
     out = tmp_path / "out"
-    out.mkdir()
+
+    # the directory appears after the output path was checked
+    def load_then_mkdir(path, command):
+        loaded = load_config(path, command)
+        out.mkdir()
+        return loaded
+
+    monkeypatch.setattr(cli, "load_config", load_then_mkdir)
     assert main([command, cfg, "-o", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {str(out)!r}: ") and ".tmp" not in err
@@ -433,13 +465,34 @@ def test_simulate_takes_64_bit_schedules(tmp_path, schedule):
                      for t in range(1, 61)]
 
 
-def test_simulate_with_plan_section_covers_stopping_time(tmp_path, capsys):
+@pytest.mark.parametrize("args", [["plan", "-o", "plan.json"], ["bounds", "--at", "200"],
+                                  ["simulate", "-o", "t.csv"]], ids=lambda args: args[0])
+def test_run_horizon_must_cover_the_planned_stopping_time(tmp_path, monkeypatch, capsys, args):
     data = paper_config_dict()
     data["run"]["horizon"] = 100  # below the planned S = 1620
     cfg = write_config(tmp_path, data)
-    assert main(["simulate", cfg, "-o", str(tmp_path / "t.csv")]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main([args[0], cfg, *args[1:]]) == 2
     assert capsys.readouterr().err == (
-        "config error: run.horizon: horizon 100 does not cover the stopping time 1620\n")
+        "config error: run.horizon: 100 does not cover the stopping time 1620\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_a_run_section_loads_as_the_sim_config_that_simulate_runs(tmp_path):
+    path = str(CONFIGS_DIR / "smoke.json")
+    cfg = load_config(path)
+    assert isinstance(cfg.run, nr.SimConfig)
+    assert (cfg.run.model, cfg.run.weights, cfg.run.schedule) == (
+        cfg.model, cfg.weights, cfg.schedule)
+    averaged = nr.run(cfg.run)
+    out = tmp_path / "t.csv"
+    assert main(["simulate", path, "-o", str(out)]) == 0
+    rows = _trace_rows(out)
+    columns = (averaged.t, averaged.local_err, averaged.comm_err, averaged.global_err)
+    assert [row[:4] for row in rows] == [[str(int(t)), *map(_f12, errs)]
+                                         for t, *errs in zip(*columns)]
+    assert [row[6:] for row in rows] == [[str(int(f)), _f12(c)] for f, c in
+                                         zip(averaged.comm_fired, averaged.pre_invertible_count)]
 
 
 def _trace_rows(path: Path) -> list[list[str]]:
@@ -831,14 +884,8 @@ def test_config_round_trip_preserves_outputs(tmp_path):
 
     small = resolve_config(small_config_dict())
     small_echo = resolve_config(json.loads(json.dumps(config_to_dict(small))))
-    sim_a = nr.SimConfig(model=small.model, weights=small.weights,
-                         schedule=small.schedule, horizon=small.run.horizon,
-                         runs=small.run.runs, seed=small.run.seed)
-    sim_b = nr.SimConfig(model=small_echo.model, weights=small_echo.weights,
-                         schedule=small_echo.schedule, horizon=small_echo.run.horizon,
-                         runs=small_echo.run.runs, seed=small_echo.run.seed)
-    avg_a = nr.run(sim_a)
-    avg_b = nr.run(sim_b)
+    avg_a = nr.run(small.run)
+    avg_b = nr.run(small_echo.run)
     assert np.array_equal(avg_a.local_err, avg_b.local_err)
     assert np.array_equal(avg_a.global_err, avg_b.global_err)
 
@@ -850,9 +897,7 @@ def test_config_round_trip_preserves_outputs(tmp_path):
     assert echo["model"]["mean_schedule"] == constant["model"]["mean_schedule"]
     constant_echo = resolve_config(json.loads(json.dumps(echo)))
     assert constant_echo.bound_inputs == constant_cfg.bound_inputs
-    traces = [nr.run(nr.SimConfig(model=c.model, weights=c.weights, schedule=c.schedule,
-                                  **asdict(c.run)))
-              for c in (constant_cfg, constant_echo)]
+    traces = [nr.run(c.run) for c in (constant_cfg, constant_echo)]
     assert np.array_equal(traces[0].local_err, traces[1].local_err)
     assert np.array_equal(traces[0].comm_err, traces[1].comm_err)
 
@@ -900,19 +945,16 @@ def test_runs_must_fit_32_bit_run_indices():
     data["run"]["runs"] = 2**32 + 1
     with pytest.raises(ConfigError, match=r"^run\.runs: "):
         resolve_config(data)
-    sim = dict(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
-               horizon=cfg.run.horizon, seed=cfg.run.seed)
-    assert nr.SimConfig(**sim, runs=2**32).runs == 2**32
+    assert cfg.run.runs == 2**32
     with pytest.raises(ValueError, match="runs"):
-        nr.SimConfig(**sim, runs=2**32 + 1)
+        replace(cfg.run, runs=2**32 + 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_sim_config_rejects_a_seed_beyond_64_bits(seed):
     cfg = resolve_config(small_config_dict())
     with pytest.raises(ValueError, match="seed"):
-        nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
-                     horizon=cfg.run.horizon, runs=cfg.run.runs, seed=seed)
+        replace(cfg.run, seed=seed)
 
 
 def test_writeback_field_is_rejected(tmp_path, capsys):
@@ -922,9 +964,7 @@ def test_writeback_field_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: run.writeback_mixed: unknown field\n"
     cfg = resolve_config(small_config_dict())
     with pytest.raises(TypeError):
-        nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=cfg.schedule,
-                     horizon=cfg.run.horizon, runs=cfg.run.runs, seed=cfg.run.seed,
-                     writeback_mixed=True)
+        replace(cfg.run, writeback_mixed=True)
 
 
 def test_plan_config_is_planned_when_resolved():

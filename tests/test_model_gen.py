@@ -158,24 +158,28 @@ def test_largest_uniform_maps_to_a_finite_draw():
 
 def test_scipy_is_imported_at_the_first_draw(tmp_path):
     # a fresh interpreter, so the imports of this test session do not mask it;
-    # plan and bounds never sample, so they leave scipy out too
+    # plan and bounds never sample, so they leave scipy and numpy.random out
+    # too. Some numpy versions import numpy.random with numpy itself, so only
+    # what netrls adds to a plain numpy import is checked.
     config = Path(__file__).parent.parent / "configs" / "paper.json"
     script = f"""
 import sys
+import numpy
+with_numpy = "numpy.random" in sys.modules
 import netrls, netrls.cli
 from netrls.cli import main
 assert main(["plan", {str(config)!r}, "-o", {str(tmp_path / "plan.json")!r}]) == 0
 assert main(["bounds", {str(config)!r}, "--at", "200,400"]) == 0
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, ("numpy.random" in sys.modules) == with_numpy)
 netrls.sample_block(netrls.ModelSpec(theta=[[1.0]], sigma_x=1.0, sigma_eta=1.0, m=1),
                     seed=0, run=0, t_start=1, count=1)
-print("scipy" in sys.modules)
+print("scipy" in sys.modules, "numpy.random" in sys.modules)
 """
     src = str(Path(nr.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout.split()
-    assert out[-2:] == ["False", "True"]
+    assert out[-4:] == ["False", "True", "True", "True"]
 
 
 def test_constant_mean_shifts_draws():

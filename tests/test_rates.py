@@ -21,7 +21,7 @@ runs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +79,7 @@ def test_planned_stopping_time_meets_epsilon_with_confidence_1_minus_delta():
     cfg = load_config(str(Path(__file__).parent.parent / "configs" / "paper.json"))
     planned = nr.plan(cfg.bound_inputs, **asdict(cfg.plan))
     assert (planned.T, planned.S) == (38, 1620)
-    config = nr.SimConfig(model=cfg.model, weights=cfg.weights, schedule=planned.schedule(),
-                          horizon=planned.S, runs=40, seed=cfg.run.seed)
+    config = replace(cfg.run, schedule=planned.schedule(), horizon=planned.S, runs=40)
     # the engine keeps no per-agent errors: comm_err is the mean over the
     # agents of each one's communicated error, so this checks the agent mean
     errs = np.array([simnet._simulate_run(config, r).comm_err[planned.S - 1]

@@ -6,13 +6,16 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+
 from netrls.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
-def test_readme_python_example_runs():
+def test_readme_python_example_runs(monkeypatch):
+    monkeypatch.chdir(ROOT)  # the example reads configs/ by a relative path
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.DOTALL)
     assert len(blocks) == 1
     namespace: dict = {}
@@ -23,6 +26,10 @@ def test_readme_python_example_runs():
     assert abs(namespace["weights"].rho - 2 / 3) < 1e-12
     assert namespace["x"].shape == (1000, 6, 2) and namespace["x0"].shape == (1000, 2)
     assert namespace["y_hat"].shape == (500, 6, 2)
+    # the config file describes the same run as the calls before it
+    averaged, same = namespace["averaged"], namespace["same"]
+    for column in ("local_err", "comm_err", "global_err", "comm_fired"):
+        assert np.allclose(getattr(same, column), getattr(averaged, column), rtol=1e-12), column
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch):
