@@ -12,9 +12,10 @@ is byte-deterministic: floats are written with fixed significant digits
 
 Numbers are formatted one block at a time: a ``%`` template repeated once
 per value (or row) of the block and filled by a single ``%``. This is how
-the plan echo writes a float array, the trace header a matrix, the trace a
-burn-in segment of rows and ``bounds`` a run of rows with one burn-in
-pattern.
+the plan echo writes a float array, the trace header a matrix, and the
+trace and ``bounds`` each run of rows with one burn-in pattern, split off by
+the one segmenter both tables share (a bound's cells stay blank below its
+burn-in).
 """
 
 from __future__ import annotations
@@ -149,48 +150,60 @@ def _past_burn_in(bound, ts: np.ndarray):
         return keep, bound(ts[keep])
 
 
+def _burn_in_segments(bounds, ts: np.ndarray):
+    """Split the rows of ``ts`` into runs that share one burn-in pattern.
+
+    ``bounds`` holds ``(bound, terms)`` pairs, ``terms`` naming the fields
+    of the bound's report to tabulate. Each bound is evaluated in one call
+    and its terms are padded with zeros below its burn-in. Yields
+    ``(start, end, keep, columns)`` for each run of rows ``start:end``:
+    per bound whether the run is past its burn-in, and the padded terms of
+    the bounds it is past.
+    """
+    keeps, padded = [], []
+    for bound, terms in bounds:
+        keep, report = _past_burn_in(bound, ts)
+        keeps.append(keep)
+        padded.append([np.zeros(ts.shape) for _ in terms])
+        for column, term in zip(padded[-1], terms):
+            column[keep] = getattr(report, term)
+    keeps = np.column_stack(keeps)
+    changes = np.flatnonzero((keeps[1:] != keeps[:-1]).any(axis=1)) + 1
+    edges = [0, *changes.tolist(), len(ts)] if len(ts) else []
+    for start, end in zip(edges, edges[1:]):
+        keep = keeps[start].tolist()
+        yield start, end, keep, [c for k, cs in zip(keep, padded) if k for c in cs]
+
+
 def write_trace(path: str, trace: ErrorTrace, meta: dict,
                 bound_inputs: BoundInputs, schedule: Schedule) -> None:
     """Write the averaged trace as CSV with a ``# key=value`` header block.
 
     Bound columns are evaluated in the conservative mode (mean second
     moments replaced by zero), and their cells below the bound's burn-in
-    stay empty. ``trace.t`` ascends, so each bound's rows past its burn-in
-    are a suffix, and a chunk of ``ROWS_PER_CHUNK`` rows splits into at most
-    three burn-in segments. Each segment is formatted by one ``%`` template
-    repeated over its rows (the module's block idiom), as the chunks are
-    written, so no copy of the file is held.
+    stay empty. Each burn-in segment (``_burn_in_segments``) is formatted
+    ``ROWS_PER_CHUNK`` rows at a time by one ``%`` template repeated over
+    them, as the chunks are written, so no copy of the file is held.
     """
     header = [f"# {k}={meta[k]}\n" for k in sorted(meta)]
     header.append("t,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
                   "comm_fired,pre_invertible_count\n")
-    rows = len(trace.t)
-    # per bound: its values padded with zeros below its burn-in, and the
-    # first row past it
-    bound_columns, firsts = [], []
-    for bound in (lambda ts: local_bound(bound_inputs, ts),
-                  lambda ts: comm_bound(bound_inputs, ts, schedule.T)):
-        _, report = _past_burn_in(bound, trace.t)
-        firsts.append(rows - len(report.value))
-        bound_columns.append(np.concatenate([np.zeros(firsts[-1]), report.value]))
-    columns = (trace.t, trace.local_err, trace.comm_err, trace.global_err,
-               *bound_columns, trace.comm_fired, trace.pre_invertible_count)
+    bounds = [(lambda ts: local_bound(bound_inputs, ts), ("value",)),
+              (lambda ts: comm_bound(bound_inputs, ts, schedule.T), ("value",))]
 
     def segments():
-        for lo in range(0, rows, ROWS_PER_CHUNK):
-            hi = min(lo + ROWS_PER_CHUNK, rows)
-            # one float64 matrix: %d writes the whole numbers of t and
-            # comm_fired as integers
-            chunk = np.column_stack([c[lo:hi] for c in columns])
-            edges = sorted({lo, hi, *(min(max(first, lo), hi) for first in firsts)})
-            for start, end in zip(edges, edges[1:]):
-                # a bound below its burn-in leaves its cell empty and takes no value
-                cells = ["%d", "%.12g", "%.12g", "%.12g",
-                         *("%.12g" if start >= first else "" for first in firsts),
-                         "%d", "%.12g"]
-                kept = [i for i, cell in enumerate(cells) if cell]
-                values = chunk[start - lo:end - lo, kept].ravel().tolist()
-                yield ((",".join(cells) + "\n") * (end - start)) % tuple(values)
+        for start, end, keep, bound_columns in _burn_in_segments(bounds, trace.t):
+            # a bound below its burn-in leaves its cell empty and takes no value
+            row = ",".join(["%d", "%.12g", "%.12g", "%.12g",
+                            *("%.12g" if k else "" for k in keep), "%d", "%.12g"]) + "\n"
+            columns = (trace.t, trace.local_err, trace.comm_err, trace.global_err,
+                       *bound_columns, trace.comm_fired, trace.pre_invertible_count)
+            for lo in range(start, end, ROWS_PER_CHUNK):
+                hi = min(lo + ROWS_PER_CHUNK, end)
+                # one float64 matrix: %d writes the whole numbers of t and
+                # comm_fired as integers
+                values = np.column_stack([c[lo:hi] for c in columns]).ravel().tolist()
+                yield (row * (hi - lo)) % tuple(values)
 
     _write_atomic(path, itertools.chain(header, segments()))
 
@@ -235,37 +248,23 @@ def cmd_bounds(config_path: str, at: str) -> int:
     cfg = load_config(config_path)
     schedule, bi = cfg.schedule, cfg.bound_inputs
 
-    local_keep, local = _past_burn_in(lambda t: local_bound(bi, t), times)
-    global_keep, glob = _past_burn_in(lambda t: global_bound(bi, t), times)
-    comm_keep, comm = _past_burn_in(lambda t: comm_bound(bi, t, schedule.T), times)
-    keeps = np.column_stack([local_keep, global_keep, comm_keep])
-    # the five value columns, padded with zeros below their bound's burn-in
-    # as in write_trace
-    values = np.zeros((len(ts), 5))
-    values[local_keep, 0] = local.value
-    values[global_keep, 1] = glob.value
-    values[comm_keep, 2:] = np.column_stack([comm.value, comm.network_term, comm.noise_term])
-    # per bound: its value columns, their cell widths, its note
-    columns = [((0,), (12,), "local"), ((1,), (12,), "global"),
-               ((2, 3, 4), (14, 12, 12), "communicated")]
-
-    # the rows between two changes of the burn-in pattern form a segment,
-    # formatted by one row template repeated over its rows
-    changes = np.flatnonzero((keeps[1:] != keeps[:-1]).any(axis=1)) + 1
-    edges = [0, *changes.tolist(), len(ts)]
+    bounds = [(lambda t: local_bound(bi, t), ("value",)),
+              (lambda t: global_bound(bi, t), ("value",)),
+              (lambda t: comm_bound(bi, t, schedule.T), ("value", "network_term", "noise_term"))]
+    # per bound: its cell widths and its note
+    cells_of = [((12,), "local"), ((12,), "global"), ((14, 12, 12), "communicated")]
     table = []
-    for start, end in zip(edges, edges[1:]):
-        cells, kept, notes = ["%8d"], [], []
-        for keep, (cols, widths, name) in zip(keeps[start].tolist(), columns):
-            if keep:
+    for start, end, keep, columns in _burn_in_segments(bounds, times):
+        cells, notes = ["%8d"], []
+        for kept, (widths, name) in zip(keep, cells_of):
+            if kept:
                 cells.extend(f"%{w}.12g" for w in widths)
-                kept.extend(cols)
             else:
                 cells.extend("-".rjust(w) for w in widths)
                 notes.append(name)
         row = "  ".join(cells) + (f"  below burn-in: {', '.join(notes)}" if notes else "")
         # t from the parsed ints, so times past 2**53 print exactly
-        rows = zip(ts[start:end], *values[start:end, kept].T.tolist())
+        rows = zip(ts[start:end], *(c[start:end].tolist() for c in columns))
         table.append((row + "\n") * (end - start) % tuple(itertools.chain.from_iterable(rows)))
 
     print(f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "

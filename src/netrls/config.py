@@ -77,12 +77,18 @@ def _json_number(v, path: str) -> None:
 
 
 def _json_numbers(raw, path: str) -> None:
-    """Check that every entry of the nested lists ``raw`` is a JSON number."""
-    if isinstance(raw, list):
-        for v in raw:
-            _json_numbers(v, path)
-    else:
-        _json_number(raw, path)
+    """Check that every entry of the nested lists ``raw`` is a JSON number,
+    in document order. The walk keeps its own stack of list iterators, so
+    no nesting depth exhausts Python's recursion limit."""
+    stack = [iter([raw])]
+    while stack:
+        for v in stack[-1]:
+            if isinstance(v, list):
+                stack.append(iter(v))
+                break
+            _json_number(v, path)
+        else:
+            stack.pop()
 
 
 class _Section:
@@ -295,6 +301,8 @@ def load_config(path: str, command: str | None = None) -> ResolvedConfig:
         raise ConfigError(str(path), f"cannot read config: {e}") from None
     except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise ConfigError(str(path), "invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ConfigError(str(path), "top-level JSON value must be an object")
     return resolve_config(data, command)

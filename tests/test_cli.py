@@ -326,7 +326,9 @@ def _with_5000_digit_sigma_x(path: Path) -> None:
     # a Python without the digit limit reads the number and rejects it later,
     # as model.sigma_x, so only the prefix is checked
     (_with_5000_digit_sigma_x, None),
-], ids=["non-utf-8", "5000-digit-integer"])
+    # the decoder recurses once per nesting level
+    (lambda path: path.write_text("[" * 100_000), "invalid JSON: nested too deeply"),
+], ids=["non-utf-8", "5000-digit-integer", "nested-100000-deep"])
 def test_undecodable_config_exits_2_naming_the_file(tmp_path, capsys, write, message):
     path = tmp_path / "broken.json"
     write(path)
@@ -335,6 +337,18 @@ def test_undecodable_config_exits_2_naming_the_file(tmp_path, capsys, write, mes
     assert err.startswith("config error: ")
     if message is not None:
         assert err.startswith(f"config error: {path}: {message}")
+
+
+def test_array_nested_past_the_recursion_limit_names_its_field():
+    # built in Python, so no decoder limit stops it before the field checks
+    theta = [1.6]
+    for _ in range(4999):
+        theta = [theta]
+    data = paper_config_dict()
+    data["model"]["theta"] = theta
+    with pytest.raises(ConfigError) as caught:
+        resolve_config(data)
+    assert caught.value.path == "model.theta"
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -611,6 +625,20 @@ def test_write_trace_matches_rows_formatted_one_at_a_time(tmp_path, rows, bound,
     assert out.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_write_trace_on_times_that_do_not_ascend(tmp_path, order):
+    # rows from t = 400 to 1099 cross both burn-ins (429 and 631)
+    trace = _synthetic_trace(np.random.default_rng(700), 400, 700, float)
+    rng = np.random.default_rng(1)
+    rows = np.arange(700)[::-1] if order == "reversed" else rng.permutation(700)
+    trace = nr.ErrorTrace(**{name: column[rows] for name, column in vars(trace).items()})
+    out = tmp_path / "trace.csv"
+    write_trace(str(out), trace, {"k": "v"}, WRITER_INPUTS, WRITER_SCHEDULE)
+    expected = ("# k=v\nt,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
+                "comm_fired,pre_invertible_count\n" + _rows_one_at_a_time(trace))
+    assert out.read_bytes() == expected.encode()
+
+
 def test_golden_trace_schema_stability(tmp_path):
     for config, golden in [
         ("golden_config.json", "golden_trace.csv"),
@@ -770,37 +798,33 @@ def test_golden_bounds_table(capsys):
 
 
 def _bounds_table_row_by_row(config: Path, ts: list[int]) -> str:
-    """The ``bounds`` table with one f-string per cell and one line per row:
-    the plain rule the command's segment templates must match byte for byte."""
+    """The ``bounds`` table with one scalar bound call and one f-string per
+    cell: the plain rule the command's segment templates must match byte for
+    byte. The command evaluates float times, so ``2**53 + 1`` is evaluated as
+    ``2**53``, while its ``t`` cell prints the exact integer."""
     cfg = load_config(str(config))
     schedule = cfg.schedule
     bi = cfg.bound_inputs
-    times = np.array(ts, dtype=float)
-
-    def aligned(values, width):
-        return (f"{v:.12g}".rjust(width) for v in values.tolist())
-
-    local_keep, local = cli._past_burn_in(lambda t: nr.local_bound(bi, t), times)
-    global_keep, glob = cli._past_burn_in(lambda t: nr.global_bound(bi, t), times)
-    comm_keep, comm = cli._past_burn_in(lambda t: nr.comm_bound(bi, t, schedule.T), times)
-    columns = [
-        (local_keep.tolist(), [local.value], (12,), "local"),
-        (global_keep.tolist(), [glob.value], (12,), "global"),
-        (comm_keep.tolist(), [comm.value, comm.network_term, comm.noise_term], (14, 12, 12),
-         "communicated"),
+    # per bound: the call, its report terms, their cell widths, its note
+    bounds = [
+        (lambda t: nr.local_bound(bi, t), ("value",), (12,), "local"),
+        (lambda t: nr.global_bound(bi, t), ("value",), (12,), "global"),
+        (lambda t: nr.comm_bound(bi, t, schedule.T), ("value", "network_term", "noise_term"),
+         (14, 12, 12), "communicated"),
     ]
-    cells = [map("  ".join, zip(*map(aligned, values, widths)))
-             for _, values, widths, _ in columns]
     lines = [f"{'t':>8}  {'local':>12}  {'global':>12}  {f'comm(T={schedule.T})':>14}  "
              f"{'network':>12}  {'noise':>12}  note"]
-    for i, t in enumerate(ts):
+    for t in ts:
         parts, notes = [f"{t:>8}"], []
-        for (keep, _, widths, name), row_cells in zip(columns, cells):
-            if keep[i]:
-                parts.append(next(row_cells))
-            else:
+        for bound, terms, widths, name in bounds:
+            try:
+                report = bound(float(t))
+            except nr.BurnInError:
                 parts.extend("-".rjust(w) for w in widths)
                 notes.append(name)
+            else:
+                parts.extend(f"{float(getattr(report, term)):.12g}".rjust(w)
+                             for term, w in zip(terms, widths))
         lines.append("  ".join(parts) + (f"  below burn-in: {', '.join(notes)}" if notes else ""))
     return "\n".join(lines) + "\n"
 
