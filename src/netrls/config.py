@@ -16,6 +16,7 @@ checked against the stopping time whichever section sets it.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -73,7 +74,7 @@ class ResolvedConfig:
 def _json_number(v, path: str) -> None:
     """Check that ``v`` is a JSON number; booleans and strings are not."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {v!r}")
+        raise ConfigError(path, f"expected a number, got {reprlib.repr(v)}")
 
 
 def _json_numbers(raw, path: str) -> None:
@@ -123,7 +124,13 @@ class _Section:
             arr = np.asarray(raw, dtype=float)
         except OverflowError:  # an integer beyond the float range
             raise ConfigError(path, "entries must be finite, got inf") from None
-        except ValueError:  # every entry is a number, so the nesting is uneven
+        except ValueError:  # every entry is a number, so the nesting is uneven or too deep
+            depth, first = 0, raw
+            while isinstance(first, list) and first:
+                depth, first = depth + 1, first[0]
+            if depth > len(shape):
+                raise ConfigError(path, f"nested too deeply: {depth} levels of arrays, "
+                                        f"expected at most {len(shape)}") from None
             raise ConfigError(path, "ragged array: rows differ in length or mix "
                                     "numbers with arrays") from None
         if len(shape) == 2 and arr.ndim == 1:
@@ -145,7 +152,7 @@ class _Section:
     def integer(self, key: str) -> int:
         v = self.require(key)
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(self.sub(key), f"expected an integer, got {v!r}")
+            raise ConfigError(self.sub(key), f"expected an integer, got {reprlib.repr(v)}")
         if not -2**63 <= v < 2**64:  # numpy takes it as an int64 or uint64
             raise ConfigError(self.sub(key), "must fit in 64 bits")
         return v
@@ -195,7 +202,8 @@ def _resolve_mean(section: _Section, m: int, n: int):
         section.unknown_keys({"kind", "amplitudes", "periods"})
         return section.build(SinusoidMean, amplitudes=section.matrix("amplitudes", m, n),
                              periods=section.vector("periods", m))
-    raise ConfigError(section.sub("kind"), f"expected 'zero', 'constant' or 'sinusoid', got {kind!r}")
+    raise ConfigError(section.sub("kind"),
+                      f"expected 'zero', 'constant' or 'sinusoid', got {reprlib.repr(kind)}")
 
 
 def _resolve_model(section: _Section) -> ModelSpec:

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netrls as nr
 from netrls import simnet
 from netrls.consensus import run_comm_phase
 from netrls.simnet import full_rank, inverse
 
-from conftest import reference_model
+from conftest import random_connected_weights, reference_model
 from stepwise_oracle import AgentState, simulate_run
 
 RTOL = 1e-9
@@ -265,3 +267,54 @@ def test_errors_match_the_masked_reference(n, sticky):
     ]
     for case in cases:
         assert np.array_equal(simnet._errors(*case, theta), _masked_errors(*case, theta))
+
+
+# piece sizes the engine is cut by: BLOCK steps per block of draws and
+# LANE_STEPS matrices per estimate pass
+PIECE_SIZES = st.tuples(st.sampled_from([1, 7, 64, 512]), st.sampled_from([8, 50, 4096]))
+
+
+@st.composite
+def _drawn_configs(draw) -> nr.SimConfig:
+    """A config of any engine shape (1x1, the 2x2 closed forms and the LAPACK
+    shapes) and any mean, with phases anywhere up to the horizon."""
+    m, n, l = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    mean = draw(st.sampled_from(["zero", "constant", "sinusoid"]))
+    horizon = draw(st.integers(1, 600))
+    zeta = draw(st.integers(1, min(horizon, 64)))
+    S = zeta * draw(st.integers(0, horizon // zeta))
+    weights_seed = draw(st.integers(0, 2**32 - 1))
+    return nr.SimConfig(
+        model=_model(mean, m=m, n=n, l=l),
+        weights=random_connected_weights(np.random.default_rng(weights_seed), m),
+        schedule=nr.Schedule(zeta=zeta, T=draw(st.integers(1, 40)), S=S),
+        horizon=horizon,
+        runs=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def _with_pieces(pieces: tuple[int, int], compute):
+    """``compute()`` with the engine cut into ``(BLOCK, LANE_STEPS)`` pieces."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "BLOCK", pieces[0])
+        patch.setattr(simnet, "LANE_STEPS", pieces[1])
+        return compute()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(config=_drawn_configs(), pieces=PIECE_SIZES, other_pieces=PIECE_SIZES)
+def test_drawn_configs_match_the_oracle(config, pieces, other_pieces):
+    traces = _with_pieces(pieces, lambda: _assert_matches_oracle(config))
+    others = _with_pieces(other_pieces,
+                          lambda: [simnet._simulate_run(config, r) for r in range(config.runs)])
+    # the piece sizes do not change a bit of the trace, except in comm_err:
+    # W**T mixes a piece's stacked phases with one BLAS call, and with one
+    # phase of a 1x1 model that call is a gemv, whose last bits may differ
+    # from those of the gemm of several
+    for want, got in zip(traces, others):
+        for column, values in vars(want).items():
+            if column == "comm_err":
+                np.testing.assert_allclose(got.comm_err, values, rtol=RTOL, atol=0)
+            else:
+                assert np.array_equal(getattr(got, column), values), column
