@@ -175,15 +175,31 @@ def _burn_in_segments(bounds, ts: np.ndarray):
         yield start, end, keep, [c for k, cs in zip(keep, padded) if k for c in cs]
 
 
+def _run_texts(template: str, *columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Format each run of rows whose cells in ``columns`` have the same bits
+    (and so print alike) once: ``(run, texts)``, where row ``i`` reads
+    ``texts[run[i]]`` and ``texts`` is an object array of ``template % cells``."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        bits = column.view(f"u{column.itemsize}")
+        new[1:] |= bits[1:] != bits[:-1]
+    firsts = zip(*(column[new].tolist() for column in columns))
+    return np.cumsum(new) - 1, np.array([template % cells for cells in firsts], dtype=object)
+
+
 def write_trace(path: str, trace: ErrorTrace, meta: dict,
                 bound_inputs: BoundInputs, schedule: Schedule) -> None:
     """Write the averaged trace as CSV with a ``# key=value`` header block.
 
     Bound columns are evaluated in the conservative mode (mean second
     moments replaced by zero), and their cells below the bound's burn-in
-    stay empty. Each burn-in segment (``_burn_in_segments``) is formatted
-    ``ROWS_PER_CHUNK`` rows at a time by one ``%`` template repeated over
-    them, as the chunks are written, so no copy of the file is held.
+    stay empty. The step columns ``comm_err`` (constant between phases),
+    ``comm_fired`` and ``pre_invertible_count`` are formatted once per run of
+    equal cells (``_run_texts``). Each burn-in segment (``_burn_in_segments``)
+    is formatted ``ROWS_PER_CHUNK`` rows at a time by one ``%`` template
+    repeated over them, as the chunks are written, so no copy of the file is
+    held.
     """
     header = [f"# {k}={meta[k]}\n" for k in sorted(meta)]
     header.append("t,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
@@ -191,19 +207,22 @@ def write_trace(path: str, trace: ErrorTrace, meta: dict,
     bounds = [(lambda ts: local_bound(bound_inputs, ts), ("value",)),
               (lambda ts: comm_bound(bound_inputs, ts, schedule.T), ("value",))]
 
+    comm_run, comm_texts = _run_texts("%.12g", trace.comm_err)
+    tail_run, tail_texts = _run_texts("%d,%.12g\n", trace.comm_fired,
+                                      trace.pre_invertible_count)
+
     def segments():
         for start, end, keep, bound_columns in _burn_in_segments(bounds, trace.t):
             # a bound below its burn-in leaves its cell empty and takes no value
-            row = ",".join(["%d", "%.12g", "%.12g", "%.12g",
-                            *("%.12g" if k else "" for k in keep), "%d", "%.12g"]) + "\n"
-            columns = (trace.t, trace.local_err, trace.comm_err, trace.global_err,
-                       *bound_columns, trace.comm_fired, trace.pre_invertible_count)
+            row = ",".join(["%d", "%.12g", "%s", "%.12g",
+                            *("%.12g" if k else "" for k in keep), "%s"])
             for lo in range(start, end, ROWS_PER_CHUNK):
                 hi = min(lo + ROWS_PER_CHUNK, end)
-                # one float64 matrix: %d writes the whole numbers of t and
-                # comm_fired as integers
-                values = np.column_stack([c[lo:hi] for c in columns]).ravel().tolist()
-                yield (row * (hi - lo)) % tuple(values)
+                columns = (trace.t[lo:hi], trace.local_err[lo:hi], comm_texts[comm_run[lo:hi]],
+                           trace.global_err[lo:hi], *(c[lo:hi] for c in bound_columns),
+                           tail_texts[tail_run[lo:hi]])
+                values = zip(*(c.tolist() for c in columns))
+                yield (row * (hi - lo)) % tuple(itertools.chain.from_iterable(values))
 
     _write_atomic(path, itertools.chain(header, segments()))
 

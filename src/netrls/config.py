@@ -16,6 +16,7 @@ checked against the stopping time whichever section sets it.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import asdict, dataclass, fields
 
@@ -40,6 +41,22 @@ __all__ = ["ConfigError", "PlanParams", "ResolvedConfig", "BOUND_KEYS", "load_co
 # the default of ``BoundInputs.from_model``
 BOUND_KEYS = ("sigma_x_lower", "sigma_x_upper", "sigma_eta_upper", "mu_hat_upper",
               "theta_norm_upper", "delta", "delta_hat")
+
+
+class _ShortRepr(reprlib.Repr):
+    """``reprlib.repr``, except that an int too long for ``repr`` (past
+    Python's limit of digits in an int-to-string conversion) is quoted by
+    its digit count."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            digits = int((x.bit_length() - 1) * math.log10(2)) + 1
+            return f"<{digits + (abs(x) >= 10**digits)}-digit int>"
+
+
+_quote = _ShortRepr().repr
 
 
 class ConfigError(Exception):
@@ -74,7 +91,7 @@ class ResolvedConfig:
 def _json_number(v, path: str) -> None:
     """Check that ``v`` is a JSON number; booleans and strings are not."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(path, f"expected a number, got {reprlib.repr(v)}")
+        raise ConfigError(path, f"expected a number, got {_quote(v)}")
 
 
 def _json_numbers(raw, path: str) -> None:
@@ -152,7 +169,7 @@ class _Section:
     def integer(self, key: str) -> int:
         v = self.require(key)
         if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(self.sub(key), f"expected an integer, got {reprlib.repr(v)}")
+            raise ConfigError(self.sub(key), f"expected an integer, got {_quote(v)}")
         if not -2**63 <= v < 2**64:  # numpy takes it as an int64 or uint64
             raise ConfigError(self.sub(key), "must fit in 64 bits")
         return v
@@ -203,7 +220,7 @@ def _resolve_mean(section: _Section, m: int, n: int):
         return section.build(SinusoidMean, amplitudes=section.matrix("amplitudes", m, n),
                              periods=section.vector("periods", m))
     raise ConfigError(section.sub("kind"),
-                      f"expected 'zero', 'constant' or 'sinusoid', got {reprlib.repr(kind)}")
+                      f"expected 'zero', 'constant' or 'sinusoid', got {_quote(kind)}")
 
 
 def _resolve_model(section: _Section) -> ModelSpec:

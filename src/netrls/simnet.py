@@ -15,8 +15,8 @@ sums of the per-sample terms. The pooled sums are one more lane behind the
 batched estimate, and the engine keeps their error norms, not the estimates.
 A phase only reads the running sums, so the phases that fall in one piece
 are mixed by one ``W**T`` product. On 2x2 matrices, the shape of the paper's
-example, the error norms, inverses and rank tests are closed forms; other
-shapes use LAPACK.
+example, and on 1x1 ones, the error norms, inverses and rank tests are
+closed forms; other shapes use LAPACK.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .planner import Schedule
 
 __all__ = ["SimConfig", "ErrorTrace", "run", "spectral_norms"]
 
-# steps per block of draws; a block is the engine's largest working set, so
-# memory does not grow with the horizon
+# fewest steps per block of draws; a block holds max(BLOCK, LANE_STEPS //
+# (m + 1)) steps and is the engine's largest working set, so memory does not
+# grow with the horizon
 BLOCK = 512
 # matrices per lane in one estimate pass: a piece holds at most
 # LANE_STEPS // (m + 1) steps, so its (steps, m + 1, ...) lanes and their
@@ -51,11 +52,14 @@ def is_2x2(a: np.ndarray) -> bool:
 def _extreme_singular_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest and smallest singular values over the trailing two axes.
 
-    For 2x2 matrices ``[[p, q], [r, s]]`` with ``h1 = hypot(p + s, r - q)``
-    and ``h2 = hypot(p - s, q + r)`` they are ``(h1 + h2) / 2`` and
+    For 1x1 matrices ``[[a]]`` both are ``|a|``. For 2x2 matrices
+    ``[[p, q], [r, s]]`` with ``h1 = hypot(p + s, r - q)`` and
+    ``h2 = hypot(p - s, q + r)`` they are ``(h1 + h2) / 2`` and
     ``|h1 - h2| / 2``; the largest has no cancellation. Other shapes use
     LAPACK.
     """
+    if a.shape[-2:] == (1, 1):
+        return (np.abs(a[..., 0, 0]),) * 2
     if not is_2x2(a):
         sv = np.linalg.svd(a, compute_uv=False)
         return sv[..., 0], sv[..., -1]
@@ -76,7 +80,10 @@ def full_rank(beta: np.ndarray) -> np.ndarray:
 
 
 def inverse(beta: np.ndarray) -> np.ndarray:
-    """``inv`` over ``(..., n, n)`` matrices; 2x2 ones as ``adj(beta) / det(beta)``."""
+    """``inv`` over ``(..., n, n)`` matrices; 1x1 ones as ``1 / beta`` and 2x2
+    ones as ``adj(beta) / det(beta)``."""
+    if beta.shape[-2:] == (1, 1):
+        return 1 / beta
     if not is_2x2(beta):
         return np.linalg.inv(beta)
     p, q, r, s = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 0], beta[..., 1, 1]
@@ -135,10 +142,15 @@ class ErrorTrace:
 
 def _block_increments(config: SimConfig, run_index: int, t_start: int,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample terms ``y x^T`` and ``x x^T`` for steps ``t_start ..``, as
-    ``(count, m, l, n)`` and ``(count, m, n, n)`` arrays."""
+    """Per-sample terms ``y x^T`` and ``x x^T`` for steps ``t_start ..`` in
+    lanes ``0 .. m - 1`` of ``(count, m + 1, l, n)`` and ``(count, m + 1, n, n)``
+    arrays; lane ``m``, the pooled sums, is left for the caller to fill."""
     x, y = sample_block(config.model, config.seed, run_index, t_start, count)
-    return y[..., :, None] * x[..., None, :], x[..., :, None] * x[..., None, :]
+    m, l, n = config.model.m, config.model.l, config.model.n
+    inc_alpha, inc_beta = np.empty((count, m + 1, l, n)), np.empty((count, m + 1, n, n))
+    np.multiply(y[..., :, None], x[..., None, :], out=inc_alpha[:, :m])
+    np.multiply(x[..., :, None], x[..., None, :], out=inc_beta[:, :m])
+    return inc_alpha, inc_beta
 
 
 def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
@@ -162,14 +174,16 @@ def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     """One run, batched over agents and over the steps between cuts.
 
-    The horizon is cut every ``BLOCK`` steps and every ``LANE_STEPS // (m + 1)``
-    steps within a block. Within a piece the running sums are cumulative sums
-    seeded with the carried sums. Each of the ``m`` agents and the pooled sums
-    behind them as lane ``m`` is estimated with ``inverse`` from the first step
-    whose ``beta`` passes the rank test on, and with ``pinv`` before it; the
-    flag is sticky, so an ill-conditioned later sum stays on ``inverse``. Each
-    piece is reduced to its error norms at once, and its ``k`` phases are
-    mixed by one ``run_comm_phase`` call.
+    The horizon is cut into blocks of ``max(BLOCK, LANE_STEPS // (m + 1))``
+    draws, and each block every ``LANE_STEPS // (m + 1)`` steps, so with up to
+    six agents a block is one piece. Within a piece the running sums are
+    cumulative sums seeded with the carried sums. Each of the ``m`` agents and
+    the pooled sums behind them as lane ``m`` is estimated with ``inverse``
+    from the first step whose ``beta`` passes the rank test on, and with
+    ``pinv`` before it; the flag is sticky, so an ill-conditioned later sum
+    stays on ``inverse``, and once every lane holds it the rank test is
+    skipped. Each piece is reduced to its error norms at once, and its ``k``
+    phases are mixed by one ``run_comm_phase`` call.
     """
     model, schedule = config.model, config.schedule
     horizon, m, l, n = config.horizon, model.m, model.l, model.n
@@ -184,7 +198,9 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         pre_invertible_count=np.empty(horizon, dtype=np.int64),
     )
     trace.comm_fired[np.asarray(comm_times, dtype=np.int64) - 1] = True
-    cut = (trace.t % BLOCK % max(1, LANE_STEPS // (m + 1)) == 0) | (trace.t == horizon)
+    lane = max(1, LANE_STEPS // (m + 1))
+    block = max(BLOCK, lane)
+    cut = (trace.t % block % lane == 0) | (trace.t == horizon)
 
     # carried state: the agents' running sums after the last step and the
     # invertibility of all m + 1 lanes
@@ -195,19 +211,23 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
 
     start = 0
     for end in (np.flatnonzero(cut) + 1).tolist():
-        if start % BLOCK == 0:
+        if start % block == 0:
             inc_alpha, inc_beta = _block_increments(
-                config, run_index, start + 1, min(BLOCK, horizon - start))
-        rows = slice(start % BLOCK, start % BLOCK + end - start)
-        a, b = inc_alpha[rows], inc_beta[rows]
+                config, run_index, start + 1, min(block, horizon - start))
+        rows = slice(start % block, start % block + end - start)
+        lanes_a, lanes_b = inc_alpha[rows], inc_beta[rows]
+        a, b = lanes_a[:, :m], lanes_b[:, :m]
         # same addition order as ``alpha += outer(y, x)`` step by step
         a[0] += alpha
         b[0] += beta
         np.cumsum(a, axis=0, out=a)
         np.cumsum(b, axis=0, out=b)
-        lanes_a = np.concatenate([a, a.sum(axis=1, keepdims=True)], axis=1)
-        lanes_b = np.concatenate([b, b.sum(axis=1, keepdims=True)], axis=1)
-        flags = invertible | np.logical_or.accumulate(full_rank(lanes_b), axis=0)
+        a.sum(axis=1, out=lanes_a[:, m])
+        b.sum(axis=1, out=lanes_b[:, m])
+        if invertible.all():
+            flags = np.broadcast_to(invertible, lanes_b.shape[:2])
+        else:
+            flags = invertible | np.logical_or.accumulate(full_rank(lanes_b), axis=0)
         errs = _errors(lanes_a, lanes_b, flags, theta)
         alpha, beta, invertible = a[-1], b[-1], flags[-1]
 

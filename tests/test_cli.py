@@ -370,8 +370,11 @@ def test_array_nested_past_the_recursion_limit_names_its_field():
     ("model.mean_schedule.kind", lambda d: _set_mean(d, {"kind": _nested("zero", 5000)})),
     ("model.theta", lambda d: d["model"]["theta"][1].__setitem__(0, {"x": _nested(0.8, 5000)})),
     ("run.seed", lambda d: d["run"].update(seed="1" * 10**6)),
+    # past Python's 4,300-digit limit on int-to-string conversion
+    ("model.mean_schedule.kind", lambda d: _set_mean(d, {"kind": 10**5000})),
+    ("model.sigma_x", lambda d: d["model"].update(sigma_x=[10**5000])),
 ], ids=["sigma_x-5000-deep", "seed-5000-deep", "kind-5000-deep", "theta-entry-dict-5000-deep",
-        "seed-10**6-characters"])
+        "seed-10**6-characters", "kind-5001-digit-int", "sigma_x-5001-digit-int"])
 def test_a_rejected_value_is_quoted_in_short(field, edit):
     # built in Python, so no decoder limit stops them before the field checks
     data = paper_config_dict()
@@ -654,6 +657,32 @@ def test_write_trace_matches_rows_formatted_one_at_a_time(tmp_path, rows, bound,
     expected = ("# k=v\nt,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
                 "comm_fired,pre_invertible_count\n" + _rows_one_at_a_time(trace))
     assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_write_trace_formats_runs_of_equal_cells_as_single_rows(tmp_path, seed):
+    # comm_err, comm_fired and pre_invertible_count as step functions, as the
+    # engine writes them, with runs across chunk and burn-in edges; 0.0 next
+    # to -0.0 compares equal and nan next to nan does not, yet each prints
+    # as itself
+    rng = np.random.default_rng(seed)
+    rows = 1000
+    trace = _synthetic_trace(rng, 400, rows, float)
+    values = np.array([0.0, -0.0, np.nan, np.nan, 0.25, 0.25, 1e-5, 3.0, -0.0, 0.0])
+
+    def steps(cells):
+        run = np.repeat(np.arange(rows), rng.integers(1, 2 * ROWS_PER_CHUNK, rows))[:rows]
+        return np.resize(cells, rows)[run]
+
+    trace.comm_err = steps(values)
+    trace.comm_fired = steps(np.array([False, True, True]))
+    trace.pre_invertible_count = steps(values[::-1])
+    out = tmp_path / "trace.csv"
+    write_trace(str(out), trace, {"k": "v"}, WRITER_INPUTS, WRITER_SCHEDULE)
+    expected = ("# k=v\nt,local_err_mean,comm_err_mean,global_err,local_bound,comm_bound,"
+                "comm_fired,pre_invertible_count\n" + _rows_one_at_a_time(trace))
+    assert out.read_bytes() == expected.encode()
+    assert b",-0," in out.read_bytes() and b",nan," in out.read_bytes()
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])

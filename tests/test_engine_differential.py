@@ -109,11 +109,12 @@ def test_invertibility_is_sticky_like_agent_state(monkeypatch):
     assert expected == [False, True, True, True]
     assert not full_rank(betas[2])
 
-    # the engine sees the same rows at two agents, with no phase in the horizon
+    # the engine sees the same rows at two agents, with no phase in the
+    # horizon; it fills the third lane with their pooled sums
     def rows(config, run_index, t_start, count):
         steps = slice(t_start - 1, t_start - 1 + count)
-        return (np.zeros((count, 2, 1, 2)),
-                np.repeat(outer[steps, None], 2, axis=1))
+        return (np.zeros((count, 3, 1, 2)),
+                np.repeat(outer[steps, None], 3, axis=1))
 
     monkeypatch.setattr(simnet, "_block_increments", rows)
     config = nr.SimConfig(
@@ -124,15 +125,23 @@ def test_invertibility_is_sticky_like_agent_state(monkeypatch):
         runs=1,
         seed=0,
     )
-    trace = simnet._simulate_run(config, 0)
-    assert trace.pre_invertible_count.tolist() == [2, 0, 0, 0]
+    # in one piece, and with 3 matrices per lane one piece per step, so that
+    # steps 3 and 4 come after every lane has passed the rank test, which the
+    # engine then skips
+    for lane_steps in (simnet.LANE_STEPS, 3):
+        monkeypatch.setattr(simnet, "LANE_STEPS", lane_steps)
+        trace = simnet._simulate_run(config, 0)
+        assert trace.pre_invertible_count.tolist() == [2, 0, 0, 0]
 
 
 def test_horizon_longer_than_one_block():
-    # phases at every multiple of BLOCK / 4, so one falls on the block
+    # a block of 6 agents holds LANE_STEPS // 7 = 585 steps, one piece;
+    # phases at every multiple of 585 / 5, so one falls on the block
     # boundary, and the last one at the horizon itself
-    zeta = simnet.BLOCK // 4
-    horizon = simnet.BLOCK + 2 * zeta
+    block = simnet.LANE_STEPS // 7
+    assert block > simnet.BLOCK and block % 5 == 0
+    zeta = block // 5
+    horizon = block + 2 * zeta
     config = nr.SimConfig(
         model=reference_model(),
         weights=nr.ring_weights(6),
@@ -142,7 +151,7 @@ def test_horizon_longer_than_one_block():
         seed=1008,
     )
     traces = _assert_matches_oracle(config)
-    assert traces[0].comm_fired[simnet.BLOCK - 1]
+    assert traces[0].comm_fired[block - 1]
     assert traces[0].comm_fired[-1]
 
 
@@ -156,8 +165,11 @@ def test_results_do_not_depend_on_block_length(monkeypatch):
         seed=5,
     )
     reference = [simnet._simulate_run(config, r) for r in range(config.runs)]
-    for block in (1, 6, 7):
+    # blocks of 1, 6 and 7 steps, each one piece (LANE_STEPS = (m + 1) * BLOCK),
+    # and blocks of 7 steps cut into pieces of 3, 3 and 1
+    for block, lane_steps in ((1, 4), (6, 24), (7, 28), (7, 12)):
         monkeypatch.setattr(simnet, "BLOCK", block)
+        monkeypatch.setattr(simnet, "LANE_STEPS", lane_steps)
         traces = _assert_matches_oracle(config)
         for got, want in zip(traces, reference):
             for column in ERROR_COLUMNS + ("pre_invertible_count",):
@@ -178,7 +190,8 @@ def _counting_comm_phase(monkeypatch) -> list[tuple[int, ...]]:
 
 def test_one_comm_product_per_block(monkeypatch, paper_model, ring6, paper_schedule):
     # one run of configs/paper.json: 81 phases (t = 20, ..., 1620) in the
-    # first four blocks of 512 steps
+    # first three blocks; a block of 6 agents is one piece of
+    # LANE_STEPS // 7 = 585 steps
     shapes = _counting_comm_phase(monkeypatch)
     config = nr.SimConfig(model=paper_model, weights=ring6, schedule=paper_schedule,
                           horizon=3000, runs=1, seed=1008)
@@ -188,16 +201,16 @@ def test_one_comm_product_per_block(monkeypatch, paper_model, ring6, paper_sched
     # the operand stays (m, k * l, n), which the benchmark's tracer unpacks
     assert all(len(shape) == 3 and shape[0] == 6 for shape in shapes)
     assert sum(shape[1] for shape in shapes) == phases * paper_model.l
-    assert len(shapes) == -(-paper_schedule.S // simnet.BLOCK) == 4
+    assert len(shapes) == -(-paper_schedule.S // (simnet.LANE_STEPS // 7)) == 3
 
 
 @pytest.mark.parametrize("lane_steps", [None, 7 * 5])
 def test_many_phases_per_block_without_writeback(monkeypatch, lane_steps):
-    # 35 phases, 32 of them in the first block, one on that block's last row
-    # and one at the horizon; with 7 steps per piece, some pieces hold no phase and the
-    # phases fall on every row position
-    if lane_steps is not None:
-        monkeypatch.setattr(simnet, "LANE_STEPS", lane_steps)
+    # 35 phases, 32 of them in the first block of BLOCK steps, one on that
+    # block's last row and one at the horizon. With None, 5 * BLOCK matrices
+    # per lane, a block of 4 agents is one piece; with 7 steps per piece, some
+    # pieces hold no phase and the phases fall on every row position
+    monkeypatch.setattr(simnet, "LANE_STEPS", lane_steps or 5 * simnet.BLOCK)
     shapes = _counting_comm_phase(monkeypatch)
     zeta = 16
     horizon = simnet.BLOCK + 3 * zeta
@@ -275,10 +288,10 @@ PIECE_SIZES = st.tuples(st.sampled_from([1, 7, 64, 512]), st.sampled_from([8, 50
 
 
 @st.composite
-def _drawn_configs(draw) -> nr.SimConfig:
+def _drawn_configs(draw, agents=st.integers(1, 5)) -> nr.SimConfig:
     """A config of any engine shape (1x1, the 2x2 closed forms and the LAPACK
     shapes) and any mean, with phases anywhere up to the horizon."""
-    m, n, l = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m, n, l = draw(agents), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     mean = draw(st.sampled_from(["zero", "constant", "sinusoid"]))
     horizon = draw(st.integers(1, 600))
     zeta = draw(st.integers(1, min(horizon, 64)))
@@ -318,3 +331,28 @@ def test_drawn_configs_match_the_oracle(config, pieces, other_pieces):
                 np.testing.assert_allclose(got.comm_err, values, rtol=RTOL, atol=0)
             else:
                 assert np.array_equal(getattr(got, column), values), column
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(config=_drawn_configs(), single=_drawn_configs(agents=st.just(1)))
+def test_drawn_configs_keep_the_engine_invariants(config, single):
+    # W is doubly stochastic, so a phase leaves the agent-mean of the sums
+    # unchanged to rounding
+    def conserving(weights, alphas, betas, steps):
+        mixed = run_comm_phase(weights, alphas, betas, steps)
+        for before, after in zip((alphas, betas), mixed):
+            drift = np.abs(after.mean(axis=0) - before.mean(axis=0)).max()
+            assert drift <= 1e-12 * np.abs(before).max()
+        return mixed
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "run_comm_phase", conserving)
+        for run_index in range(config.runs):
+            simnet._simulate_run(config, run_index)
+    # one agent communicates with itself: at every phase time its
+    # communicated estimate is its local one
+    for run_index in range(single.runs):
+        trace = simnet._simulate_run(single, run_index)
+        fired = trace.comm_fired
+        np.testing.assert_allclose(trace.comm_err[fired], trace.local_err[fired],
+                                   rtol=RTOL, atol=0)
