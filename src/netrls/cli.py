@@ -34,7 +34,6 @@ from .config import (
     BOUND_KEYS,
     ConfigError,
     ResolvedConfig,
-    _mean_to_dict,
     config_to_dict,
     load_config,
 )
@@ -119,7 +118,7 @@ def _trace_meta(cfg: ResolvedConfig) -> dict:
         **{f"bounds.{k}": _f17(getattr(cfg.bound_inputs, k)) for k in BOUND_KEYS},
         "model.l": str(cfg.model.l),
         "model.m": str(cfg.model.m),
-        "model.mean_schedule": _mean_to_dict(cfg.model.mean)["kind"],
+        "model.mean_schedule": cfg.model.mean.kind,
         "model.n": str(cfg.model.n),
         "model.sigma_eta": _f17(cfg.model.sigma_eta),
         "model.sigma_x": _f17(cfg.model.sigma_x),

@@ -19,6 +19,7 @@ import json
 import math
 import reprlib
 from dataclasses import asdict, dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .consensus import (
     ring_weights,
     validate_weights,
 )
-from .model_gen import ConstantMean, ModelSpec, SinusoidMean, ZeroMean
+from .model_gen import MeanSchedule, ModelSpec, ZeroMean
 from .planner import DEFAULT_MAX_T, PlanResult, Schedule, plan
 from .simnet import RunParams, SimConfig
 
@@ -131,7 +132,7 @@ class _Section:
         field left out takes the default of whatever the dict is passed to."""
         return {k: read(k) for k in keys if k in self.data}
 
-    def _array(self, key: str, shape: tuple) -> np.ndarray:
+    def array(self, key: str, shape: tuple) -> np.ndarray:
         """The field ``key`` as a finite float array of ``shape``: a JSON
         number for ``()``, nested lists of them otherwise. A ``(rows, cols)``
         matrix may also be given as a flat row-major list."""
@@ -164,7 +165,7 @@ class _Section:
         return arr
 
     def number(self, key: str) -> float:
-        return float(self._array(key, ()))
+        return float(self.array(key, ()))
 
     def integer(self, key: str) -> int:
         v = self.require(key)
@@ -173,12 +174,6 @@ class _Section:
         if not -2**63 <= v < 2**64:  # numpy takes it as an int64 or uint64
             raise ConfigError(self.sub(key), "must fit in 64 bits")
         return v
-
-    def vector(self, key: str, length: int) -> np.ndarray:
-        return self._array(key, (length,))
-
-    def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
-        return self._array(key, (rows, cols))
 
     def build(self, make, *args, **fields):
         """``make(*args, **fields)``, whose ``ValueError`` names the field of
@@ -207,20 +202,17 @@ class _Section:
             raise ConfigError(self.sub(sorted(extra)[0]), "unknown field")
 
 
-def _resolve_mean(section: _Section, m: int, n: int):
-    kind = section.data.get("kind")
-    if kind == "zero":
-        section.unknown_keys({"kind"})
-        return ZeroMean()
-    if kind == "constant":
-        section.unknown_keys({"kind", "vectors"})
-        return ConstantMean(vectors=section.matrix("vectors", m, n))
-    if kind == "sinusoid":
-        section.unknown_keys({"kind", "amplitudes", "periods"})
-        return section.build(SinusoidMean, amplitudes=section.matrix("amplitudes", m, n),
-                             periods=section.vector("periods", m))
-    raise ConfigError(section.sub("kind"),
-                      f"expected 'zero', 'constant' or 'sinusoid', got {_quote(kind)}")
+def _resolve_mean(section: _Section, m: int, n: int) -> MeanSchedule:
+    kind = section.require("kind")
+    schedules = get_args(MeanSchedule)
+    schedule = next((s for s in schedules if s.kind == kind), None)
+    if schedule is None:
+        *others, last = (repr(s.kind) for s in schedules)
+        raise ConfigError(section.sub("kind"),
+                          f"expected {', '.join(others)} or {last}, got {_quote(kind)}")
+    shapes = schedule.shapes(m, n)
+    section.unknown_keys({"kind", *shapes})
+    return section.build(schedule, **{k: section.array(k, shape) for k, shape in shapes.items()})
 
 
 def _resolve_model(section: _Section) -> ModelSpec:
@@ -232,8 +224,8 @@ def _resolve_model(section: _Section) -> ModelSpec:
         raise ConfigError(section.sub("n" if n < 1 else "l"), "must be >= 1")
     if m < 1:
         raise ConfigError(section.sub("m"), "must be >= 1")
-    theta = section.matrix("theta", l, n)
-    mean_raw = section.data.get("mean_schedule", {"kind": "zero"})
+    theta = section.array("theta", (l, n))
+    mean_raw = section.data.get("mean_schedule", {"kind": ZeroMean.kind})
     mean = _resolve_mean(_Section(mean_raw, section.sub("mean_schedule")), m, n)
     return section.build(ModelSpec, theta=theta, sigma_x=section.number("sigma_x"),
                          sigma_eta=section.number("sigma_eta"), m=m, mean=mean)
@@ -243,7 +235,7 @@ def _resolve_network(section: _Section, m: int) -> WeightMatrix:
     if "weights" in section.data:
         section.unknown_keys({"weights"})
         try:
-            return validate_weights(section.matrix("weights", m, m))
+            return validate_weights(section.array("weights", (m, m)))
         except WeightMatrixError as e:
             raise ConfigError(section.sub("weights"), f"{e.clause}: {e}") from None
     topology = section.data.get("topology")
@@ -333,16 +325,8 @@ def load_config(path: str, command: str | None = None) -> ResolvedConfig:
     return resolve_config(data, command)
 
 
-def _mean_to_dict(mean) -> dict:
-    if isinstance(mean, ZeroMean):
-        return {"kind": "zero"}
-    if isinstance(mean, ConstantMean):
-        return {"kind": "constant", "vectors": mean.vectors.tolist()}
-    return {
-        "kind": "sinusoid",
-        "amplitudes": mean.amplitudes.tolist(),
-        "periods": mean.periods.tolist(),
-    }
+def _mean_to_dict(mean: MeanSchedule) -> dict:
+    return {"kind": mean.kind, **{f.name: getattr(mean, f.name).tolist() for f in fields(mean)}}
 
 
 def config_to_dict(cfg: ResolvedConfig) -> dict:

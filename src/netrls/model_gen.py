@@ -56,12 +56,15 @@ def _max_row_norm(rows: np.ndarray) -> float:
 class ZeroMean:
     """Zero feature mean for every agent and time."""
 
+    kind = "zero"
+
+    @staticmethod
+    def shapes(m: int, n: int) -> dict:
+        return {}
+
     @property
     def mu_hat(self) -> float:
         return 0.0
-
-    def check(self, m: int, n: int) -> None:
-        pass
 
     def profile(self, times: np.ndarray, m: int, n: int) -> np.ndarray:
         return np.zeros((len(times), m, n))
@@ -71,7 +74,12 @@ class ZeroMean:
 class ConstantMean:
     """Time-invariant per-agent means; ``vectors`` has one row per agent."""
 
+    kind = "constant"
     vectors: np.ndarray
+
+    @staticmethod
+    def shapes(m: int, n: int) -> dict:
+        return {"vectors": (m, n)}
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", _readonly(np.atleast_2d(self.vectors)))
@@ -81,12 +89,6 @@ class ConstantMean:
     @property
     def mu_hat(self) -> float:
         return _max_row_norm(self.vectors)
-
-    def check(self, m: int, n: int) -> None:
-        if self.vectors.shape != (m, n):
-            raise ValueError(
-                f"constant mean vectors have shape {self.vectors.shape}, expected {(m, n)}"
-            )
 
     def profile(self, times: np.ndarray, m: int, n: int) -> np.ndarray:
         return np.broadcast_to(self.vectors, (len(times), m, n))
@@ -100,8 +102,13 @@ class SinusoidMean:
     supremum over time of ``||mu_{i,t}||`` is exactly ``max_i ||amplitudes[i]||``.
     """
 
+    kind = "sinusoid"
     amplitudes: np.ndarray
     periods: np.ndarray
+
+    @staticmethod
+    def shapes(m: int, n: int) -> dict:
+        return {"amplitudes": (m, n), "periods": (m,)}
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _readonly(np.atleast_2d(self.amplitudes)))
@@ -115,21 +122,13 @@ class SinusoidMean:
     def mu_hat(self) -> float:
         return _max_row_norm(self.amplitudes)
 
-    def check(self, m: int, n: int) -> None:
-        if self.amplitudes.shape != (m, n):
-            raise ValueError(
-                f"sinusoid amplitudes have shape {self.amplitudes.shape}, expected {(m, n)}"
-            )
-        if self.periods.shape != (m,):
-            raise ValueError(
-                f"sinusoid periods have shape {self.periods.shape}, expected {(m,)}"
-            )
-
     def profile(self, times: np.ndarray, m: int, n: int) -> np.ndarray:
         phase = np.cos(2.0 * np.pi * np.asarray(times, dtype=float)[:, None] / self.periods)
         return phase[:, :, None] * self.amplitudes
 
 
+# every mean schedule; a config names one by its ``kind`` and gives each of
+# its fields as an array of the shape that ``shapes(m, n)`` maps it to
 MeanSchedule = ZeroMean | ConstantMean | SinusoidMean
 
 
@@ -163,7 +162,10 @@ class ModelSpec:
             raise ValueError("sigma_eta must be nonnegative and finite")
         if self.m < 1:
             raise ValueError("need at least one agent")
-        self.mean.check(self.m, self.n)
+        for name, shape in self.mean.shapes(self.m, self.n).items():
+            actual = getattr(self.mean, name).shape
+            if actual != shape:
+                raise ValueError(f"{self.mean.kind} {name} have shape {actual}, expected {shape}")
 
     @property
     def n(self) -> int:

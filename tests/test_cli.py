@@ -5,9 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ import netrls as nr
 from netrls import cli
 from netrls.cli import ROWS_PER_CHUNK, _f12, main, write_trace
 from netrls.config import ConfigError, config_to_dict, load_config, resolve_config
+from netrls.model_gen import MeanSchedule
 
 DATA_DIR = Path(__file__).parent / "data"
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
@@ -235,6 +236,10 @@ class Rewrite(NamedTuple):
         # the shape of each section and of the file
         (lambda d: _set_mean(d, {"kind": "linear"}),
          "model.mean_schedule.kind: expected 'zero', 'constant' or 'sinusoid', got 'linear'"),
+        # a kind left out is missing, like any other required field; null is a bad kind
+        (lambda d: _set_mean(d, {}), "model.mean_schedule.kind: required field is missing"),
+        (lambda d: _set_mean(d, {"kind": None}),
+         "model.mean_schedule.kind: expected 'zero', 'constant' or 'sinusoid', got None"),
         (lambda d: d["model"].update(n=0), "model.n: must be >= 1"),
         (lambda d: d["model"].update(l=0), "model.l: must be >= 1"),
         (lambda d: d["model"].update(m=0), "model.m: must be >= 1"),
@@ -920,19 +925,28 @@ def test_flat_row_major_theta_accepted(tmp_path):
     assert np.array_equal(resolve_config(wide).model.theta, [[1.6, 0.3], [0.8, 0.3]])
 
 
-def test_mean_schedule_round_trip():
-    data = small_config_dict()
-    data["model"]["mean_schedule"] = {
-        "kind": "sinusoid", "amplitudes": [[1.0], [2.0]], "periods": [4.0, 8.0],
-    }
-    cfg = resolve_config(data)
-    assert isinstance(cfg.model.mean, nr.SinusoidMean)
-    again = resolve_config(config_to_dict(cfg))
-    assert np.array_equal(again.model.mean.amplitudes, cfg.model.mean.amplitudes)
+def test_mean_schedule_round_trip(tmp_path):
+    # each field of each kind, set from its shape, survives the echo, and the
+    # trace header names the kind
+    for schedule in get_args(MeanSchedule):
+        data = small_config_dict()
+        shapes = schedule.shapes(data["model"]["m"], data["model"]["n"])
+        assert set(shapes) == {f.name for f in fields(schedule)}
+        data["model"]["mean_schedule"] = {"kind": schedule.kind, **{
+            name: (0.5 + np.arange(np.prod(shape))).reshape(shape).tolist()
+            for name, shape in shapes.items()}}
+        cfg = resolve_config(data)
+        again = resolve_config(json.loads(json.dumps(config_to_dict(cfg))))
+        assert type(cfg.model.mean) is type(again.model.mean) is schedule
+        for name in shapes:
+            assert np.array_equal(getattr(again.model.mean, name),
+                                  data["model"]["mean_schedule"][name]), (schedule.kind, name)
+        assert again.model.mu_hat == cfg.model.mu_hat
 
-    data["model"]["mean_schedule"] = {"kind": "constant", "vectors": [[0.5], [1.5]]}
-    cfg2 = resolve_config(data)
-    assert cfg2.model.mu_hat == pytest.approx(1.5)
+        out = tmp_path / f"{schedule.kind}.csv"
+        config = write_config(tmp_path, data, f"{schedule.kind}.json")
+        assert main(["simulate", config, "-o", str(out)]) == 0
+        assert f"# model.mean_schedule={schedule.kind}\n" in out.read_text()
 
 
 def test_committed_configs_are_valid():

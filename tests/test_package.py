@@ -1,8 +1,11 @@
-"""The package's public surface: the modules' ``__all__`` lists, re-exported."""
+"""The package's public surface: the modules' ``__all__`` lists, re-exported, and no
+module importing another's private names."""
 
 from __future__ import annotations
 
+import ast
 from collections import Counter
+from pathlib import Path
 from types import ModuleType
 
 import netrls as nr
@@ -24,3 +27,16 @@ def test_each_public_name_is_declared_once_and_re_exported_as_is():
     public = {name for name in dir(nr)
               if not name.startswith("_") and not isinstance(getattr(nr, name), ModuleType)}
     assert public == set(nr.__all__)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name is its module's own business; a module that needs one
+    # of another's asks for a public name or an attribute of a public object
+    crossings = []
+    for path in sorted(Path(nr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "netrls"):
+                crossings += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_")]
+    assert crossings == []
