@@ -310,10 +310,19 @@ def resolve_config(data: dict, command: str | None = None) -> ResolvedConfig:
                           plan=plan_params, schedule=schedule, planned=planned, run=run)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is a decoding error."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"repeated key {key!r}")
+    return data
+
+
 def load_config(path: str, command: str | None = None) -> ResolvedConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as e:
         raise ConfigError(str(path), f"cannot read config: {e}") from None
     except ValueError as e:  # a JSONDecodeError, or bytes that are not UTF-8

@@ -109,7 +109,8 @@ def run_comm_phase(weights: WeightMatrix, alphas: np.ndarray, betas: np.ndarray,
     ``j``'s matrices), all read from the previous round, so ``steps`` rounds
     are one multiplication by ``W**steps`` along the agent axis. The axes
     after the first are carried along, so the sums of several phases stacked
-    as ``(m, k * l, n)`` are mixed by one product.
+    as ``(m, k * l, n)`` are mixed by one product with each phase's bits alone:
+    ``einsum`` sums every entry over a contiguous copy of its agents, in one order.
     """
     if steps < 1:
         raise ValueError("a communication phase needs at least one step")
@@ -118,7 +119,8 @@ def run_comm_phase(weights: WeightMatrix, alphas: np.ndarray, betas: np.ndarray,
         raise ValueError(f"expected statistics for {m} agents, "
                          f"got {alphas.shape[0]}/{betas.shape[0]}")
     wp = np.linalg.matrix_power(weights.w, steps)
-    return np.tensordot(wp, alphas, axes=(1, 0)), np.tensordot(wp, betas, axes=(1, 0))
+    return tuple(np.einsum("ij,cj->ic", wp, x.reshape(m, -1).T.copy()).reshape(x.shape)
+                 for x in (alphas, betas))
 
 
 def mixing_deficit(weights: WeightMatrix, steps: int) -> float:
@@ -129,9 +131,8 @@ def mixing_deficit(weights: WeightMatrix, steps: int) -> float:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    m = weights.m
     wp = np.linalg.matrix_power(weights.w, steps)
-    return float(np.max(np.abs(wp - 1.0 / m).sum(axis=1)))
+    return float(np.max(np.abs(wp - 1.0 / weights.m).sum(axis=1)))
 
 
 def ring_weights(m: int, self_weight: float = 1.0 / 3.0) -> WeightMatrix:

@@ -48,9 +48,6 @@ class Schedule:
         if self.S % self.zeta != 0:
             raise ValueError("S must be an integer multiple of zeta")
 
-    def comm_times(self, horizon: int) -> list[int]:
-        return list(range(self.zeta, min(self.S, horizon) + 1, self.zeta))
-
 
 @dataclass(frozen=True)
 class PlanResult:

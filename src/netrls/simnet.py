@@ -44,11 +44,6 @@ LANE_STEPS = 4096
 RANK_TOL = 1e-8
 
 
-def is_2x2(a: np.ndarray) -> bool:
-    """True for a stack of 2x2 matrices, which have closed forms below."""
-    return a.shape[-2:] == (2, 2)
-
-
 def _extreme_singular_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest and smallest singular values over the trailing two axes.
 
@@ -60,7 +55,7 @@ def _extreme_singular_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.shape[-2:] == (1, 1):
         return (np.abs(a[..., 0, 0]),) * 2
-    if not is_2x2(a):
+    if a.shape[-2:] != (2, 2):
         sv = np.linalg.svd(a, compute_uv=False)
         return sv[..., 0], sv[..., -1]
     p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
@@ -84,7 +79,7 @@ def inverse(beta: np.ndarray) -> np.ndarray:
     ones as ``adj(beta) / det(beta)``."""
     if beta.shape[-2:] == (1, 1):
         return 1 / beta
-    if not is_2x2(beta):
+    if beta.shape[-2:] != (2, 2):
         return np.linalg.inv(beta)
     p, q, r, s = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 0], beta[..., 1, 1]
     adj = np.stack([s, -q, -r, p], axis=-1).reshape(beta.shape)
@@ -188,7 +183,6 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     model, schedule = config.model, config.schedule
     horizon, m, l, n = config.horizon, model.m, model.l, model.n
     theta = model.theta
-    comm_times = schedule.comm_times(horizon)
     trace = ErrorTrace(
         t=np.arange(1, horizon + 1),
         local_err=np.empty(horizon),
@@ -197,7 +191,7 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         comm_fired=np.zeros(horizon, dtype=bool),
         pre_invertible_count=np.empty(horizon, dtype=np.int64),
     )
-    trace.comm_fired[np.asarray(comm_times, dtype=np.int64) - 1] = True
+    trace.comm_fired[schedule.zeta - 1:schedule.S:schedule.zeta] = True
     lane = max(1, LANE_STEPS // (m + 1))
     block = max(BLOCK, lane)
     cut = (trace.t % block % lane == 0) | (trace.t == horizon)
@@ -235,12 +229,11 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         if fired.size:
             # the sums at the k phases as (m, k * rows, cols): run_comm_phase
             # mixes along the agent axis and carries the others along
-            k = fired.size
-            mixed = run_comm_phase(config.weights,
-                                   np.moveaxis(a[fired], 0, 1).reshape(m, k * l, n),
-                                   np.moveaxis(b[fired], 0, 1).reshape(m, k * n, n),
-                                   schedule.T)
-            mixed_alpha, mixed_beta = (np.moveaxis(x.reshape(m, k, -1, n), 1, 0) for x in mixed)
+            mixed = run_comm_phase(config.weights, *(x[fired].swapaxes(0, 1).reshape(m, -1, n)
+                                                     for x in (a, b)), schedule.T)
+            # back to (k, m, rows, cols) in C order: the agent mean sums each row in one order
+            mixed_alpha, mixed_beta = (x.reshape(m, fired.size, -1, n).swapaxes(0, 1).copy()
+                                       for x in mixed)
             mixed_err = _errors(mixed_alpha, mixed_beta, full_rank(mixed_beta), theta)
             phase_err.extend(mixed_err.mean(axis=1))
 
@@ -249,7 +242,7 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         trace.global_err[piece] = errs[:, m]
         trace.pre_invertible_count[piece] = m - flags[:, :m].sum(axis=1)
         start = end
-    trace.comm_err[:] = np.take(phase_err, np.searchsorted(comm_times, trace.t, side="right"))
+    trace.comm_err[:] = np.take(phase_err, np.cumsum(trace.comm_fired))
     return trace
 
 

@@ -345,7 +345,10 @@ def _with_5000_digit_sigma_x(path: Path) -> None:
     (_with_5000_digit_sigma_x, None),
     # the decoder recurses once per nesting level
     (lambda path: path.write_text("[" * 100_000), "invalid JSON: nested too deeply"),
-], ids=["non-utf-8", "5000-digit-integer", "nested-100000-deep"])
+    # json alone would keep the last copy of a repeated key
+    (lambda path: path.write_text(json.dumps(paper_config_dict()).replace(
+        '"runs": 10', '"runs": 10, "runs": 1')), "invalid JSON: repeated key 'runs'\n"),
+], ids=["non-utf-8", "5000-digit-integer", "nested-100000-deep", "repeated-key"])
 def test_undecodable_config_exits_2_naming_the_file(tmp_path, capsys, write, message):
     path = tmp_path / "broken.json"
     write(path)

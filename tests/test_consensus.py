@@ -113,6 +113,25 @@ def test_phase_equals_explicit_matrix_power():
         assert np.linalg.norm(mixed_b - exp_b) <= 1e-10 * np.linalg.norm(exp_b)
 
 
+@pytest.mark.parametrize("m", [2, 5, 8, 17, 64])
+def test_stacked_phases_mix_as_each_phase_alone(m):
+    # the engine mixes the k phases of a piece stacked as (m, k * l, n): each
+    # phase comes out with the bits it has when mixed alone, as a copy or as
+    # a view, so no trace depends on how many phases share a piece
+    rng = np.random.default_rng(m)
+    wm = random_connected_weights(rng, m)
+    k = 7
+    for l, n in ((1, 1), (2, 2), (3, 1), (1, 3)):
+        alphas, betas = rng.normal(size=(m, k * l, n)), rng.normal(size=(m, k * n, n))
+        stacked = nr.run_comm_phase(wm, alphas, betas, 3)
+        for p in range(k):
+            rows = [slice(p * l, (p + 1) * l), slice(p * n, (p + 1) * n)]
+            views = (alphas[:, rows[0]], betas[:, rows[1]])
+            for alone in (views, tuple(v.copy() for v in views)):
+                for got, want, r in zip(nr.run_comm_phase(wm, *alone, 3), stacked, rows):
+                    assert np.array_equal(got, want[:, r])
+
+
 def test_phase_preserves_network_average():
     rng = np.random.default_rng(9)
     wm = random_connected_weights(rng, 5)
