@@ -25,7 +25,7 @@ import itertools
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .config import (
     load_config,
 )
 from .planner import Schedule
-from .simnet import ErrorTrace, run
+from .simnet import ErrorTrace, RunParams, run
 
 __all__ = ["main"]
 
@@ -125,12 +125,8 @@ def _trace_meta(cfg: ResolvedConfig) -> dict:
         "model.theta": _matrix_flat(cfg.model.theta),
         "network.rho": _f17(cfg.weights.rho),
         "network.weights": _matrix_flat(cfg.weights.w),
-        "run.horizon": str(cfg.run.horizon),
-        "run.runs": str(cfg.run.runs),
-        "run.seed": str(cfg.run.seed),
-        "schedule.S": str(cfg.schedule.S),
-        "schedule.T": str(cfg.schedule.T),
-        "schedule.zeta": str(cfg.schedule.zeta),
+        **{f"run.{f.name}": str(getattr(cfg.run, f.name)) for f in fields(RunParams)},
+        **{f"schedule.{f.name}": str(getattr(cfg.schedule, f.name)) for f in fields(Schedule)},
     }
     if cfg.planned is not None:
         meta["plan.epsilon"] = _f17(cfg.planned.epsilon)

@@ -15,6 +15,8 @@ checked against the stopping time whichever section sets it.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
 import reprlib
@@ -32,11 +34,11 @@ from .consensus import (
     validate_weights,
 )
 from .model_gen import MeanSchedule, ModelSpec, ZeroMean
-from .planner import DEFAULT_MAX_T, PlanResult, Schedule, plan
+from .planner import PlanResult, Schedule, plan
 from .simnet import RunParams, SimConfig
 
-__all__ = ["ConfigError", "PlanParams", "ResolvedConfig", "BOUND_KEYS", "load_config",
-           "resolve_config", "config_to_dict"]
+__all__ = ["ConfigError", "ResolvedConfig", "BOUND_KEYS", "load_config", "resolve_config",
+           "config_to_dict"]
 
 # the ``bounds`` fields a config may set; each one that it leaves out takes
 # the default of ``BoundInputs.from_model``
@@ -69,21 +71,11 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class PlanParams:
-    """The ``plan`` section, echoed in the plan output; ``plan`` checks it."""
-
-    zeta: int
-    epsilon: float
-    epsilon_N: float
-    max_t: int = DEFAULT_MAX_T
-
-
-@dataclass(frozen=True)
 class ResolvedConfig:
     model: ModelSpec
     weights: WeightMatrix
     bound_inputs: BoundInputs
-    plan: PlanParams | None
+    plan: dict | None  # the keyword arguments of ``plan``, defaults included
     schedule: Schedule
     planned: PlanResult | None
     run: SimConfig | None
@@ -110,6 +102,13 @@ def _json_numbers(raw, path: str) -> None:
             stack.pop()
 
 
+@functools.cache  # a signature costs about as much to read as the rest of a config
+def _numeric_parameters(call) -> tuple[inspect.Parameter, ...]:
+    """The ``int`` and ``float`` parameters of ``call``'s signature."""
+    return tuple(p for p in inspect.signature(call, eval_str=True).parameters.values()
+                 if p.annotation in (int, float))
+
+
 class _Section:
     """Typed accessors over one config dict, tracking dotted paths."""
 
@@ -131,6 +130,17 @@ class _Section:
         """``read(key)`` for each of ``keys`` that the section sets, so a
         field left out takes the default of whatever the dict is passed to."""
         return {k: read(k) for k in keys if k in self.data}
+
+    def arguments(self, call) -> dict:
+        """The section as the keyword arguments of ``call``: one for each
+        ``int`` or ``float`` parameter of its signature, read with
+        ``integer`` or ``number``, or the signature's default where the
+        section leaves it out. Any other key is an unknown field."""
+        read = {int: self.integer, float: self.number}
+        params = _numeric_parameters(call)
+        self.unknown_keys({p.name for p in params})
+        return {p.name: read[p.annotation](p.name)
+                if p.name in self.data or p.default is p.empty else p.default for p in params}
 
     def array(self, key: str, shape: tuple) -> np.ndarray:
         """The field ``key`` as a finite float array of ``shape``: a JSON
@@ -274,40 +284,32 @@ def resolve_config(data: dict, command: str | None = None) -> ResolvedConfig:
             "exactly one of 'plan' or 'schedule' must be present",
         )
 
-    plan_params = None
+    plan_args = None
     if has_plan:
         plan_sec = _Section(data["plan"], "plan")
-        plan_sec.unknown_keys({"zeta", "epsilon", "epsilon_N", "max_t"})
-        plan_params = PlanParams(zeta=plan_sec.integer("zeta"),
-                                 epsilon=plan_sec.number("epsilon"),
-                                 epsilon_N=plan_sec.number("epsilon_N"),
-                                 **plan_sec.given(plan_sec.integer, ["max_t"]))
+        plan_args = plan_sec.arguments(plan)
     else:
         sec = _Section(data["schedule"], "schedule")
-        sec.unknown_keys({"zeta", "T", "S"})
-        schedule = sec.build(Schedule, zeta=sec.integer("zeta"), T=sec.integer("T"),
-                             S=sec.integer("S"))
+        schedule = sec.build(Schedule, **sec.arguments(Schedule))
 
     run = None
     if "run" in data:
         run_sec = _Section(data["run"], "run")
-        run_sec.unknown_keys({"horizon", "runs", "seed"})
-        run = run_sec.build(RunParams, seed=run_sec.integer("seed"),
-                            horizon=run_sec.integer("horizon"), runs=run_sec.integer("runs"))
+        run = run_sec.build(RunParams, **run_sec.arguments(RunParams))
 
     needs = {"plan": "plan", "simulate": "run"}.get(command)
     if needs is not None and needs not in data:
         raise ConfigError(needs, f"the {command} command needs a '{needs}' section")
     # planned last, so that no bad field waits on the search
     planned = None
-    if plan_params is not None:
-        planned = plan_sec.build(plan, bound_inputs, **asdict(plan_params))
+    if plan_args is not None:
+        planned = plan_sec.build(plan, bound_inputs, **plan_args)
         schedule = planned.schedule()
     if run is not None:
         run = run_sec.build(SimConfig, model=model, weights=weights, schedule=schedule,
                             **asdict(run))
     return ResolvedConfig(model=model, weights=weights, bound_inputs=bound_inputs,
-                          plan=plan_params, schedule=schedule, planned=planned, run=run)
+                          plan=plan_args, schedule=schedule, planned=planned, run=run)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -354,9 +356,10 @@ def config_to_dict(cfg: ResolvedConfig) -> dict:
         "network": {"weights": cfg.weights.w.tolist()},
         "bounds": {k: getattr(cfg.bound_inputs, k) for k in BOUND_KEYS},
     }
-    # a planned config echoes its plan section, not the schedule planned from it
-    section = "schedule" if cfg.planned is None else "plan"
-    out[section] = asdict(getattr(cfg, section))
+    if cfg.plan is None:
+        out["schedule"] = asdict(cfg.schedule)
+    else:  # a planned config echoes its plan section, not the schedule planned from it
+        out["plan"] = dict(cfg.plan)
     if cfg.run is not None:
         out["run"] = {f.name: getattr(cfg.run, f.name) for f in fields(RunParams)}
     return out

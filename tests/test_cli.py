@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import asdict, fields, replace
@@ -17,6 +18,7 @@ from netrls import cli
 from netrls.cli import ROWS_PER_CHUNK, _f12, main, write_trace
 from netrls.config import ConfigError, config_to_dict, load_config, resolve_config
 from netrls.model_gen import MeanSchedule
+from netrls.simnet import RunParams
 
 DATA_DIR = Path(__file__).parent / "data"
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
@@ -582,7 +584,8 @@ def test_paper_trace_bound_columns_equal_scalar_calls(tmp_path):
     assert main(["simulate", str(CONFIGS_DIR / "paper.json"), "-o", str(out)]) == 0
     rows = _trace_rows(out)
     assert len(rows) == cfg.run.horizon
-    plan = nr.plan(cfg.bound_inputs, cfg.plan.zeta, cfg.plan.epsilon, cfg.plan.epsilon_N)
+    plan = nr.plan(cfg.bound_inputs, cfg.plan["zeta"], cfg.plan["epsilon"],
+                   cfg.plan["epsilon_N"])
     for row in rows:
         t = int(row[0])
         local = _f12(nr.local_bound(cfg.bound_inputs, t).value) if t >= 76 else ""
@@ -732,7 +735,7 @@ def _json_text_recursive(value, indent: int = 0) -> str:
 
 def _plan_payload(config: Path) -> dict:
     cfg = load_config(str(config))
-    result = nr.plan(cfg.bound_inputs, **asdict(cfg.plan))
+    result = nr.plan(cfg.bound_inputs, **cfg.plan)
     return {**asdict(result), "config": config_to_dict(cfg)}
 
 
@@ -890,10 +893,10 @@ def test_config_round_trip_preserves_outputs(tmp_path):
     echoed = config_to_dict(original)
     reloaded = resolve_config(json.loads(json.dumps(echoed)))
 
-    first = nr.plan(original.bound_inputs, original.plan.zeta,
-                    original.plan.epsilon, original.plan.epsilon_N)
-    second = nr.plan(reloaded.bound_inputs, reloaded.plan.zeta,
-                     reloaded.plan.epsilon, reloaded.plan.epsilon_N)
+    first = nr.plan(original.bound_inputs, original.plan["zeta"],
+                    original.plan["epsilon"], original.plan["epsilon_N"])
+    second = nr.plan(reloaded.bound_inputs, reloaded.plan["zeta"],
+                     reloaded.plan["epsilon"], reloaded.plan["epsilon_N"])
     assert (first.T, first.S, first.t_first) == (second.T, second.S, second.t_first)
     assert first.C1 == second.C1 and first.c3 == second.c3
 
@@ -950,6 +953,47 @@ def test_mean_schedule_round_trip(tmp_path):
         config = write_config(tmp_path, data, f"{schedule.kind}.json")
         assert main(["simulate", config, "-o", str(out)]) == 0
         assert f"# model.mean_schedule={schedule.kind}\n" in out.read_text()
+
+
+def test_each_section_follows_its_declaration(tmp_path, capsys):
+    # the fields of plan, schedule and run are the int and float parameters
+    # of the call each configures, read with that type; one left out is
+    # missing unless the call has a default, any other key is unknown, and
+    # the echo holds every parameter, defaults included
+    wrong = {int: 1.5, float: "0.5"}
+    echoes = {}
+    for section, call in [("plan", nr.plan), ("schedule", nr.Schedule), ("run", RunParams)]:
+        data = paper_config_dict()
+        if section == "schedule":
+            del data["plan"]
+            data["schedule"] = {"zeta": 20, "T": 38, "S": 1620}
+        given = data[section]
+        params = [p for p in inspect.signature(call, eval_str=True).parameters.values()
+                  if p.annotation in wrong]
+        assert set(given) <= {p.name for p in params}
+
+        def exits_2(fields: dict) -> str:
+            config = write_config(tmp_path, {**data, section: fields})
+            assert main(["bounds", config, "--at", "1"]) == 2
+            return capsys.readouterr().err
+
+        for p in params:
+            left_out = {k: v for k, v in given.items() if k != p.name}
+            if p.default is p.empty:
+                assert exits_2(left_out) == \
+                    f"config error: {section}.{p.name}: required field is missing\n"
+            else:
+                echo = config_to_dict(resolve_config({**data, section: left_out}))
+                assert echo[section][p.name] == p.default
+            expected = "an integer" if p.annotation is int else "a number"
+            assert exits_2({**given, p.name: wrong[p.annotation]}).startswith(
+                f"config error: {section}.{p.name}: expected {expected}, got ")
+        assert exits_2({**given, "extra": 1}) == f"config error: {section}.extra: unknown field\n"
+        echoes[section] = config_to_dict(resolve_config(data))[section]
+        assert echoes[section] == {p.name: given.get(p.name, p.default) for p in params}
+    assert echoes == {"plan": {"zeta": 20, "epsilon": 0.5, "epsilon_N": 0.01, "max_t": 1000000},
+                      "schedule": {"zeta": 20, "T": 38, "S": 1620},
+                      "run": {"horizon": 3000, "runs": 10, "seed": 1008}}
 
 
 def test_committed_configs_are_valid():

@@ -34,14 +34,14 @@ FORCED_KERNELS = {
     "Prescott": ("SSE3", "Katmai"),
 }
 
-# run in the child: its core name, and the kernel-independent goldens it
-# does not reproduce
+# run in the child: its core name, and the goldens it does not reproduce
+# (``goldens.differing``)
 CHILD = """
 import json, sys
 from pathlib import Path
 import goldens
 print(json.dumps({"core": goldens.openblas_core(),
-                  "differ": goldens.differing(goldens.kernel_independent(), Path(sys.argv[1]))}))
+                  "differ": goldens.differing(Path(sys.argv[1]))}))
 """
 
 

@@ -23,12 +23,21 @@ flat in ``t``. Over seeds 1 to 20 (100 runs, ``t`` in {20, ..., 400}) no run
 exceeded the bound, the slack was 44 to 56, and its max/min over ``t`` had
 mean 1.12, sd 0.04 and largest 1.22, so the tolerance is 1.3. A bound or
 an error off by a factor of ``sqrt(t)`` moves it by 4.5 over those times.
+
+The communicated bound, with the planned ``T = 38`` and phases every 20
+steps up to ``t = 800``, holds for the agent-mean communicated error at
+``delta_hat`` at each phase time past its burn-in, and its slack over the
+error's ``1 - delta`` quantile is flat in ``t``. Over seeds 1 to 30 (100
+runs, ``t`` in {140, 160, ..., 800}) no run exceeded the bound, the slack
+was 44 to 59, and its max/min over ``t`` had mean 1.18, sd 0.04 and largest
+1.29, so the tolerance is 1.35. A bound or an error off by a factor of
+``sqrt(t)`` moves it to 2.0 to 2.9.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -84,14 +93,14 @@ def test_network_gap_falls_like_rho_to_the_2T():
 
 def test_planned_stopping_time_meets_epsilon_with_confidence_1_minus_delta():
     cfg = load_config(str(Path(__file__).parent.parent / "configs" / "paper.json"))
-    planned = nr.plan(cfg.bound_inputs, **asdict(cfg.plan))
+    planned = nr.plan(cfg.bound_inputs, **cfg.plan)
     assert (planned.T, planned.S) == (38, 1620)
     config = replace(cfg.run, schedule=planned.schedule(), horizon=planned.S, runs=40)
     # the engine keeps no per-agent errors: comm_err is the mean over the
     # agents of each one's communicated error, so this checks the agent mean
     errs = np.array([simnet._simulate_run(config, r).comm_err[planned.S - 1]
                      for r in range(config.runs)])
-    assert np.mean(errs <= cfg.plan.epsilon) >= 1 - cfg.bound_inputs.delta
+    assert np.mean(errs <= cfg.plan["epsilon"]) >= 1 - cfg.bound_inputs.delta
 
 
 def test_global_bound_holds_with_confidence_1_minus_delta_and_a_flat_slack():
@@ -109,3 +118,22 @@ def test_global_bound_holds_with_confidence_1_minus_delta_and_a_flat_slack():
     assert ((errs > bound).sum(axis=0) <= inputs.delta * config.runs).all()
     slack = bound / np.quantile(errs, 1 - inputs.delta, axis=0)
     assert slack.max() / slack.min() < 1.3
+
+
+def test_comm_bound_holds_with_confidence_1_minus_delta_hat_and_a_flat_slack():
+    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6)
+    weights = nr.ring_weights(6)
+    inputs = nr.BoundInputs.from_model(model, weights, delta=0.05, delta_hat=0.001)
+    T, t_first = nr.plan_T(inputs, 20, 0.01)
+    assert (T, t_first) == (38, 140)
+    config = nr.SimConfig(model=model, weights=weights, schedule=nr.Schedule(zeta=20, T=T, S=800),
+                          horizon=800, runs=100, seed=1008)
+    # the phase times past the delta_hat burn-in; comm_err is the mean over
+    # the agents, so each run is one draw of the agent-mean error
+    times = np.arange(t_first, config.horizon + 1, 20)
+    errs = np.array([simnet._simulate_run(config, r).comm_err[times - 1]
+                     for r in range(config.runs)])
+    bound = nr.comm_bound(inputs, times, T).value
+    assert ((errs > bound).sum(axis=0) <= inputs.delta_hat * config.runs).all()
+    slack = bound / np.quantile(errs, 1 - inputs.delta, axis=0)
+    assert slack.max() / slack.min() < 1.35
