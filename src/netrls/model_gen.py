@@ -195,8 +195,14 @@ def _normal_rows(seed: int, run: int, m: int, t_start: int, count: int,
     ``[seed, (run << 32) | i]``, so distinct ``(run, agent)`` pairs own
     disjoint streams. Each time step owns ``ceil(width/4)`` counter blocks and
     one float64 consumes exactly one 64-bit word, so row ``t`` is the same
-    whether generated alone or as part of a larger block. ``numpy.random``
-    is imported here, at the first draw, as scipy is in ``_standard_normal``.
+    whether generated alone or as part of a larger block.
+
+    The uniforms fill an agent-major ``(m, count, 4 * ceil(width/4))``
+    buffer, one contiguous write per agent from one generator whose state
+    is reset to each agent's key. Only the first ``width`` columns go
+    through the inverse CDF, and the result is their ``(count, m, width)``
+    transposed view, not a C-ordered copy. ``numpy.random`` is imported
+    here, at the first draw, as scipy is in ``_standard_normal``.
     """
     from numpy.random import Generator, Philox
 
@@ -208,12 +214,17 @@ def _normal_rows(seed: int, run: int, m: int, t_start: int, count: int,
     if m > 2**32:
         raise ValueError("agent index must fit in 32 bits")
     blocks_per_step = -(-width // 4)
-    u = np.empty((count, m, 4 * blocks_per_step))
+    u = np.empty((m, count, 4 * blocks_per_step))
+    # the state of one generator, reset to each agent's key; it keeps the
+    # four counter words that the constructor split, least significant first
+    bits = Philox(counter=(t_start - 1) * blocks_per_step,
+                  key=np.array([seed, run << 32], dtype=np.uint64))
+    state, random = bits.state, Generator(bits).random
     for agent in range(m):
-        key = np.array([seed, (run << 32) | agent], dtype=np.uint64)
-        bits = Philox(counter=(t_start - 1) * blocks_per_step, key=key)
-        u[:, agent] = Generator(bits).random((count, 4 * blocks_per_step))
-    return _standard_normal(u)[..., :width]
+        state["state"]["key"][1] = (run << 32) | agent
+        bits.state = state
+        random(out=u[agent])
+    return _standard_normal(u[..., :width]).transpose(1, 0, 2)
 
 
 def _integer(value, name: str) -> int:
@@ -230,12 +241,15 @@ def _standard_normal(u: np.ndarray) -> np.ndarray:
 
     The shift keeps the argument above 0. The largest uniform, ``1 - 2**-53``,
     shifts to exactly 1.0, so the argument is clamped below 1; no other value
-    reaches the clamp. scipy is imported here, at the first draw, so the
-    commands that never sample do not pay for its import.
+    reaches the clamp. The result is a new array in the memory order of
+    ``u``, which is left unchanged. scipy is imported here, at the first
+    draw, so the commands that never sample do not pay for its import.
     """
     from scipy.special import ndtri
 
-    return ndtri(np.minimum(u + 2.0**-54, np.nextafter(1.0, 0.0)))
+    z = u + 2.0**-54
+    np.minimum(z, np.nextafter(1.0, 0.0), out=z)
+    return ndtri(z, out=z)
 
 
 def sample_block(spec: ModelSpec, seed: int, run: int, t_start: int,
@@ -245,7 +259,9 @@ def sample_block(spec: ModelSpec, seed: int, run: int, t_start: int,
 
     Returns ``(X, Y)`` with shapes ``(count, m, n)`` and ``(count, m, l)``;
     ``X[:, i]`` is agent ``i``'s stream. Row ``k`` is bit-identical to the
-    one row drawn alone at ``t_start + k``.
+    one row drawn alone at ``t_start + k``. The draws come from
+    ``_normal_rows``'s transposed view, so ``X`` and ``Y`` may be stored
+    agent-major rather than in C order.
     """
     if t_start < 1:
         raise ValueError("time steps start at 1")
@@ -254,7 +270,8 @@ def sample_block(spec: ModelSpec, seed: int, run: int, t_start: int,
     times = np.arange(t_start, t_start + count)
     x = spec.mean.profile(times, m, n) + spec.sigma_x * z[..., :n]
     # einsum keeps each row's rounding independent of the block size, so
-    # single-pair and block generation agree bit for bit
+    # single-pair and block generation agree bit for bit; its sum runs along
+    # the contiguous last axis of x in either memory order
     y = np.einsum("taj,kj->tak", x, spec.theta) + spec.sigma_eta * z[..., n:]
     return x, y
 

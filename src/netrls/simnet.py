@@ -143,8 +143,12 @@ def _block_increments(config: SimConfig, run_index: int, t_start: int,
     x, y = sample_block(config.model, config.seed, run_index, t_start, count)
     m, l, n = config.model.m, config.model.l, config.model.n
     inc_alpha, inc_beta = np.empty((count, m + 1, l, n)), np.empty((count, m + 1, n, n))
-    np.multiply(y[..., :, None], x[..., None, :], out=inc_alpha[:, :m])
-    np.multiply(x[..., :, None], x[..., None, :], out=inc_beta[:, :m])
+    # entry (i, j) of every agent and step in one multiply over the (count, m)
+    # plane; broadcasting over the trailing axes would loop over n at a time
+    for inc, rows in ((inc_alpha, y), (inc_beta, x)):
+        for i in range(rows.shape[-1]):
+            for j in range(n):
+                np.multiply(rows[..., i], x[..., j], out=inc[:, :m, i, j])
     return inc_alpha, inc_beta
 
 

@@ -3,13 +3,17 @@
 This is the literal reading of the two-time-scale loop and the oracle the
 batched engine in ``netrls.simnet`` is checked against. Every data step each
 agent ingests one pair through ``AgentState.ingest``; at communication times
-a phase of ``T`` rounds mixes copies of the statistics and refreshes the
-post-communication estimate, which otherwise carries over unchanged: the
-mixed ``alpha @ inv(beta)`` where the mixed ``beta`` passes the rank test and
-``alpha @ pinv(beta)`` where it does not. The pooled estimate is
-``sum(alpha) @ inv(sum(beta))`` from the first step whose ``sum(beta)`` passes
-the rank test on, and ``sum(alpha) @ pinv(sum(beta))`` before it: the sticky
-rule of ``AgentState``. All inverses are LAPACK's.
+a phase of ``T`` rounds ``x <- W x``, one round at a time, mixes copies of
+the statistics and refreshes the post-communication estimate, which
+otherwise carries over unchanged: the mixed ``alpha @ inv(beta)`` where the
+mixed ``beta`` passes the rank test and ``alpha @ pinv(beta)`` where it does
+not. The pooled estimate is ``sum(alpha) @ inv(sum(beta))`` from the first
+step whose ``sum(beta)`` passes the rank test on, and
+``sum(alpha) @ pinv(sum(beta))`` before it: the sticky rule of
+``AgentState``. All inverses, singular values and norms are LAPACK's. Of the
+engine, the oracle uses only the draws (``sample_block``) and the rank
+tolerance ``RANK_TOL``, so a fault in the engine's mixing, rank test or
+closed forms shows as a difference.
 """
 
 from __future__ import annotations
@@ -17,7 +21,21 @@ from __future__ import annotations
 import numpy as np
 
 import netrls as nr
-from netrls.simnet import full_rank
+from netrls.simnet import RANK_TOL
+
+
+def full_rank(beta: np.ndarray) -> bool:
+    """The rank test by its definition: LAPACK's singular values of ``beta``,
+    the smallest above ``RANK_TOL`` times the largest, which is positive."""
+    sv = np.linalg.svd(beta, compute_uv=False)
+    return bool(sv[0] > 0 and sv[-1] > RANK_TOL * sv[0])
+
+
+def mix(w: np.ndarray, stats: np.ndarray, rounds: int) -> np.ndarray:
+    """``rounds`` consensus rounds ``x <- W x`` along the agent axis, one at a time."""
+    for _ in range(rounds):
+        stats = np.einsum("ij,j...->i...", w, stats)
+    return stats
 
 
 class AgentState:
@@ -92,12 +110,9 @@ class SimWorld:
         schedule = self.config.schedule
         fired = t % schedule.zeta == 0 and t <= schedule.S
         if fired:
-            alphas, betas = nr.run_comm_phase(
-                self.config.weights,
-                np.stack([a.alpha for a in self.agents]),
-                np.stack([a.beta for a in self.agents]),
-                schedule.T,
-            )
+            w = self.config.weights.w
+            alphas = mix(w, np.stack([a.alpha for a in self.agents]), schedule.T)
+            betas = mix(w, np.stack([a.beta for a in self.agents]), schedule.T)
             for i, (alpha, beta) in enumerate(zip(alphas, betas)):
                 invert = np.linalg.inv if full_rank(beta) else np.linalg.pinv
                 self.theta_comm[i] = alpha @ invert(beta)

@@ -143,6 +143,34 @@ def test_counter_layout_padding():
     assert np.array_equal(solo[0], block[8])
 
 
+@pytest.mark.parametrize("width", [4, 5])
+def test_counters_past_64_bits_match_a_fresh_generator_per_agent(width):
+    # the first start's counter crosses 2**64 within the block, the second is
+    # 2**64, and the third sets a bit of the third of Philox's four counter words
+    from numpy.random import Generator, Philox
+
+    blocks = -(-width // 4)
+    seed, run, m, count = 2**64 - 3, 7, 3, 4
+    for t_start in (2**64 // blocks - 1, 2**64 // blocks + 1, 2**150 + 2):
+        z = _normal_rows(seed, run, m, t_start, count, width)
+        assert z.shape == (count, m, width)
+        for agent in range(m):
+            key = np.array([seed, (run << 32) | agent], dtype=np.uint64)
+            u = Generator(Philox(counter=(t_start - 1) * blocks, key=key)).random((count, 4 * blocks))
+            assert np.array_equal(z[:, agent], _standard_normal(u)[:, :width]), (t_start, agent)
+
+
+def test_standard_normal_leaves_its_argument_unchanged():
+    u = np.random.default_rng(4).random((3, 5, 8))
+    u[0, 0, 0] = 1 - 2.0**-53
+    before = u.tobytes()
+    # contiguous, sliced and transposed arguments, as _normal_rows passes a slice
+    for arg in (u, u[..., :5], u.transpose(1, 0, 2)):
+        z = _standard_normal(arg)
+        assert u.tobytes() == before
+        assert np.array_equal(z, ndtri(np.minimum(arg + 2.0**-54, np.nextafter(1.0, 0.0))))
+
+
 def test_largest_uniform_maps_to_a_finite_draw():
     # 1 - 2**-53 is the largest value Generator.random returns; shifted by
     # 2**-54 it rounds to 1.0, where the inverse CDF is +inf
