@@ -10,17 +10,19 @@ Exit codes: 0 ok, 2 configuration error, 3 runtime error. All file output
 is byte-deterministic: floats are written with fixed significant digits
 (17 in config/plan echoes, 12 in trace columns) and keys in sorted order.
 
-Numbers are formatted one block at a time: a ``%`` template repeated once
-per value (or row) of the block and filled by a single ``%``. This is how
-the plan echo writes a float array, the trace header a matrix, and the
-trace and ``bounds`` each run of rows with one burn-in pattern, split off by
-the one segmenter both tables share (a bound's cells stay blank below its
-burn-in).
+Numbers are formatted one block at a time. The trace and ``bounds`` fill a
+``%`` template, repeated once per row, with a single ``%`` for each run of
+rows with one burn-in pattern, split off by the one segmenter both tables
+share (a bound's cells stay blank below its burn-in). A column that repeats
+its values (the floats of the plan echo, the trace header's matrices, the
+trace's step columns) has each run of equal cells formatted once
+(``_run_texts``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -46,6 +48,8 @@ __all__ = ["main"]
 # lists of whole columns would add megabytes to long runs
 ROWS_PER_CHUNK = 256
 
+FLOAT_TYPES = (float, np.floating)
+
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -55,30 +59,50 @@ def _f12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _json_text(value, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+def _json_text(value) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    The layout is written first, with a ``%s`` slot for each float array
+    and each float outside one. The floats of all slots are formatted
+    together (``_g17``), and a single ``%`` fills the slots."""
+    floats: list = []
+    slots: list[tuple[str, int]] = []
+    layout = _json_layout(value, 0, floats, slots)
+    cells = _g17(np.array(floats, dtype=float))
+    ends = itertools.accumulate(n for _, n in slots)
+    return layout % tuple([(",\n" + inner).join(cells[end - n:end])
+                           for (inner, n), end in zip(slots, ends)])
+
+
+def _json_layout(value, indent: int, floats: list, slots: list) -> str:
+    """``value`` laid out as ``_json_text`` writes it, with each ``%`` doubled
+    and a ``%s`` slot for each float array and each float outside one. A
+    slot appends its floats to ``floats`` and its item indent and float count
+    to ``slots``."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
-        items = [
-            f"{inner}\"{k}\": {_json_text(value[k], indent + 1)}" for k in sorted(value)
-        ]
+        items = [f"{inner}\"{str(k).replace('%', '%%')}\": "
+                 + _json_layout(value[k], indent + 1, floats, slots) for k in sorted(value)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
-        if all(isinstance(v, (float, np.floating)) for v in value):
-            # a float array: one template per item, filled by a single %
-            text = ",\n".join([inner + "%.17g"] * len(value)) % tuple(value)
-        else:
-            text = ",\n".join(f"{inner}{_json_text(v, indent + 1)}" for v in value)
-        return "[\n" + text + "\n" + pad + "]"
+        if value and all(issubclass(t, FLOAT_TYPES) for t in set(map(type, value))):
+            # a float array, told by the set of its item types
+            floats.extend(value)
+            slots.append((inner, len(value)))
+            return "[\n" + inner + "%s\n" + pad + "]"
+        items = [inner + _json_layout(v, indent + 1, floats, slots) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _f17(value)
+    if isinstance(value, FLOAT_TYPES):
+        floats.append(value)
+        slots.append(("", 1))
+        return "%s"
     if isinstance(value, str):
-        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
+        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"").replace("%", "%%") + "\""
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -108,9 +132,15 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
             os.remove(tmp)
 
 
+def _g17(values: np.ndarray) -> list[str]:
+    """``%.17g`` of each item of the float64 vector ``values``, each run of
+    equal items formatted once."""
+    run, texts = _run_texts("%.17g", values)
+    return texts[run].tolist()
+
+
 def _matrix_flat(a: np.ndarray) -> str:
-    values = np.asarray(a, dtype=float).ravel().tolist()
-    return ",".join(["%.17g"] * len(values)) % tuple(values)
+    return ",".join(_g17(np.asarray(a, dtype=float).ravel()))
 
 
 def _trace_meta(cfg: ResolvedConfig) -> dict:
@@ -173,14 +203,20 @@ def _burn_in_segments(bounds, ts: np.ndarray):
 def _run_texts(template: str, *columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Format each run of rows whose cells in ``columns`` have the same bits
     (and so print alike) once: ``(run, texts)``, where row ``i`` reads
-    ``texts[run[i]]`` and ``texts`` is an object array of ``template % cells``."""
+    ``texts[run[i]]`` and ``texts`` is an object array of ``template % cells``,
+    all filled by a single ``%``."""
     new = np.zeros(len(columns[0]), dtype=bool)
     new[:1] = True
     for column in columns:
         bits = column.view(f"u{column.itemsize}")
         new[1:] |= bits[1:] != bits[:-1]
-    firsts = zip(*(column[new].tolist() for column in columns))
-    return np.cumsum(new) - 1, np.array([template % cells for cells in firsts], dtype=object)
+    firsts = [column[new].tolist() for column in columns]
+    # interleaved by zip only when there are two columns or more: on a long
+    # column that costs a tenth of the formatting
+    cells = itertools.chain.from_iterable(zip(*firsts)) if len(firsts) > 1 else firsts[0]
+    # each run's text ends in a NUL, which no template and no number holds
+    texts = ((template + "\0") * len(firsts[0]) % tuple(cells)).split("\0")[:-1]
+    return np.cumsum(new) - 1, np.array(texts, dtype=object)
 
 
 def write_trace(path: str, trace: ErrorTrace, meta: dict,
@@ -287,7 +323,10 @@ def cmd_bounds(config_path: str, at: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call in a process and
+    reused after it: parsing reads the parser and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="netrls",
         description="Distributed online least-squares estimation: planner, simulator, bounds.",
@@ -309,7 +348,11 @@ def main(argv=None) -> int:
     p_bounds.add_argument("config")
     p_bounds.add_argument("--at", required=True, help="comma-separated time steps")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "plan":
             return cmd_plan(args.config, args.output)

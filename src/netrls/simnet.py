@@ -220,8 +220,16 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         b[0] += beta
         np.cumsum(a, axis=0, out=a)
         np.cumsum(b, axis=0, out=b)
-        a.sum(axis=1, out=lanes_a[:, m])
-        b.sum(axis=1, out=lanes_b[:, m])
+        # the pooled lane adds the agents in index order: both sums are
+        # copied agent-major into one buffer and summed over its first axis,
+        # a plane of two or more cells at a time (numpy sums a lone column,
+        # strided or not, pairwise)
+        agent_major = np.empty((m, end - start, l * n + n * n))
+        agent_major[..., :l * n] = a.reshape(-1, m, l * n).swapaxes(0, 1)
+        agent_major[..., l * n:] = b.reshape(-1, m, n * n).swapaxes(0, 1)
+        pooled = agent_major.sum(axis=0)
+        lanes_a[:, m] = pooled[:, :l * n].reshape(-1, l, n)
+        lanes_b[:, m] = pooled[:, l * n:].reshape(-1, n, n)
         if invertible.all():
             flags = np.broadcast_to(invertible, lanes_b.shape[:2])
         else:

@@ -20,7 +20,8 @@ from netrls.config import ConfigError, config_to_dict, load_config, resolve_conf
 from netrls.model_gen import MeanSchedule
 from netrls.simnet import RunParams
 
-DATA_DIR = Path(__file__).parent / "data"
+from goldens import DATA_DIR, GOLDENS, run_golden
+
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
 
 
@@ -426,6 +427,28 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert hashlib.sha256(d1).hexdigest() == hashlib.sha256(d2).hexdigest()
 
 
+def test_main_runs_command_after_command_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process; nothing of one call, not even
+    # a usage error, changes the output of the next
+    golden = {g.file: g for g in GOLDENS}
+    outputs = []
+    for name in ("golden_plan_ring64_result.json", "golden_bounds_paper.txt",
+                 "golden_trace.csv"):
+        produced, _ = run_golden(golden[name], tmp_path)
+        assert produced == (DATA_DIR / name).read_bytes()
+        outputs.append(produced)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(DATA_DIR / "golden_config.json")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: netrls simulate ")
+    assert "error: the following arguments are required: -o/--output" in err
+    again, _ = run_golden(golden["golden_plan_ring64_result.json"], tmp_path)
+    assert again == outputs[0]
+    assert cli._parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("parallel", ["0", "-1", "2"])
 def test_bad_parallel_runs_exits_2_naming_it(tmp_path, capsys, parallel):
     # the flag stays for the benchmark's callers and accepts only 1
@@ -754,10 +777,36 @@ FLOAT_STYLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1e16,
     pytest.param(lambda: {"mixed": [1, 2.0, True, np.int64(3), np.float64(4.5), False, -7],
                           "ints": [1, 2, 3], "bools": [True, False],
                           "nested": [[1.5, 2], [0.25], 3.0, [[-0.0]]]}, id="mixed"),
+    # runs of equal cells, within and across rows, that differ only in sign
+    # or in type; and a % in a key and a string, which the layout doubles
+    pytest.param(lambda: {"rows": [[0.0, -0.0, 1 / 3, 1 / 3, np.float64(1 / 3), 0.0],
+                                   [0.0, np.float64(-0.0), -0.0, 0.0, 1 / 3],
+                                   [-0.0, np.float64(1 / 3), 1 / 3, np.float64(0.0)]],
+                          "zero": -0.0, "third": np.float64(1 / 3),
+                          "%s": "100%", "%%d": ["%", 0.0, "-0"]}, id="signed-zeros"),
 ])
 def test_json_text_matches_the_recursive_formatter(payload):
     value = payload()
     assert cli._json_text(value) == _json_text_recursive(value)
+
+
+def test_trace_header_keeps_the_sign_of_zero(tmp_path):
+    data = small_config_dict()
+    data["model"].update(theta=[[0.0, -0.0], [-0.0, 1.25]], n=2, l=2, m=4)
+    third = 1 / 3
+    data["network"] = {"weights": [[third, third, -0.0, third],
+                                   [third, third, third, 0.0],
+                                   [0.0, third, third, third],
+                                   [third, -0.0, third, third]]}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", cfg, "-o", str(out)]) == 0
+    header = dict(line[2:].split("=", 1) for line in out.read_text().splitlines()
+                  if line.startswith("# "))
+    t = "0.33333333333333331"
+    assert header["model.theta"] == "0,-0,-0,1.25"
+    assert header["network.weights"] == ",".join([t, t, "-0", t, t, t, t, "0",
+                                                  "0", t, t, t, t, "-0", t, t])
 
 
 def test_bounds_command_table(tmp_path, capsys):

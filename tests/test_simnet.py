@@ -277,6 +277,37 @@ def test_long_horizon_cumulative_sums_stay_accurate():
     assert averaged.local_err[-1] == pytest.approx(exact, rel=1e-10, abs=0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 6, 64])
+@pytest.mark.parametrize("theta", [[[1.25]], [[1.6, 0.3], [0.8, 0.3]]], ids=["1x1", "2x2"])
+def test_pooled_lane_is_a_running_sum_in_agent_order(monkeypatch, theta, m):
+    # the pooled lane of every step, as the estimate pass receives it, bit
+    # for bit against the agents' lanes added in index order: in pieces as
+    # long as the engine cuts them (at m = 64, 63 steps), and one step long
+    lanes = []
+    errors = simnet._errors
+
+    def capture(alpha, beta, invertible, theta):
+        lanes.append((alpha.copy(), beta.copy()))
+        return errors(alpha, beta, invertible, theta)
+
+    monkeypatch.setattr(simnet, "_errors", capture)
+    n = len(theta[0])
+    model = nr.ModelSpec(theta=theta, sigma_x=3.0, sigma_eta=1.0, m=m,
+                         mean=nr.ConstantMean(vectors=np.linspace(-1.0, 1.0, m * n).reshape(m, n)))
+    config = _small_config(model=model, weights=nr.complete_weights(m),
+                           schedule=nr.Schedule(zeta=10, T=1, S=0), horizon=150, runs=1)
+    for lane_steps in (simnet.LANE_STEPS, m + 1):
+        monkeypatch.setattr(simnet, "LANE_STEPS", lane_steps)
+        simnet._simulate_run(config, 0)
+    assert sum(len(alpha) for alpha, _ in lanes) == 2 * 150
+    for pieces in lanes:
+        for x in pieces:
+            total = x[:, 0].copy()
+            for agent in range(1, m):
+                total += x[:, agent]
+            assert np.array_equal(x[:, m].view(np.uint64), total.view(np.uint64))
+
+
 @pytest.mark.parametrize("m", [1, 3, 9])
 @pytest.mark.parametrize("theta", [[[1.25]], [[1.6, 0.3], [0.8, 0.3]], [[1.0], [-0.5], [2.0]],
                                    [[0.5, -1.0, 0.25], [1.5, 0.0, -0.75]]],
