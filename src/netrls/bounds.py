@@ -196,6 +196,9 @@ def burn_in(inputs: BoundInputs, delta: float) -> float:
     return max(t1, t2, t3)
 
 
+# planner._network_steps and planner._stopping_time solve the conservative
+# local and communicated bounds for t and steps: change them with _C0 and _report
+
 def _C0(inputs: BoundInputs, t, steps: int):
     """Amplitude of the network-convergence error before the rho**T decay."""
     g = inputs.c1 + inputs.c2 / np.sqrt(t)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netrls as nr
+from netrls import planner
+from netrls.config import load_config
+
+ROOT = Path(__file__).parent.parent
 
 
 def test_reference_plan(paper_inputs):
@@ -67,8 +73,11 @@ def test_noiseless_model_stops_immediately(paper_inputs):
 
 def test_monotone_response(paper_inputs):
     previous_T = 0
-    for eps_n in (0.1, 0.05, 0.01, 0.001):
-        T, _ = nr.plan_T(paper_inputs, zeta=20, epsilon_N=eps_n)
+    # at 5e-324 the answer is where the bound's own rho**T underflows to
+    # 0.0, short of the closed-form root
+    for eps_n in (0.1, 0.05, 0.01, 0.001, 5e-324):
+        T, t_first = nr.plan_T(paper_inputs, zeta=20, epsilon_N=eps_n)
+        assert (T, t_first) == _scan_T(paper_inputs, 20, eps_n)
         assert T >= previous_T
         previous_T = T
 
@@ -92,10 +101,20 @@ def test_invalid_tolerances_rejected(paper_inputs):
 
 
 def test_unreachable_target_is_reported(paper_inputs):
-    with pytest.raises(nr.StoppingTimeNotReachable) as e:
-        nr.plan_S(paper_inputs, zeta=20, T=38, epsilon=1e-9, max_t=5000)
-    assert e.value.max_t == 5000
-    assert e.value.epsilon == 1e-9
+    # a target below the bounds' reach, and a horizon before the first candidate
+    for epsilon, max_t in [(1e-9, 5000), (1e9, 139)]:
+        assert _scan_S(paper_inputs, 20, 38, epsilon, max_t) is None
+        with pytest.raises(nr.StoppingTimeNotReachable) as e:
+            nr.plan_S(paper_inputs, zeta=20, T=38, epsilon=epsilon, max_t=max_t)
+        assert e.value.max_t == max_t
+        assert e.value.epsilon == epsilon
+
+
+def test_local_bound_decides_a_target_below_the_communicated_asymptote(paper_inputs):
+    # after one consensus step the communicated bound stays above 3e5
+    assert nr.comm_bound(paper_inputs, 1e300, 1).value > 1e5
+    S = nr.plan_S(paper_inputs, zeta=20, T=1, epsilon=0.5)
+    assert S == _scan_S(paper_inputs, 20, 1, 0.5, 10**6) == 9460
 
 
 def test_times_beyond_64_bits_reach_the_bounds_as_floats(paper_inputs):
@@ -121,12 +140,16 @@ def test_schedule_validation():
         nr.Schedule(zeta=5, T=1, S=-1)
 
 
-def test_slow_mixing_plans_past_one_hundred_thousand_steps(paper_inputs):
-    slow = replace(paper_inputs, rho=0.9999)
-    T, t_first = nr.plan_T(slow, zeta=20, epsilon_N=0.01)
-    assert T > 100_000
-    assert nr.comm_bound(slow, t_first, T).network_term <= 0.01
-    assert nr.comm_bound(slow, t_first, T - 1).network_term > 0.01
+def test_slow_mixing_plans_past_one_hundred_thousand_steps(paper_inputs, monkeypatch):
+    counts = _count_bound_calls(monkeypatch)
+    for rho, expected in [(0.9999, 151070), (0.99999999, 1510773817)]:
+        slow = replace(paper_inputs, rho=rho)
+        counts.clear()
+        T, t_first = nr.plan_T(slow, zeta=20, epsilon_N=0.01)
+        assert T == expected
+        assert counts["comm_bound"] <= 2
+        assert nr.comm_bound(slow, t_first, T).network_term <= 0.01
+        assert nr.comm_bound(slow, t_first, T - 1).network_term > 0.01
 
 
 # the linear scans the bisecting searches replaced, kept as their oracle
@@ -194,3 +217,66 @@ def test_bisection_matches_linear_scan(seed):
         assert nr.plan_S(inputs, zeta, T, epsilon, max_t=S) == S
         with pytest.raises(nr.StoppingTimeNotReachable):
             nr.plan_S(inputs, zeta, T, epsilon, max_t=S - 1)
+
+
+def _count_bound_calls(monkeypatch) -> Counter:
+    """Counts the planner's calls of ``comm_bound`` and ``local_bound``."""
+    counts = Counter()
+    for name in ("comm_bound", "local_bound"):
+        def counted(*args, _bound=getattr(planner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _bound(*args, **kwargs)
+        monkeypatch.setattr(planner, name, counted)
+    return counts
+
+
+def _plan_cases():
+    for path in [ROOT / "configs" / "paper.json",
+                 *sorted((ROOT / "tests" / "data").glob("golden_plan_*.json"))]:
+        if not path.stem.endswith("_result"):
+            cfg = load_config(path)
+            yield path.name, cfg.bound_inputs, cfg.plan
+    for seed in range(40):
+        inputs, zeta, epsilon_N, epsilon, max_t = _random_case(np.random.default_rng(seed))
+        yield seed, inputs, dict(zeta=zeta, epsilon=epsilon, epsilon_N=epsilon_N, max_t=max_t)
+
+
+def test_searches_start_at_the_closed_form_answers(monkeypatch):
+    # the bounds' inverses put each search on its answer, which it confirms
+    # with at most two evaluations: a bound changed without its inverse
+    # fails here on the count while T and S stay right
+    cases = list(_plan_cases())
+    counts = _count_bound_calls(monkeypatch)
+    for name, inputs, plan in cases:
+        counts.clear()
+        T, _ = nr.plan_T(inputs, plan["zeta"], plan["epsilon_N"])
+        assert counts["local_bound"] == 0 and counts["comm_bound"] <= 2, name
+        counts.clear()
+        try:
+            nr.plan_S(inputs, plan["zeta"], T, plan["epsilon"], max_t=plan["max_t"])
+        except nr.StoppingTimeNotReachable:
+            pass
+        # each predicate call evaluates both bounds once
+        assert counts["local_bound"] == counts["comm_bound"] <= 2, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(0, 300),
+       last=st.one_of(st.integers(-1, 300), st.just(math.inf)),
+       guess=st.one_of(st.none(), st.integers(-400, 400),
+                       st.integers(10**6 - 300, 10**6 + 300)))
+def test_seeded_search_returns_the_scan_answer(a, last, guess):
+    """``_first_true`` from any guess (None: the exact one) returns the
+    first ``k >= a`` in ``0..last`` and asks only about that range."""
+    calls = []
+
+    def at_least_a(k):
+        assert 0 <= k <= last
+        calls.append(k)
+        return k >= a
+
+    exact = guess is None
+    found = planner._first_true(at_least_a, a if exact else guess, last)
+    assert found == (a if a <= last else None)
+    if exact and a <= last:
+        assert len(calls) <= 2
