@@ -48,8 +48,6 @@ __all__ = ["main"]
 # lists of whole columns would add megabytes to long runs
 ROWS_PER_CHUNK = 256
 
-FLOAT_TYPES = (float, np.floating)
-
 
 def _f17(x: float) -> str:
     return format(float(x), ".17g")
@@ -62,48 +60,59 @@ def _f12(x: float) -> str:
 def _json_text(value) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    The layout is written first, with a ``%s`` slot for each float array
-    and each float outside one. The floats of all slots are formatted
-    together (``_g17``), and a single ``%`` fills the slots."""
-    floats: list = []
+    The layout is written first, with a ``%s`` slot for each innermost row
+    of a float ndarray and each float outside one. The floats of all slots
+    are formatted together (``_g17``), and a single ``%`` fills the slots."""
+    chunks: list = [[]]
     slots: list[tuple[str, int]] = []
-    layout = _json_layout(value, 0, floats, slots)
-    cells = _g17(np.array(floats, dtype=float))
+    layout = _json_layout(value, 0, chunks, slots)
+    cells = _g17(np.concatenate(chunks, dtype=float))
     ends = itertools.accumulate(n for _, n in slots)
     return layout % tuple([(",\n" + inner).join(cells[end - n:end])
                            for (inner, n), end in zip(slots, ends)])
 
 
-def _json_layout(value, indent: int, floats: list, slots: list) -> str:
-    """``value`` laid out as ``_json_text`` writes it, with each ``%`` doubled
-    and a ``%s`` slot for each float array and each float outside one. A
-    slot appends its floats to ``floats`` and its item indent and float count
-    to ``slots``."""
+def _json_layout(value, indent: int, chunks: list, slots: list) -> str:
+    """``value`` laid out as ``_json_text`` writes it, with each ``%`` doubled.
+    A slot appends its indent and float count to ``slots``, and its floats to
+    ``chunks``: an ndarray's as one array, a lone float to the list after it."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, dict):
         items = [f"{inner}\"{str(k).replace('%', '%%')}\": "
-                 + _json_layout(value[k], indent + 1, floats, slots) for k in sorted(value)]
+                 + _json_layout(value[k], indent + 1, chunks, slots) for k in sorted(value)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
+        chunks += [value.ravel(), []]
+        return _array_layout(value.shape, indent, slots)
     if isinstance(value, (list, tuple)):
-        if value and all(issubclass(t, FLOAT_TYPES) for t in set(map(type, value))):
-            # a float array, told by the set of its item types
-            floats.extend(value)
-            slots.append((inner, len(value)))
-            return "[\n" + inner + "%s\n" + pad + "]"
-        items = [inner + _json_layout(v, indent + 1, floats, slots) for v in value]
+        items = [inner + _json_layout(v, indent + 1, chunks, slots) for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, FLOAT_TYPES):
-        floats.append(value)
+    if isinstance(value, (float, np.floating)):
+        chunks[-1].append(value)
         slots.append(("", 1))
         return "%s"
     if isinstance(value, str):
         return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"").replace("%", "%%") + "\""
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _array_layout(shape: tuple, indent: int, slots: list) -> str:
+    """The layout of a float ndarray of ``shape``, the same as of its
+    ``tolist()``, with a ``%s`` slot for each non-empty innermost row."""
+    inner = "  " * (indent + 1)
+    if len(shape) == 1:
+        items = [inner + "%s"] * (shape[0] > 0)
+        slots.extend([(inner, shape[0])] * (shape[0] > 0))
+    else:
+        first = len(slots)
+        items = [inner + _array_layout(shape[1:], indent + 1, slots)] * shape[0]
+        slots[first:] = slots[first:] * shape[0]
+    return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
 
 
 def _check_output(path: str) -> None:
@@ -139,10 +148,6 @@ def _g17(values: np.ndarray) -> list[str]:
     return texts[run].tolist()
 
 
-def _matrix_flat(a: np.ndarray) -> str:
-    return ",".join(_g17(np.asarray(a, dtype=float).ravel()))
-
-
 def _trace_meta(cfg: ResolvedConfig) -> dict:
     meta = {
         **{f"bounds.{k}": _f17(getattr(cfg.bound_inputs, k)) for k in BOUND_KEYS},
@@ -152,9 +157,9 @@ def _trace_meta(cfg: ResolvedConfig) -> dict:
         "model.n": str(cfg.model.n),
         "model.sigma_eta": _f17(cfg.model.sigma_eta),
         "model.sigma_x": _f17(cfg.model.sigma_x),
-        "model.theta": _matrix_flat(cfg.model.theta),
+        "model.theta": ",".join(_g17(cfg.model.theta.ravel())),
         "network.rho": _f17(cfg.weights.rho),
-        "network.weights": _matrix_flat(cfg.weights.w),
+        "network.weights": ",".join(_g17(cfg.weights.w.ravel())),
         **{f"run.{f.name}": str(getattr(cfg.run, f.name)) for f in fields(RunParams)},
         **{f"schedule.{f.name}": str(getattr(cfg.schedule, f.name)) for f in fields(Schedule)},
     }

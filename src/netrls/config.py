@@ -336,24 +336,20 @@ def load_config(path: str, command: str | None = None) -> ResolvedConfig:
     return resolve_config(data, command)
 
 
-def _mean_to_dict(mean: MeanSchedule) -> dict:
-    return {"kind": mean.kind, **{f.name: getattr(mean, f.name).tolist() for f in fields(mean)}}
-
-
 def config_to_dict(cfg: ResolvedConfig) -> dict:
-    """Canonical JSON-ready form of a resolved config (dense weights,
-    explicit bounds). Re-resolving it reproduces identical outputs."""
+    """Canonical form of a resolved config (dense weights, explicit bounds, read-only
+    arrays) for ``cli._json_text``. Re-resolving its text reproduces identical outputs."""
     out: dict = {
         "model": {
-            "theta": cfg.model.theta.tolist(),
+            "theta": cfg.model.theta,
             "n": cfg.model.n,
             "l": cfg.model.l,
             "m": cfg.model.m,
             "sigma_x": cfg.model.sigma_x,
             "sigma_eta": cfg.model.sigma_eta,
-            "mean_schedule": _mean_to_dict(cfg.model.mean),
+            "mean_schedule": {"kind": cfg.model.mean.kind, **vars(cfg.model.mean)},
         },
-        "network": {"weights": cfg.weights.w.tolist()},
+        "network": {"weights": cfg.weights.w},
         "bounds": {k: getattr(cfg.bound_inputs, k) for k in BOUND_KEYS},
     }
     if cfg.plan is None:

@@ -142,15 +142,14 @@ def ring_weights(m: int, self_weight: float = 1.0 / 3.0) -> WeightMatrix:
         raise ValueError("need at least one agent")
     if not 0 <= self_weight <= 1:
         raise ValueError("self_weight must be in [0, 1]")
-    w = np.zeros((m, m))
     if m == 1:
-        w[0, 0] = 1.0
-    else:
-        share = 0.5 * (1.0 - self_weight)
-        for i in range(m):
-            w[i, i] = self_weight
-            w[i, (i - 1) % m] += share
-            w[i, (i + 1) % m] += share
+        return validate_weights(np.ones((1, 1)))
+    share = 0.5 * (1.0 - self_weight)
+    i = np.arange(m)
+    w = np.eye(m) * self_weight
+    # at m = 2 both neighbors are one cell, which takes both shares
+    w[i, i - 1] += share
+    w[i, (i + 1) % m] += share
     return validate_weights(w)
 
 

@@ -738,6 +738,8 @@ def _json_text_recursive(value, indent: int = 0) -> str:
     plain rule the templated float arrays must match byte for byte."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(value, np.ndarray):
+        return _json_text_recursive(value.tolist(), indent)
     if isinstance(value, dict):
         items = [f"{inner}\"{k}\": {_json_text_recursive(value[k], indent + 1)}"
                  for k in sorted(value)]
@@ -784,6 +786,26 @@ FLOAT_STYLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1e16,
                                    [-0.0, np.float64(1 / 3), 1 / 3, np.float64(0.0)]],
                           "zero": -0.0, "third": np.float64(1 / 3),
                           "%s": "100%", "%%d": ["%", 0.0, "-0"]}, id="signed-zeros"),
+    # float ndarrays: one slot per innermost row, their cells formatted with
+    # the lone floats around them
+    pytest.param(lambda: {"vector": np.array([0.1, -2.5e-7, 1e308, 1.0])}, id="array-1d"),
+    pytest.param(lambda: {"matrix": np.arange(12.0).reshape(3, 4) / 7,
+                          "cube": np.arange(12.0).reshape(2, 3, 2) / 3}, id="array-2d"),
+    pytest.param(lambda: {"one": np.array([[1.25]]), "lone": 0.5}, id="array-1x1"),
+    pytest.param(lambda: {"transposed": (np.arange(12.0).reshape(3, 4) / 3).T,
+                          "column": (np.arange(4.0) / 9)[::-2]}, id="array-non-contiguous"),
+    pytest.param(lambda: {"read-only": load_config(str(CONFIGS_DIR / "paper.json")).weights.w},
+                 id="array-read-only"),
+    pytest.param(lambda: {"flat": np.empty(0), "rows": np.empty((2, 0)),
+                          "none": np.empty((0, 3)), "after": [np.empty(0), 1.5]},
+                 id="array-empty"),
+    pytest.param(lambda: {"cells": np.array([[-0.0, 5e-324, 1e16], [0.0, -0.0, 1e16]]),
+                          "single": np.array([5e-324])}, id="array-cell-styles"),
+    # runs of equal cells that cross a row boundary, and between arrays and
+    # the lone floats and lists around them
+    pytest.param(lambda: {"a": 1 / 3, "b": np.array([[1 / 3, 0.5, 0.5], [0.5, 0.5, 1 / 3]]),
+                          "c": [1 / 3, np.array([1 / 3, -0.0]), -0.0, 0.0, [0.0]],
+                          "d": np.full((2, 2), -0.0), "e": 0.0}, id="array-runs"),
 ])
 def test_json_text_matches_the_recursive_formatter(payload):
     value = payload()
@@ -940,7 +962,7 @@ def test_bounds_command_rejects_bad_at(tmp_path, monkeypatch, capsys):
 def test_config_round_trip_preserves_outputs(tmp_path):
     original = resolve_config(paper_config_dict())
     echoed = config_to_dict(original)
-    reloaded = resolve_config(json.loads(json.dumps(echoed)))
+    reloaded = resolve_config(json.loads(cli._json_text(echoed)))
 
     first = nr.plan(original.bound_inputs, original.plan["zeta"],
                     original.plan["epsilon"], original.plan["epsilon_N"])
@@ -950,7 +972,7 @@ def test_config_round_trip_preserves_outputs(tmp_path):
     assert first.C1 == second.C1 and first.c3 == second.c3
 
     small = resolve_config(small_config_dict())
-    small_echo = resolve_config(json.loads(json.dumps(config_to_dict(small))))
+    small_echo = resolve_config(json.loads(cli._json_text(config_to_dict(small))))
     avg_a = nr.run(small.run)
     avg_b = nr.run(small_echo.run)
     assert np.array_equal(avg_a.local_err, avg_b.local_err)
@@ -960,9 +982,9 @@ def test_config_round_trip_preserves_outputs(tmp_path):
     constant = small_config_dict()
     constant["model"]["mean_schedule"] = {"kind": "constant", "vectors": [[0.5], [-1.5]]}
     constant_cfg = resolve_config(constant)
-    echo = config_to_dict(constant_cfg)
+    echo = json.loads(cli._json_text(config_to_dict(constant_cfg)))
     assert echo["model"]["mean_schedule"] == constant["model"]["mean_schedule"]
-    constant_echo = resolve_config(json.loads(json.dumps(echo)))
+    constant_echo = resolve_config(echo)
     assert constant_echo.bound_inputs == constant_cfg.bound_inputs
     traces = [nr.run(c.run) for c in (constant_cfg, constant_echo)]
     assert np.array_equal(traces[0].local_err, traces[1].local_err)
@@ -991,7 +1013,7 @@ def test_mean_schedule_round_trip(tmp_path):
             name: (0.5 + np.arange(np.prod(shape))).reshape(shape).tolist()
             for name, shape in shapes.items()}}
         cfg = resolve_config(data)
-        again = resolve_config(json.loads(json.dumps(config_to_dict(cfg))))
+        again = resolve_config(json.loads(cli._json_text(config_to_dict(cfg))))
         assert type(cfg.model.mean) is type(again.model.mean) is schedule
         for name in shapes:
             assert np.array_equal(getattr(again.model.mean, name),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import netrls as nr
+from netrls import consensus
 
 from conftest import random_connected_weights
 
@@ -39,6 +40,28 @@ def test_ring_generator_matches_reference_matrix():
     assert np.allclose(two.w, [[0.4, 0.6], [0.6, 0.4]])
     with pytest.raises(ValueError, match="^need at least one agent$"):
         nr.ring_weights(0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64])
+@pytest.mark.parametrize("self_weight", [0.0, 1 / 3, 0.5, 1.0])
+def test_ring_weights_match_a_loop_over_agents(monkeypatch, m, self_weight):
+    # the matrix the index-array build hands to validation has the bits of a
+    # per-agent loop, whether validation then takes it or not (self_weight 1
+    # does not mix, and self_weight 0 on an even ring alternates); at m = 2
+    # both neighbors are one cell, which takes both shares
+    w = np.zeros((m, m))
+    if m == 1:
+        w[0, 0] = 1.0
+    else:
+        share = 0.5 * (1.0 - self_weight)
+        for i in range(m):
+            w[i, i] = self_weight
+            w[i, (i - 1) % m] += share
+            w[i, (i + 1) % m] += share
+    built = []
+    monkeypatch.setattr(consensus, "validate_weights", built.append)
+    nr.ring_weights(m, self_weight)
+    assert built[0].shape == w.shape and built[0].tobytes() == w.tobytes()
 
 
 def test_complete_weights_mix_in_one_step():

@@ -25,6 +25,23 @@ def test_golden_output(tmp_path, golden):
     assert printed.splitlines()[:len(golden.printed)] == list(golden.printed)
 
 
+@pytest.mark.parametrize("golden", [g for g in GOLDENS if g.argv[0] == "plan"],
+                         ids=lambda g: g.file)
+def test_plan_echo_is_a_fixed_point(tmp_path, golden):
+    # planning the config that a plan golden echoes writes the bytes that
+    # planning its input writes: the golden's T and S, and its echo of the
+    # resolved arrays again
+    produced, _ = run_golden(golden, tmp_path)
+    expected = json.loads((DATA_DIR / golden.file).read_bytes())
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(expected["config"]))
+    again, _ = run_golden(golden._replace(argv=("plan", str(echo))), tmp_path)
+    assert again == produced
+    replanned = json.loads(again)
+    assert [replanned[k] for k in ("T", "S", "config")] == \
+        [expected[k] for k in ("T", "S", "config")]
+
+
 # each kernel that OPENBLAS_CORETYPE forces: the CPU feature it needs, and
 # the name OpenBLAS reports for it. x86-64 OpenBLAS runs its older cores on
 # the Prescott kernel and names it after the first of them, Katmai.
