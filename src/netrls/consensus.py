@@ -5,12 +5,13 @@ symmetric (hence doubly stochastic), with second-largest eigenvalue
 magnitude ``rho < 1``; ``rho`` governs the geometric mixing speed. A
 communication phase of ``steps`` synchronous rounds of neighbor averaging is
 one multiplication of every agent's ``alpha`` and ``beta`` by ``W**steps``,
-and returns the mixed arrays.
+and returns the mixed arrays. ``W**steps`` is formed by
+``WeightMatrix.power``, once for every phase that mixes with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,10 +48,24 @@ class WeightMatrix:
 
     w: np.ndarray
     rho: float
+    # (steps, W**steps) of the last power formed: one m x m matrix at most,
+    # however many step counts a sweep asks for
+    _power: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return self.w.shape[0]
+
+    def power(self, steps: int) -> np.ndarray:
+        """Read-only ``W**steps`` from ``np.linalg.matrix_power``, formed once
+        while ``steps`` stays the step count last asked for."""
+        held, wp = self._power
+        if held != steps:
+            wp = np.linalg.matrix_power(self.w, steps)
+            wp.flags.writeable = False
+            # one assignment replaces the pair; frozen fields are set this way
+            object.__setattr__(self, "_power", (steps, wp))
+        return wp
 
 
 def validate_weights(w) -> WeightMatrix:
@@ -118,7 +133,7 @@ def run_comm_phase(weights: WeightMatrix, alphas: np.ndarray, betas: np.ndarray,
     if alphas.shape[0] != m or betas.shape[0] != m:
         raise ValueError(f"expected statistics for {m} agents, "
                          f"got {alphas.shape[0]}/{betas.shape[0]}")
-    wp = np.linalg.matrix_power(weights.w, steps)
+    wp = weights.power(steps)
     return tuple(np.einsum("ij,cj->ic", wp, x.reshape(m, -1).T.copy()).reshape(x.shape)
                  for x in (alphas, betas))
 
@@ -126,12 +141,12 @@ def run_comm_phase(weights: WeightMatrix, alphas: np.ndarray, betas: np.ndarray,
 def mixing_deficit(weights: WeightMatrix, steps: int) -> float:
     """Worst-row total deviation of ``W**steps`` from uniform averaging.
 
-    Computed from the explicit matrix power:
+    Computed from the explicit matrix power, ``weights.power(steps)``:
     ``max_i sum_j |W**steps (i, j) - 1/m|``. Decays like ``sqrt(m) * rho**steps``.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    wp = np.linalg.matrix_power(weights.w, steps)
+    wp = weights.power(steps)
     return float(np.max(np.abs(wp - 1.0 / weights.m).sum(axis=1)))
 
 

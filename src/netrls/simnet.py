@@ -44,33 +44,38 @@ LANE_STEPS = 4096
 RANK_TOL = 1e-8
 
 
-def _extreme_singular_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest and smallest singular values over the trailing two axes.
-
-    For 1x1 matrices ``[[a]]`` both are ``|a|``. For 2x2 matrices
-    ``[[p, q], [r, s]]`` with ``h1 = hypot(p + s, r - q)`` and
-    ``h2 = hypot(p - s, q + r)`` they are ``(h1 + h2) / 2`` and
-    ``|h1 - h2| / 2``; the largest has no cancellation. Other shapes use
-    LAPACK.
-    """
-    if a.shape[-2:] == (1, 1):
-        return (np.abs(a[..., 0, 0]),) * 2
-    if a.shape[-2:] != (2, 2):
-        sv = np.linalg.svd(a, compute_uv=False)
-        return sv[..., 0], sv[..., -1]
+def _hypots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h1 = hypot(p + s, r - q)`` and ``h2 = hypot(p - s, q + r)`` of 2x2
+    matrices ``[[p, q], [r, s]]``, whose singular values are ``(h1 + h2) / 2``
+    and ``|h1 - h2| / 2``; the largest has no cancellation."""
     p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    h1, h2 = np.hypot(p + s, r - q), np.hypot(p - s, q + r)
-    return (h1 + h2) / 2, np.abs(h1 - h2) / 2
+    return np.hypot(p + s, r - q), np.hypot(p - s, q + r)
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value over the trailing two axes."""
-    return _extreme_singular_values(a)[0]
+    """Largest singular value over the trailing two axes: ``|a|`` for 1x1
+    matrices, ``(h1 + h2) / 2`` for 2x2 ones (``_hypots``), LAPACK for others."""
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    if a.shape[-2:] != (2, 2):
+        return np.linalg.svd(a, compute_uv=False)[..., 0]
+    h1, h2 = _hypots(a)
+    return (h1 + h2) / 2
 
 
 def full_rank(beta: np.ndarray) -> np.ndarray:
-    """The invertibility test on ``(..., n, n)`` matrices, one flag per matrix."""
-    largest, smallest = _extreme_singular_values(beta)
+    """The invertibility test on ``(..., n, n)`` matrices, one flag per matrix:
+    the smallest singular value exceeds ``RANK_TOL`` times the largest. Both
+    are ``|beta|`` for 1x1 matrices and ``(h1 + h2) / 2`` and ``|h1 - h2| / 2``
+    for 2x2 ones (``_hypots``); other shapes use LAPACK."""
+    if beta.shape[-2:] == (1, 1):
+        largest = smallest = np.abs(beta[..., 0, 0])
+    elif beta.shape[-2:] != (2, 2):
+        sv = np.linalg.svd(beta, compute_uv=False)
+        largest, smallest = sv[..., 0], sv[..., -1]
+    else:
+        h1, h2 = _hypots(beta)
+        largest, smallest = (h1 + h2) / 2, np.abs(h1 - h2) / 2
     return (largest > 0) & (smallest > RANK_TOL * largest)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import netrls as nr
-from netrls import cli
+from netrls import cli, simnet
 from netrls.cli import ROWS_PER_CHUNK, _f12, main, write_trace
 from netrls.config import ConfigError, config_to_dict, load_config, resolve_config
 from netrls.model_gen import MeanSchedule
@@ -614,6 +614,25 @@ def test_paper_trace_bound_columns_equal_scalar_calls(tmp_path):
         local = _f12(nr.local_bound(cfg.bound_inputs, t).value) if t >= 76 else ""
         comm = _f12(nr.comm_bound(cfg.bound_inputs, t, plan.T).value) if t >= 138 else ""
         assert row[4:6] == [local, comm], t
+
+
+@pytest.mark.parametrize("config, T, phase_calls", [("paper", 38, 30), ("ring64", 5803, 6)])
+def test_simulate_forms_the_matrix_power_once(tmp_path, monkeypatch, config, T, phase_calls):
+    # every phase of every piece and run mixes with the one W**T the command forms
+    power, mix = np.linalg.matrix_power, simnet.run_comm_phase
+    powers, phases = [], []
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda a, n: powers.append(n) or power(a, n))
+    monkeypatch.setattr(simnet, "run_comm_phase",
+                        lambda *args: phases.append(args[3]) or mix(*args))
+    if config == "paper":
+        path = str(CONFIGS_DIR / "paper.json")
+    else:
+        data = json.loads((DATA_DIR / "golden_plan_ring64.json").read_text(encoding="utf-8"))
+        data["run"] = {"horizon": 300, "runs": 2, "seed": 35}
+        path = write_config(tmp_path, data)
+    assert main(["simulate", path, "-o", str(tmp_path / "trace.csv")]) == 0
+    assert powers == [T]
+    assert phases == [T] * phase_calls
 
 
 # mean features put the burn-ins deep enough that either can fall on any row

@@ -202,6 +202,32 @@ def test_phase_rejects_bad_arguments():
         nr.run_comm_phase(wm, np.zeros((3, 1, 1)), np.zeros((3, 1, 1)), steps=1)
 
 
+def test_power_is_formed_once_per_step_count_and_held_alone(monkeypatch):
+    # a sweep over step counts reforms W**steps with the bits of a fresh call,
+    # mixing_deficit shares it with run_comm_phase, and the weights hold one
+    # power besides w
+    rng = np.random.default_rng(35)
+    wm = random_connected_weights(rng, 9)
+    fresh = np.linalg.matrix_power
+    calls = []
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, n: calls.append(n) or fresh(a, n))
+    alphas, betas = rng.normal(size=(9, 2, 2)), rng.normal(size=(9, 2, 2))
+    for steps in (5, 7, 5):
+        wp = wm.power(steps)
+        assert wp.tobytes() == fresh(wm.w, steps).tobytes() and not wp.flags.writeable
+        nr.run_comm_phase(wm, alphas, betas, steps)
+        nr.mixing_deficit(wm, steps)
+        assert wm.power(steps) is wp
+        held = [x for value in vars(wm).values()
+                for x in (value if isinstance(value, tuple) else (value,))
+                if isinstance(x, np.ndarray)]
+        assert len(held) == 2 and held[0] is wm.w and held[1] is wp
+    assert calls == [5, 7, 5]
+    assert np.array_equal(wm.power(0), np.eye(9))
+    assert nr.mixing_deficit(wm, 0) == pytest.approx(2 * (1 - 1 / 9), rel=1e-12)
+
+
 def test_mixing_deficit_values():
     # frozen from the direct matrix-power oracle
     wm2 = nr.complete_weights(2)
