@@ -15,8 +15,11 @@ sums of the per-sample terms. The pooled sums are one more lane behind the
 batched estimate, and the engine keeps their error norms, not the estimates.
 A phase only reads the running sums, so the phases that fall in one piece
 are mixed by one ``W**T`` product. On 2x2 matrices, the shape of the paper's
-example, and on 1x1 ones, the error norms, inverses and rank tests are
-closed forms; other shapes use LAPACK.
+example, the error norms, inverses, rank tests and the products
+``alpha beta^-1 - theta`` are closed forms, so once every lane has passed
+the rank test the estimate pass makes no BLAS call and its bits do not
+follow the BLAS kernel; ``W**T`` and ``pinv`` still do. On 1x1 matrices the
+norms, inverses and rank tests are closed forms; other shapes use LAPACK.
 """
 
 from __future__ import annotations
@@ -87,8 +90,25 @@ def inverse(beta: np.ndarray) -> np.ndarray:
     if beta.shape[-2:] != (2, 2):
         return np.linalg.inv(beta)
     p, q, r, s = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 0], beta[..., 1, 1]
-    adj = np.stack([s, -q, -r, p], axis=-1).reshape(beta.shape)
-    return adj / (p * s - q * r)[..., None, None]
+    det = p * s - q * r
+    inv = np.empty(beta.shape)
+    for (i, k), entry in zip(np.ndindex(2, 2), (s, -q, -r, p)):
+        np.divide(entry, det, out=inv[..., i, k])
+    return inv
+
+
+def product_minus(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``a @ b - theta`` over stacks of matrices; 2x2 ones entry by entry as
+    ``a[i, 0] b[0, k] + a[i, 1] b[1, k] - theta[i, k]``, with no BLAS call,
+    so their bits do not follow the BLAS kernel."""
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
+        return a @ b - theta
+    res = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, k in np.ndindex(2, 2):
+        e = a[..., i, 0] * b[..., 0, k]
+        e += a[..., i, 1] * b[..., 1, k]
+        np.subtract(e, theta[i, k], out=res[..., i, k])
+    return res
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -172,7 +192,7 @@ def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
         inv[lagging] = np.linalg.pinv(beta[lagging])
     else:
         inv = inverse(beta)
-    return spectral_norms(alpha @ inv - theta)
+    return spectral_norms(product_minus(alpha, inv, theta))
 
 
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:

@@ -5,7 +5,8 @@
 kernel, and again under forced kernels, each in a child interpreter, where
 a plan golden's ``rho`` line is left out (``differing``). This module is
 not a test file; both comparisons and the CI step that records the OpenBLAS
-core type import it.
+core type import it. ``errors_digest`` pins the engine's 2x2 estimate pass
+under every kernel too.
 """
 
 from __future__ import annotations
@@ -127,6 +128,30 @@ def differing(workdir: Path) -> list[str]:
 # the core-name call of numpy's bundled OpenBLAS (scipy-openblas64 wheels),
 # then of a plain OpenBLAS build
 CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename")
+
+
+def errors_digest() -> str:
+    """The sha256 of ``simnet._errors`` over fixed, seeded, invertible 2x2
+    lanes: an estimate pass's ``(steps, m + 1, 2, 2)`` stack and a phase
+    call's ``(k, m, 2, 2)`` one, 4,070 lanes in all. The inputs are formed
+    with no BLAS call, so the digest reads the engine's kernels alone."""
+    import hashlib
+
+    import numpy as np
+    from netrls import simnet
+
+    rng = np.random.default_rng(36)
+    theta = rng.normal(size=(2, 2))
+    digest = hashlib.sha256()
+    for lanes in ((512, 7), (81, 6)):
+        x = rng.normal(size=(*lanes, 4, 2))
+        # four outer products per lane, summed entry by entry
+        beta = (x[..., :, None] * x[..., None, :]).sum(axis=-3)
+        flags = simnet.full_rank(beta)
+        assert flags.all()
+        errs = simnet._errors(4 * rng.normal(size=(*lanes, 2, 2)), beta, flags, theta)
+        digest.update(errs.tobytes())
+    return digest.hexdigest()
 
 
 def openblas_core() -> str | None:

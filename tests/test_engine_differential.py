@@ -285,11 +285,18 @@ def test_many_phases_per_block_without_writeback(monkeypatch, lane_steps):
 
 def _masked_errors(alpha, beta, flags, theta):
     """``_errors`` by its definition: ``inverse`` over the masked copies of
-    the invertible lanes, ``pinv`` over the masked copies of the rest."""
+    the invertible lanes, ``pinv`` over the masked copies of the rest. A 2x2
+    product is the sum ``a[i, 0] b[0, k] + a[i, 1] b[1, k]`` per entry, whose
+    bits, unlike ``@``'s, do not follow the BLAS kernel."""
     est = np.empty_like(alpha)
     for mask, invert in ((flags, inverse), (~flags, np.linalg.pinv)):
         if mask.any():
-            est[mask] = alpha[mask] @ invert(beta[mask])
+            a, b = alpha[mask], invert(beta[mask])
+            if a.shape[-2:] == b.shape[-2:] == (2, 2):
+                est[mask] = (a[..., :, 0, None] * b[..., None, 0, :]
+                             + a[..., :, 1, None] * b[..., None, 1, :])
+            else:
+                est[mask] = a @ b
     return simnet.spectral_norms(est - theta)
 
 

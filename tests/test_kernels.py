@@ -1,6 +1,7 @@
 """The per-agent estimate kernels: the stepwise oracle's ``AgentState`` (the
 estimate from the sums, batch equivalence, PSD growth) and simnet's
-``spectral_norms``, ``full_rank`` and ``inverse`` against LAPACK."""
+``spectral_norms``, ``full_rank`` and ``inverse`` against LAPACK, and the
+2x2 closed forms of ``inverse`` and ``product_minus`` bit for bit."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netrls as nr
-from netrls.simnet import RANK_TOL, full_rank, inverse
+from netrls.simnet import RANK_TOL, full_rank, inverse, product_minus
 
 from stepwise_oracle import AgentState
 
@@ -191,6 +192,38 @@ def test_inverse_matches_lapack():
             assert np.all(err <= 1e-12 * np.abs(want).max(axis=(1, 2)))
         else:
             assert np.array_equal(inverse(beta), want)
+
+
+def test_2x2_inverse_is_the_adjugate_over_the_determinant_bit_for_bit():
+    rng = np.random.default_rng(15)
+    # batched like the engine's lanes, with a strided view of them too
+    beta = rng.normal(size=(200, 7, 2, 2)) * 10.0 ** rng.uniform(-5, 5, size=(200, 7, 1, 1))
+    for b in (beta, beta[::3, 1:]):
+        p, q, r, s = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+        adj = np.stack([s, -q, -r, p], axis=-1).reshape(b.shape)
+        assert np.array_equal(inverse(b), adj / (p * s - q * r)[..., None, None])
+
+
+def test_product_minus_is_the_entrywise_sum_on_2x2():
+    rng = np.random.default_rng(16)
+    a, b = rng.normal(size=(2, 300, 5, 2, 2))
+    theta = rng.normal(size=(2, 2))
+    want = np.empty_like(a)
+    for i in range(2):
+        for k in range(2):
+            want[..., i, k] = (a[..., i, 0] * b[..., 0, k] + a[..., i, 1] * b[..., 1, k]
+                               - theta[i, k])
+    assert np.array_equal(product_minus(a, b, theta), want)
+    # strided operands, as the phases' views are
+    assert np.array_equal(product_minus(a[::2, ::-1], b[::2, ::-1], theta), want[::2, ::-1])
+
+
+@pytest.mark.parametrize("l, n", [(1, 1), (1, 2), (2, 3), (3, 3)])
+def test_product_minus_is_matmul_on_other_shapes(l, n):
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=(300, 5, l, n)), rng.normal(size=(300, 5, n, n))
+    theta = rng.normal(size=(l, n))
+    assert np.array_equal(product_minus(a, b, theta), a @ b - theta)
 
 
 def test_2x2_kernels_call_no_lapack(monkeypatch):
