@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import os
 import sys
 from collections.abc import Iterable
@@ -57,62 +58,43 @@ def _f12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _json_text(value) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits.
-
-    The layout is written first, with a ``%s`` slot for each innermost row
-    of a float ndarray and each float outside one. The floats of all slots
-    are formatted together (``_g17``), and a single ``%`` fills the slots."""
-    chunks: list = [[]]
-    slots: list[tuple[str, int]] = []
-    layout = _json_layout(value, 0, chunks, slots)
-    cells = _g17(np.concatenate(chunks, dtype=float))
-    ends = itertools.accumulate(n for _, n in slots)
-    return layout % tuple([(",\n" + inner).join(cells[end - n:end])
-                           for (inner, n), end in zip(slots, ends)])
-
-
-def _json_layout(value, indent: int, chunks: list, slots: list) -> str:
-    """``value`` laid out as ``_json_text`` writes it, with each ``%`` doubled.
-    A slot appends its indent and float count to ``slots``, and its floats to
-    ``chunks``: an ndarray's as one array, a lone float to the list after it."""
+def _json_text(value, indent: int = 0) -> str:
+    """Deterministic JSON: sorted keys, two-space indents, floats at 17
+    significant digits. A float ndarray is laid out as its ``tolist()``
+    would be, its floats formatted in one pass (``_g17``)."""
     pad = "  " * indent
-    inner = "  " * (indent + 1)
+    inner = pad + "  "
     if isinstance(value, dict):
-        items = [f"{inner}\"{str(k).replace('%', '%%')}\": "
-                 + _json_layout(value[k], indent + 1, chunks, slots) for k in sorted(value)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        body = ",\n".join([f"{inner}\"{k}\": {_json_text(value[k], indent + 1)}"
+                           for k in sorted(value)])
+        return f"{{\n{body}\n{pad}}}"
     if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
-        chunks += [value.ravel(), []]
-        return _array_layout(value.shape, indent, slots)
+        return _array_text(_g17(value.ravel()), value.shape, indent)
     if isinstance(value, (list, tuple)):
-        items = [inner + _json_layout(v, indent + 1, chunks, slots) for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        body = ",\n".join([inner + _json_text(v, indent + 1) for v in value])
+        return f"[\n{body}\n{pad}]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        chunks[-1].append(value)
-        slots.append(("", 1))
-        return "%s"
+        return _f17(value)
     if isinstance(value, str):
-        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"").replace("%", "%%") + "\""
+        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _array_layout(shape: tuple, indent: int, slots: list) -> str:
-    """The layout of a float ndarray of ``shape``, the same as of its
-    ``tolist()``, with a ``%s`` slot for each non-empty innermost row."""
-    inner = "  " * (indent + 1)
-    if len(shape) == 1:
-        items = [inner + "%s"] * (shape[0] > 0)
-        slots.extend([(inner, shape[0])] * (shape[0] > 0))
-    else:
-        first = len(slots)
-        items = [inner + _array_layout(shape[1:], indent + 1, slots)] * shape[0]
-        slots[first:] = slots[first:] * shape[0]
-    return "[\n" + ",\n".join(items) + "\n" + "  " * indent + "]"
+def _array_text(cells: list[str], shape: tuple, indent: int) -> str:
+    """The JSON of a float ndarray of ``shape`` whose formatted floats, in C
+    order, are ``cells``: nested rows, as ``_json_text`` writes its ``tolist()``."""
+    pad = "  " * indent
+    inner = pad + "  "
+    if len(shape) > 1:
+        size = math.prod(shape[1:])
+        cells = [_array_text(cells[i * size:(i + 1) * size], shape[1:], indent + 1)
+                 for i in range(shape[0])]
+    body = inner + (",\n" + inner).join(cells) if cells else ""
+    return f"[\n{body}\n{pad}]"
 
 
 def _check_output(path: str) -> None:

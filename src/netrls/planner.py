@@ -15,6 +15,7 @@ a search evaluates its bounds at most twice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .bounds import BoundInputs, burn_in, comm_bound, local_bound
@@ -177,7 +178,9 @@ def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float) -> tuple[int, int]:
     the tolerance there meets it at every later communication time.
     The network term also decreases in ``T`` and reaches 0.0 once
     ``rho**T`` underflows, so the search always ends. Returns
-    ``(T, t_first)``.
+    ``(T, t_first)``. Raises ValueError when ``rho > 0`` and ``rho**T`` at
+    the planned ``T`` is below the smallest normal float: there float
+    underflow, not the bound, decides ``T``.
     """
     if zeta < 1:
         raise ValueError("zeta must be >= 1")
@@ -188,6 +191,11 @@ def plan_T(inputs: BoundInputs, zeta: int, epsilon_N: float) -> tuple[int, int]:
     t = float(t_first)
     k = _first_true(lambda k: comm_bound(inputs, t, 1 + k).network_term <= epsilon_N,
                     _guess(lambda: _network_steps(inputs, t, epsilon_N) - 1))
+    decay = inputs.rho**(1 + k)
+    if inputs.rho > 0 and decay < sys.float_info.min:
+        raise ValueError(f"epsilon_N needs T = {1 + k} consensus steps, where rho**T = "
+                         f"{decay!r} is below the smallest normal float "
+                         f"{sys.float_info.min!r}: float underflow, not the bound, sets T")
     return 1 + k, t_first
 
 

@@ -4,8 +4,9 @@
 ``tests/test_goldens.py`` compares every entry under the default OpenBLAS
 kernel, and again under forced kernels, each in a child interpreter, where
 a plan golden's ``rho`` line is left out (``differing``). This module is
-not a test file; both comparisons and the CI step that records the OpenBLAS
-core type import it. ``errors_digest`` pins the engine's 2x2 estimate pass
+not a test file; both comparisons import it, and so do the CI steps that
+record the OpenBLAS core type and compare the installed ``netrls`` with
+every golden. ``errors_digest`` pins the engine's 2x2 estimate pass
 under every kernel too.
 """
 

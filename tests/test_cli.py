@@ -286,6 +286,19 @@ def test_config_errors_exit_2_with_path(tmp_path, capsys, mutate, path_fragment)
     assert path_fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["plan", "simulate", "bounds"])
+def test_an_epsilon_N_set_by_float_underflow_exits_2_naming_it(tmp_path, capsys, command):
+    # on the paper's inputs 5e-324 needs T = 1838, where rho**T is 0.0
+    data = paper_config_dict()
+    data["plan"]["epsilon_N"] = 5e-324
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, cfg, *(["--at", "140"] if command == "bounds" else ["-o", str(out)])]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: plan.epsilon_N: needs T = 1838 consensus steps, where rho**T = 0.0 ")
+    assert not out.exists()
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -754,7 +767,8 @@ def test_write_trace_on_times_that_do_not_ascend(tmp_path, order):
 
 def _json_text_recursive(value, indent: int = 0) -> str:
     """``_json_text`` with one recursive call per item, floats included: the
-    plain rule the templated float arrays must match byte for byte."""
+    plain rule the float arrays, formatted one array at a time, must match
+    byte for byte."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, np.ndarray):
@@ -799,14 +813,14 @@ FLOAT_STYLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1e16,
                           "ints": [1, 2, 3], "bools": [True, False],
                           "nested": [[1.5, 2], [0.25], 3.0, [[-0.0]]]}, id="mixed"),
     # runs of equal cells, within and across rows, that differ only in sign
-    # or in type; and a % in a key and a string, which the layout doubles
+    # or in type; and a % in a key and a string, which stay as they are
     pytest.param(lambda: {"rows": [[0.0, -0.0, 1 / 3, 1 / 3, np.float64(1 / 3), 0.0],
                                    [0.0, np.float64(-0.0), -0.0, 0.0, 1 / 3],
                                    [-0.0, np.float64(1 / 3), 1 / 3, np.float64(0.0)]],
                           "zero": -0.0, "third": np.float64(1 / 3),
                           "%s": "100%", "%%d": ["%", 0.0, "-0"]}, id="signed-zeros"),
-    # float ndarrays: one slot per innermost row, their cells formatted with
-    # the lone floats around them
+    # float ndarrays: each one's cells formatted in one pass, then laid out
+    # as nested rows
     pytest.param(lambda: {"vector": np.array([0.1, -2.5e-7, 1e308, 1.0])}, id="array-1d"),
     pytest.param(lambda: {"matrix": np.arange(12.0).reshape(3, 4) / 7,
                           "cube": np.arange(12.0).reshape(2, 3, 2) / 3}, id="array-2d"),
@@ -816,7 +830,8 @@ FLOAT_STYLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1e16,
     pytest.param(lambda: {"read-only": load_config(str(CONFIGS_DIR / "paper.json")).weights.w},
                  id="array-read-only"),
     pytest.param(lambda: {"flat": np.empty(0), "rows": np.empty((2, 0)),
-                          "none": np.empty((0, 3)), "after": [np.empty(0), 1.5]},
+                          "none": np.empty((0, 3)), "after": [np.empty(0), 1.5],
+                          "inner": np.empty((1, 2, 0)), "middle": np.empty((2, 0, 3))},
                  id="array-empty"),
     pytest.param(lambda: {"cells": np.array([[-0.0, 5e-324, 1e16], [0.0, -0.0, 1e16]]),
                           "single": np.array([5e-324])}, id="array-cell-styles"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -73,9 +74,8 @@ def test_noiseless_model_stops_immediately(paper_inputs):
 
 def test_monotone_response(paper_inputs):
     previous_T = 0
-    # at 5e-324 the answer is where the bound's own rho**T underflows to
-    # 0.0, short of the closed-form root
-    for eps_n in (0.1, 0.05, 0.01, 0.001, 5e-324):
+    # at 1e-300, rho**T is still a normal float (T = 1730)
+    for eps_n in (0.1, 0.05, 0.01, 0.001, 1e-300):
         T, t_first = nr.plan_T(paper_inputs, zeta=20, epsilon_N=eps_n)
         assert (T, t_first) == _scan_T(paper_inputs, 20, eps_n)
         assert T >= previous_T
@@ -86,6 +86,18 @@ def test_monotone_response(paper_inputs):
         S = nr.plan_S(paper_inputs, zeta=20, T=38, epsilon=eps)
         assert S >= previous_S
         previous_S = S
+
+
+def test_epsilon_N_set_by_float_underflow_is_rejected(paper_inputs):
+    # a scan stops where rho**T underflows to 0.0 (5e-324) or is subnormal
+    # (1e-310): underflow, not the bound, sets those T
+    for eps_n, T in ((5e-324, 1838), (1e-310, 1787)):
+        assert _scan_T(paper_inputs, 20, eps_n)[0] == T
+        assert 0.0 <= paper_inputs.rho**T < sys.float_info.min
+        with pytest.raises(ValueError, match=f"^epsilon_N needs T = {T} consensus steps"):
+            nr.plan_T(paper_inputs, zeta=20, epsilon_N=eps_n)
+    # a complete graph mixes in one step at any tolerance
+    assert nr.plan_T(replace(paper_inputs, rho=0.0), zeta=20, epsilon_N=5e-324) == (1, 140)
 
 
 def test_invalid_tolerances_rejected(paper_inputs):
