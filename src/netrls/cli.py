@@ -29,6 +29,7 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -60,12 +61,13 @@ def _f12(x: float) -> str:
 
 def _json_text(value, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, two-space indents, floats at 17
-    significant digits. A float ndarray is laid out as its ``tolist()``
+    significant digits, keys and strings escaped by JSON's rules with
+    non-ASCII left as it is. A float ndarray is laid out as its ``tolist()``
     would be, its floats formatted in one pass (``_g17``)."""
     pad = "  " * indent
     inner = pad + "  "
     if isinstance(value, dict):
-        body = ",\n".join([f"{inner}\"{k}\": {_json_text(value[k], indent + 1)}"
+        body = ",\n".join([f"{inner}{encode_basestring(k)}: {_json_text(value[k], indent + 1)}"
                            for k in sorted(value)])
         return f"{{\n{body}\n{pad}}}"
     if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.ndim:
@@ -80,7 +82,7 @@ def _json_text(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return _f17(value)
     if isinstance(value, str):
-        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
+        return encode_basestring(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -259,20 +259,34 @@ def sample_block(spec: ModelSpec, seed: int, run: int, t_start: int,
 
     Returns ``(X, Y)`` with shapes ``(count, m, n)`` and ``(count, m, l)``;
     ``X[:, i]`` is agent ``i``'s stream. Row ``k`` is bit-identical to the
-    one row drawn alone at ``t_start + k``. The draws come from
-    ``_normal_rows``'s transposed view, so ``X`` and ``Y`` may be stored
-    agent-major rather than in C order.
+    one row drawn alone at ``t_start + k``. Both are stored in C order.
     """
     if t_start < 1:
         raise ValueError("time steps start at 1")
     n, l, m = spec.n, spec.l, spec.m
     z = _normal_rows(seed, run, m, t_start, count, n + l)
-    times = np.arange(t_start, t_start + count)
-    x = spec.mean.profile(times, m, n) + spec.sigma_x * z[..., :n]
-    # einsum keeps each row's rounding independent of the block size, so
-    # single-pair and block generation agree bit for bit; its sum runs along
-    # the contiguous last axis of x in either memory order
-    y = np.einsum("taj,kj->tak", x, spec.theta) + spec.sigma_eta * z[..., n:]
+    profile = spec.mean.profile(np.arange(t_start, t_start + count), m, n)
+    # x and y are filled one feature or label plane at a time: z is stored
+    # agent-major and they are not, so a whole-array sum would run numpy's
+    # inner loop over the n or l entries of one row alone
+    x = np.empty((count, m, n))
+    for j in range(n):
+        np.add(profile[..., j], spec.sigma_x * z[..., j], out=x[..., j])
+    theta = spec.theta
+    if n == 2:
+        # the entry-wise sum over the two features: the einsum's bits below
+        # in half to a quarter of its time on blocks of hundreds of steps
+        y = np.empty((count, m, l))
+        for k in range(l):
+            np.multiply(x[..., 0], theta[k, 0], out=y[..., k])
+            y[..., k] += x[..., 1] * theta[k, 1]
+    else:
+        # einsum keeps each row's rounding independent of the block size, so
+        # single-pair and block generation agree bit for bit; its sum runs
+        # along the contiguous last axis of x
+        y = np.einsum("taj,kj->tak", x, theta)
+    for k in range(l):
+        y[..., k] += spec.sigma_eta * z[..., n + k]
     return x, y
 
 

@@ -18,8 +18,12 @@ are mixed by one ``W**T`` product. On 2x2 matrices, the shape of the paper's
 example, the error norms, inverses, rank tests and the products
 ``alpha beta^-1 - theta`` are closed forms, so once every lane has passed
 the rank test the estimate pass makes no BLAS call and its bits do not
-follow the BLAS kernel; ``W**T`` and ``pinv`` still do. On 1x1 matrices the
-norms, inverses and rank tests are closed forms; other shapes use LAPACK.
+follow the BLAS kernel; ``W**T`` and ``pinv`` still do. There the products
+are formed entry by entry and go straight into their norms, with no error
+array in between (``error_norms``), and the norms are square roots of sums
+of squares, not libm's ``hypot``, unless a value leaves ``(1e-140, 1e140)``
+(``_hypots``). On 1x1 matrices the norms, inverses and rank tests are closed
+forms; other shapes use LAPACK.
 """
 
 from __future__ import annotations
@@ -47,12 +51,33 @@ LANE_STEPS = 4096
 RANK_TOL = 1e-8
 
 
-def _hypots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``h1 = hypot(p + s, r - q)`` and ``h2 = hypot(p - s, q + r)`` of 2x2
-    matrices ``[[p, q], [r, s]]``, whose singular values are ``(h1 + h2) / 2``
-    and ``|h1 - h2| / 2``; the largest has no cancellation."""
-    p, q, r, s = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
-    return np.hypot(p + s, r - q), np.hypot(p - s, q + r)
+def _hypots(p: np.ndarray, q: np.ndarray, r: np.ndarray,
+            s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h1 = hypot(p + s, r - q)`` and ``h2 = hypot(p - s, q + r)`` of the 2x2
+    matrices ``[[p, q], [r, s]]`` given as entry planes, whose singular values
+    are ``(h1 + h2) / 2`` and ``|h1 - h2| / 2``; the largest has no
+    cancellation.
+
+    Each is ``sqrt(x*x + y*y)``, which costs about a third of libm's
+    ``hypot`` and is within ``EPS`` of it, relative, while every result lies
+    in ``(1e-140, 1e140)``: there no square overflows and none that matters
+    underflows. Four reductions check that range; a call with any result
+    outside it, or any NaN, is recomputed with ``np.hypot``, so its bits are
+    libm's.
+    """
+    x1, y1, x2, y2 = p + s, r - q, p - s, q + r
+    with np.errstate(over="ignore"):
+        h1 = np.sqrt(x1 * x1 + y1 * y1)
+        h2 = np.sqrt(x2 * x2 + y2 * y2)
+    if (h1.size == 0 or h1.min() > 1e-140 and h2.min() > 1e-140
+            and h1.max() < 1e140 and h2.max() < 1e140):
+        return h1, h2
+    return np.hypot(x1, y1), np.hypot(x2, y2)
+
+
+def _planes(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The entry planes ``p, q, r, s`` of 2x2 matrices ``[[p, q], [r, s]]``."""
+    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
@@ -62,7 +87,7 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
         return np.abs(a[..., 0, 0])
     if a.shape[-2:] != (2, 2):
         return np.linalg.svd(a, compute_uv=False)[..., 0]
-    h1, h2 = _hypots(a)
+    h1, h2 = _hypots(*_planes(a))
     return (h1 + h2) / 2
 
 
@@ -77,7 +102,7 @@ def full_rank(beta: np.ndarray) -> np.ndarray:
         sv = np.linalg.svd(beta, compute_uv=False)
         largest, smallest = sv[..., 0], sv[..., -1]
     else:
-        h1, h2 = _hypots(beta)
+        h1, h2 = _hypots(*_planes(beta))
         largest, smallest = (h1 + h2) / 2, np.abs(h1 - h2) / 2
     return (largest > 0) & (smallest > RANK_TOL * largest)
 
@@ -89,7 +114,7 @@ def inverse(beta: np.ndarray) -> np.ndarray:
         return 1 / beta
     if beta.shape[-2:] != (2, 2):
         return np.linalg.inv(beta)
-    p, q, r, s = beta[..., 0, 0], beta[..., 0, 1], beta[..., 1, 0], beta[..., 1, 1]
+    p, q, r, s = _planes(beta)
     det = p * s - q * r
     inv = np.empty(beta.shape)
     for (i, k), entry in zip(np.ndindex(2, 2), (s, -q, -r, p)):
@@ -97,18 +122,21 @@ def inverse(beta: np.ndarray) -> np.ndarray:
     return inv
 
 
-def product_minus(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """``a @ b - theta`` over stacks of matrices; 2x2 ones entry by entry as
-    ``a[i, 0] b[0, k] + a[i, 1] b[1, k] - theta[i, k]``, with no BLAS call,
-    so their bits do not follow the BLAS kernel."""
+def error_norms(a: np.ndarray, b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Spectral norms of ``a @ b - theta`` over stacks of matrices. On 2x2
+    ones the entry planes ``a[i, 0] b[0, k] + a[i, 1] b[1, k] - theta[i, k]``
+    go straight to ``_hypots``: no BLAS call, so their bits do not follow the
+    BLAS kernel, and no ``(..., 2, 2)`` error array is written."""
     if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
-        return a @ b - theta
-    res = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        return spectral_norms(a @ b - theta)
+    planes = []
     for i, k in np.ndindex(2, 2):
         e = a[..., i, 0] * b[..., 0, k]
         e += a[..., i, 1] * b[..., 1, k]
-        np.subtract(e, theta[i, k], out=res[..., i, k])
-    return res
+        e -= theta[i, k]
+        planes.append(e)
+    h1, h2 = _hypots(*planes)
+    return (h1 + h2) / 2
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -183,8 +211,8 @@ def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
     ``theta``: ``inverse`` where ``invertible`` holds, ``pinv`` elsewhere.
 
     The lanes that lag are inverted as the identity, so ``inverse`` divides
-    by no zero, and then take their ``pinv``; one product and one norm pass
-    cover every lane.
+    by no zero, and then take their ``pinv``; one ``error_norms`` pass covers
+    every lane.
     """
     lagging = ~invertible
     if lagging.any():
@@ -192,7 +220,7 @@ def _errors(alpha: np.ndarray, beta: np.ndarray, invertible: np.ndarray,
         inv[lagging] = np.linalg.pinv(beta[lagging])
     else:
         inv = inverse(beta)
-    return spectral_norms(product_minus(alpha, inv, theta))
+    return error_norms(alpha, inv, theta)
 
 
 def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:

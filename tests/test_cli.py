@@ -431,6 +431,24 @@ def test_simulate_smoke_no_communication(tmp_path):
     assert all(row.split(",")[6] == "0" for row in data_rows)  # comm never fires
 
 
+def test_a_huge_theta_simulates_with_the_libm_norms(tmp_path, monkeypatch):
+    # errors near 1e285 leave the range of the fast 2x2 norms, so every norm
+    # call falls back to np.hypot and writes the bytes that np.hypot alone
+    # writes (the rounding floor of ROADMAP item 5, measured)
+    data = json.loads((CONFIGS_DIR / "paper.json").read_text())
+    data["model"]["theta"][0][0] = 1e300
+    data["run"].update(horizon=1620, runs=1)
+    cfg = write_config(tmp_path, data)
+    out, libm_out = tmp_path / "trace.csv", tmp_path / "libm.csv"
+    assert main(["simulate", cfg, "-o", str(out)]) == 0
+    monkeypatch.setattr(simnet, "_hypots", lambda p, q, r, s: (np.hypot(p + s, r - q),
+                                                               np.hypot(p - s, q + r)))
+    assert main(["simulate", cfg, "-o", str(libm_out)]) == 0
+    assert out.read_bytes() == libm_out.read_bytes()
+    last = out.read_text().splitlines()[-1].split(",")
+    assert 1e280 < float(last[1]) < 1e290
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path, small_config_dict())
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -774,7 +792,8 @@ def _json_text_recursive(value, indent: int = 0) -> str:
     if isinstance(value, np.ndarray):
         return _json_text_recursive(value.tolist(), indent)
     if isinstance(value, dict):
-        items = [f"{inner}\"{k}\": {_json_text_recursive(value[k], indent + 1)}"
+        items = [f"{inner}{json.dumps(k, ensure_ascii=False)}: "
+                 f"{_json_text_recursive(value[k], indent + 1)}"
                  for k in sorted(value)]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
@@ -787,7 +806,7 @@ def _json_text_recursive(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return format(float(value), ".17g")
     if isinstance(value, str):
-        return "\"" + value.replace("\\", "\\\\").replace("\"", "\\\"") + "\""
+        return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -844,6 +863,14 @@ FLOAT_STYLES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, 1e16,
 def test_json_text_matches_the_recursive_formatter(payload):
     value = payload()
     assert cli._json_text(value) == _json_text_recursive(value)
+
+
+def test_json_text_escapes_keys_and_strings_by_json_rules():
+    value = {'a"b': 1.0, "s": "x\ny", "c\\": "t\tz", "\u00e9\x01": "\u00e9\x7f"}
+    text = cli._json_text(value)
+    assert json.loads(text) == value
+    # non-ASCII stays as it is; a control character is escaped
+    assert '"\u00e9\\u0001": "\u00e9\x7f"' in text
 
 
 def test_trace_header_keeps_the_sign_of_zero(tmp_path):

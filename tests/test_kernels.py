@@ -1,9 +1,12 @@
 """The per-agent estimate kernels: the stepwise oracle's ``AgentState`` (the
 estimate from the sums, batch equivalence, PSD growth) and simnet's
-``spectral_norms``, ``full_rank`` and ``inverse`` against LAPACK, and the
-2x2 closed forms of ``inverse`` and ``product_minus`` bit for bit."""
+``spectral_norms``, ``full_rank`` and ``inverse`` against LAPACK, the 2x2
+norms' ``_hypots`` against ``np.hypot``, and the 2x2 closed forms of
+``inverse`` and ``error_norms`` bit for bit."""
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import netrls as nr
-from netrls.simnet import RANK_TOL, full_rank, inverse, product_minus
+from netrls import simnet
+from netrls.simnet import RANK_TOL, _hypots, _planes, error_norms, full_rank, inverse
 
 from stepwise_oracle import AgentState
 
@@ -204,7 +208,74 @@ def test_2x2_inverse_is_the_adjugate_over_the_determinant_bit_for_bit():
         assert np.array_equal(inverse(b), adj / (p * s - q * r)[..., None, None])
 
 
-def test_product_minus_is_the_entrywise_sum_on_2x2():
+def _libm_hypots(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p, q, r, s = _planes(a)
+    return np.hypot(p + s, r - q), np.hypot(p - s, q + r)
+
+
+def _refuse_hypot(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.hypot called on in-range input")
+
+    monkeypatch.setattr(np, "hypot", refuse)
+
+
+def test_hypots_are_within_an_eps_of_libm_in_range(monkeypatch):
+    rng = np.random.default_rng(18)
+    # entries of magnitude 10**-130 to 10**130, each scaled on its own
+    a = rng.normal(size=(3000, 2, 2)) * 10.0 ** rng.uniform(-130, 130, size=(3000, 2, 2))
+    want = _libm_hypots(a)
+    _refuse_hypot(monkeypatch)
+    for got, h in zip(_hypots(*_planes(a)), want):
+        assert np.all(np.abs(got - h) <= EPS * h)
+    # one numpy scalar per entry, as a single matrix's planes are
+    for got, h in zip(_hypots(*_planes(a[0])), want):
+        assert np.ndim(got) == 0 and abs(got - h[0]) <= EPS * h[0]
+
+
+@pytest.mark.parametrize("odd", [
+    np.full((2, 2), 1e300),                 # squares overflow
+    np.diag([1e300, -1e300]),
+    np.full((2, 2), 1e-300),                # squares underflow
+    np.zeros((2, 2)),
+    np.array([[np.inf, 1.0], [2.0, 3.0]]),
+    np.array([[1.0, 2.0], [np.nan, 3.0]]),
+])
+def test_hypots_fall_back_to_libm_bits_out_of_range(odd):
+    rng = np.random.default_rng(19)
+    # one matrix out of range sends the whole call to np.hypot
+    a = np.concatenate([rng.normal(size=(50, 2, 2)), odd[None]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for case in (a, odd):
+            for got, want in zip(_hypots(*_planes(case)), _libm_hypots(case)):
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.shape(got) == np.shape(want)
+
+
+def test_hypots_of_empty_planes_are_empty():
+    empty = np.empty((0, 3, 2, 2))
+    for got in _hypots(*_planes(empty)):
+        assert got.shape == (0, 3)
+    assert nr.spectral_norms(empty).shape == (0, 3)
+    assert full_rank(empty).shape == (0, 3)
+
+
+def test_2x2_kernels_call_no_hypot_in_range(monkeypatch):
+    rng = np.random.default_rng(20)
+    a, x = rng.normal(size=(64, 7, 2, 2)), rng.normal(size=(64, 7, 8, 2))
+    beta = np.swapaxes(x, -1, -2) @ x
+    theta = rng.normal(size=(2, 2))
+    flags = full_rank(beta)
+    assert flags.all()
+    want = (_svd(a)[..., 0], _svd(a @ np.linalg.inv(beta) - theta)[..., 0])
+    _refuse_hypot(monkeypatch)
+    assert np.allclose(nr.spectral_norms(a), want[0], rtol=8 * EPS, atol=0)
+    assert full_rank(beta).all()
+    assert np.allclose(simnet._errors(a, beta, flags, theta), want[1], rtol=1e-12, atol=0)
+
+
+def test_error_norms_is_the_entrywise_sum_on_2x2():
     rng = np.random.default_rng(16)
     a, b = rng.normal(size=(2, 300, 5, 2, 2))
     theta = rng.normal(size=(2, 2))
@@ -213,17 +284,18 @@ def test_product_minus_is_the_entrywise_sum_on_2x2():
         for k in range(2):
             want[..., i, k] = (a[..., i, 0] * b[..., 0, k] + a[..., i, 1] * b[..., 1, k]
                                - theta[i, k])
-    assert np.array_equal(product_minus(a, b, theta), want)
+    assert np.array_equal(error_norms(a, b, theta), nr.spectral_norms(want))
     # strided operands, as the phases' views are
-    assert np.array_equal(product_minus(a[::2, ::-1], b[::2, ::-1], theta), want[::2, ::-1])
+    assert np.array_equal(error_norms(a[::2, ::-1], b[::2, ::-1], theta),
+                          nr.spectral_norms(want[::2, ::-1]))
 
 
 @pytest.mark.parametrize("l, n", [(1, 1), (1, 2), (2, 3), (3, 3)])
-def test_product_minus_is_matmul_on_other_shapes(l, n):
+def test_error_norms_is_matmul_on_other_shapes(l, n):
     rng = np.random.default_rng(17)
     a, b = rng.normal(size=(300, 5, l, n)), rng.normal(size=(300, 5, n, n))
     theta = rng.normal(size=(l, n))
-    assert np.array_equal(product_minus(a, b, theta), a @ b - theta)
+    assert np.array_equal(error_norms(a, b, theta), nr.spectral_norms(a @ b - theta))
 
 
 def test_2x2_kernels_call_no_lapack(monkeypatch):

@@ -115,6 +115,31 @@ def test_all_agent_draws_match_the_per_agent_digests(kind, shape):
     assert digest.hexdigest() == PER_AGENT_DIGESTS[kind, shape]
 
 
+def _mean(kind: str, m: int, n: int):
+    if kind == "zero":
+        return nr.ZeroMean()
+    if kind == "constant":
+        return nr.ConstantMean(vectors=np.linspace(-1.5, 2.5, m * n).reshape(m, n))
+    return nr.SinusoidMean(amplitudes=np.linspace(-1.0, 2.0, m * n).reshape(m, n),
+                           periods=np.linspace(7.0, 250.0, m))
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "sinusoid"])
+def test_two_feature_labels_are_the_einsum_bit_for_bit(kind):
+    rng = np.random.default_rng(23)
+    for l in (1, 2, 3):
+        theta = rng.normal(size=(l, 2)) * 10.0 ** rng.uniform(-3, 3, size=(l, 2))
+        for m in (1, 2, 6, 64):
+            for sigma_eta in (0.7, 0.0):
+                spec = nr.ModelSpec(theta=theta, sigma_x=3.0, sigma_eta=sigma_eta, m=m,
+                                    mean=_mean(kind, m, 2))
+                for count in (1, 7, 585):
+                    x, y = nr.sample_block(spec, 5, 3, 40, count)
+                    z = _normal_rows(5, 3, m, 40, count, 2 + l)[..., 2:]
+                    want = np.einsum("taj,kj->tak", x, theta) + sigma_eta * z
+                    assert np.array_equal(y, want)
+
+
 def test_distinct_triples_are_distinct():
     spec = reference_model()
     seed = 42
