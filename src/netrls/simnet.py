@@ -10,9 +10,12 @@ column; errors are spectral norms against the ground truth.
 
 The engine computes a run in batches over agents and steps rather than one
 sample at a time: the running sums ``alpha`` and ``beta`` are cumulative
-sums of the per-sample terms. The pooled sums are one more lane behind the
-``m`` agents, so all ``m + 1`` lanes share one sticky rank rule and one
-batched estimate, and the engine keeps their error norms, not the estimates.
+sums of the per-sample terms. Draws come a block at a time (``sample_block``),
+and the per-sample terms and their sums are formed a piece at a time from
+them (``_increments``), so the draws are the only block-sized arrays. The
+pooled sums are one more lane behind the ``m`` agents, so all ``m + 1`` lanes
+share one sticky rank rule and one batched estimate, and the engine keeps
+their error norms, not the estimates.
 A phase only reads the running sums, so the phases that fall in one piece
 are mixed by one ``W**T`` product. On 2x2 matrices, the shape of the paper's
 example, the error norms, inverses, rank tests and the products
@@ -39,12 +42,12 @@ from .planner import Schedule
 __all__ = ["SimConfig", "ErrorTrace", "run", "spectral_norms"]
 
 # fewest steps per block of draws; a block holds max(BLOCK, LANE_STEPS //
-# (m + 1)) steps and is the engine's largest working set, so memory does not
+# (m + 1)) steps of x and y, the only block-sized arrays, so memory does not
 # grow with the horizon
 BLOCK = 512
 # matrices per lane in one estimate pass: a piece holds at most
-# LANE_STEPS // (m + 1) steps, so its (steps, m + 1, ...) lanes and their
-# temporaries do not grow with the number of agents
+# LANE_STEPS // (m + 1) steps, so its (steps, m + 1, ...) per-sample terms,
+# running sums and their temporaries do not grow with the number of agents
 LANE_STEPS = 4096
 # beta counts as invertible once its smallest singular value exceeds
 # RANK_TOL times the largest
@@ -188,13 +191,13 @@ class ErrorTrace:
     pre_invertible_count: np.ndarray
 
 
-def _block_increments(config: SimConfig, run_index: int, t_start: int,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample terms ``y x^T`` and ``x x^T`` for steps ``t_start ..`` in
-    lanes ``0 .. m - 1`` of ``(count, m + 1, l, n)`` and ``(count, m + 1, n, n)``
-    arrays; lane ``m``, the pooled sums, is left for the caller to fill."""
-    x, y = sample_block(config.model, config.seed, run_index, t_start, count)
-    m, l, n = config.model.m, config.model.l, config.model.n
+def _increments(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample terms ``y x^T`` and ``x x^T`` of the draws ``x`` and ``y``,
+    ``(count, m, n)`` and ``(count, m, l)``, in lanes ``0 .. m - 1`` of
+    ``(count, m + 1, l, n)`` and ``(count, m + 1, n, n)`` arrays; lane ``m``,
+    the pooled sums, is left for the caller to fill."""
+    count, m, n = x.shape
+    l = y.shape[-1]
     inc_alpha, inc_beta = np.empty((count, m + 1, l, n)), np.empty((count, m + 1, n, n))
     # entry (i, j) of every agent and step in one multiply over the (count, m)
     # plane; broadcasting over the trailing axes would loop over n at a time
@@ -228,8 +231,10 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
 
     The horizon is cut into blocks of ``max(BLOCK, LANE_STEPS // (m + 1))``
     draws, and each block every ``LANE_STEPS // (m + 1)`` steps, so with up to
-    six agents a block is one piece. Within a piece the running sums are
-    cumulative sums seeded with the carried sums. Each of the ``m`` agents and
+    six agents a block is one piece. ``sample_block`` draws each block once,
+    and ``_increments`` forms each piece's per-sample terms from its rows of
+    the draws. Within a piece the running sums are cumulative sums of them,
+    seeded with the carried sums. Each of the ``m`` agents and
     the pooled sums behind them as lane ``m`` is estimated with ``inverse``
     from the first step whose ``beta`` passes the rank test on, and with
     ``pinv`` before it; the flag is sticky, so an ill-conditioned later sum
@@ -263,10 +268,10 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
     start = 0
     for end in (np.flatnonzero(cut) + 1).tolist():
         if start % block == 0:
-            inc_alpha, inc_beta = _block_increments(
-                config, run_index, start + 1, min(block, horizon - start))
+            x, y = sample_block(model, config.seed, run_index, start + 1,
+                                min(block, horizon - start))
         rows = slice(start % block, start % block + end - start)
-        lanes_a, lanes_b = inc_alpha[rows], inc_beta[rows]
+        lanes_a, lanes_b = _increments(x[rows], y[rows])
         a, b = lanes_a[:, :m], lanes_b[:, :m]
         # same addition order as ``alpha += outer(y, x)`` step by step
         a[0] += alpha
@@ -294,11 +299,11 @@ def _simulate_run(config: SimConfig, run_index: int) -> ErrorTrace:
         if fired.size:
             # the sums at the k phases as (m, k * rows, cols): run_comm_phase
             # mixes along the agent axis and carries the others along
-            mixed = run_comm_phase(config.weights, *(x[fired].swapaxes(0, 1).reshape(m, -1, n)
-                                                     for x in (a, b)), schedule.T)
+            mixed = run_comm_phase(config.weights, *(s[fired].swapaxes(0, 1).reshape(m, -1, n)
+                                                     for s in (a, b)), schedule.T)
             # back to (k, m, rows, cols) in C order: the agent mean sums each row in one order
-            mixed_alpha, mixed_beta = (x.reshape(m, fired.size, -1, n).swapaxes(0, 1).copy()
-                                       for x in mixed)
+            mixed_alpha, mixed_beta = (s.reshape(m, fired.size, -1, n).swapaxes(0, 1).copy()
+                                       for s in mixed)
             mixed_err = _errors(mixed_alpha, mixed_beta, full_rank(mixed_beta), theta)
             phase_err.extend(mixed_err.mean(axis=1))
 

@@ -3,11 +3,11 @@
 
 ``tests/test_goldens.py`` compares every entry under the default OpenBLAS
 kernel, and again under forced kernels, each in a child interpreter, where
-a plan golden's ``rho`` line is left out (``differing``). This module is
+a plan golden's ``rho`` line is left out (``matches``). This module is
 not a test file; both comparisons import it, and so do the CI steps that
 record the OpenBLAS core type and compare the installed ``netrls`` with
-every golden. ``errors_digest`` pins the engine's 2x2 estimate pass
-under every kernel too.
+every golden, the latter through ``matches`` as well. ``errors_digest``
+pins the engine's 2x2 estimate pass under every kernel too.
 """
 
 from __future__ import annotations
@@ -111,16 +111,22 @@ def run_golden(golden: Golden, workdir: Path) -> tuple[bytes, str]:
 
 
 def _without_rho(output: bytes) -> list[bytes]:
-    return [line for line in output.splitlines() if not line.startswith(RHO_LINE)]
+    return [line for line in output.splitlines(keepends=True) if not line.startswith(RHO_LINE)]
+
+
+def matches(produced: bytes, file: str) -> bool:
+    """Whether ``produced`` has the bytes of the golden ``file``, the lines
+    that start with ``RHO_LINE`` left out of both."""
+    return _without_rho(produced) == _without_rho((DATA_DIR / file).read_bytes())
 
 
 def differing(workdir: Path) -> list[str]:
-    """The goldens whose output (its ``RHO_LINE`` left out) or printed
-    lines, produced in this process, differ from the golden ones."""
+    """The goldens whose output (``matches``) or printed lines, produced in
+    this process, differ from the golden ones."""
     out = []
     for g in GOLDENS:
         produced, printed = run_golden(g, workdir)
-        if (_without_rho(produced) != _without_rho((DATA_DIR / g.file).read_bytes())
+        if (not matches(produced, g.file)
                 or printed.splitlines()[:len(g.printed)] != list(g.printed)):
             out.append(g.file)
     return out

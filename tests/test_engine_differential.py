@@ -111,14 +111,13 @@ def test_invertibility_is_sticky_like_agent_state(monkeypatch):
     assert expected == [False, True, True, True]
     assert not full_rank(betas[2])
 
-    # the engine sees the same rows at two agents, with no phase in the
-    # horizon; it fills the third lane with their pooled sums
-    def rows(config, run_index, t_start, count):
+    # the engine draws the same rows at two agents, with zero labels and no
+    # phase in the horizon; it fills the third lane with their pooled sums
+    def rows(spec, seed, run, t_start, count):
         steps = slice(t_start - 1, t_start - 1 + count)
-        return (np.zeros((count, 3, 1, 2)),
-                np.repeat(outer[steps, None], 3, axis=1))
+        return np.repeat(x_rows[steps, None], 2, axis=1), np.zeros((count, 2, 1))
 
-    monkeypatch.setattr(simnet, "_block_increments", rows)
+    monkeypatch.setattr(simnet, "sample_block", rows)
     config = nr.SimConfig(
         model=nr.ModelSpec(theta=[[1.0, 2.0]], sigma_x=1.0, sigma_eta=0.0, m=2),
         weights=nr.complete_weights(2),

@@ -313,14 +313,11 @@ def test_pooled_lane_is_a_running_sum_in_agent_order(monkeypatch, theta, m):
                                    [[0.5, -1.0, 0.25], [1.5, 0.0, -0.75]]],
                          ids=["1x1", "2x2", "n1l3", "n3l2"])
 def test_block_increments_are_the_broadcast_outer_products(theta, m):
-    # a zero mean leaves the draws in C order, a constant one agent-major
     l, n = np.shape(theta)
     for mean in (nr.ZeroMean(), nr.ConstantMean(vectors=np.linspace(-1.0, 1.0, m * n).reshape(m, n))):
         model = nr.ModelSpec(theta=theta, sigma_x=3.0, sigma_eta=0.5, m=m, mean=mean)
-        config = _small_config(model=model, weights=nr.complete_weights(m),
-                               schedule=nr.Schedule(zeta=1, T=1, S=0))
-        inc_alpha, inc_beta = simnet._block_increments(config, 1, 3, 37)
-        x, y = nr.sample_block(model, config.seed, 1, 3, 37)
+        x, y = nr.sample_block(model, 31, 1, 3, 37)
+        inc_alpha, inc_beta = simnet._increments(x, y)
         assert inc_alpha.shape == (37, m + 1, l, n) and inc_beta.shape == (37, m + 1, n, n)
         assert np.array_equal(inc_alpha[:, :m], y[..., :, None] * x[..., None, :])
         assert np.array_equal(inc_beta[:, :m], x[..., :, None] * x[..., None, :])
