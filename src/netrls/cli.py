@@ -283,6 +283,9 @@ def cmd_bounds(config_path: str, at: str) -> int:
         raise ConfigError("--at", f"expected comma-separated integers, got {at!r}") from None
     if not ts:
         raise ConfigError("--at", "needs at least one time step")
+    below = [t for t in ts if t < 1]
+    if below:
+        raise ConfigError("--at", f"time steps start at 1, got {below[0]}")
     # read (and plan) the config only once the times are known to be good
     cfg = load_config(config_path)
     schedule, bi = cfg.schedule, cfg.bound_inputs

@@ -1,8 +1,10 @@
-"""Shared fixtures: the reference experiment setup and random-matrix helpers."""
+"""Shared fixtures: the reference experiment setup, each agent's running
+sums, and random-input helpers."""
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -54,6 +56,42 @@ def paper_sim(paper_model, ring6, paper_schedule):
     averaged = nr.run(config)
     elapsed = time.perf_counter() - start
     return config, averaged, elapsed
+
+
+def agent_sums(model: nr.ModelSpec, seed: int, runs: int,
+               times: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's running sums ``y^T x`` and ``x^T x`` over its first ``t``
+    draws, for runs ``0 .. runs - 1`` of ``sample_block`` at ``seed`` and
+    every ``t`` in ``times``: indexed by (run, agent, time), of shapes
+    ``(runs, m, len(times), l, n)`` and ``(runs, m, len(times), n, n)``."""
+    alphas = np.empty((runs, model.m, len(times), model.l, model.n))
+    betas = np.empty((runs, model.m, len(times), model.n, model.n))
+    for run in range(runs):
+        x_all, y_all = nr.sample_block(model, seed, run, 1, max(times))
+        for agent in range(model.m):
+            x, y = x_all[:, agent], y_all[:, agent]
+            for k, t in enumerate(times):
+                alphas[run, agent, k] = y[:t].T @ x[:t]
+                betas[run, agent, k] = x[:t].T @ x[:t]
+    return alphas, betas
+
+
+def random_inputs(rng: np.random.Generator) -> nr.BoundInputs:
+    """Valid bound inputs with every scalar drawn at random."""
+    sx = float(rng.uniform(0.5, 4.0))
+    return nr.BoundInputs(
+        n=int(rng.integers(1, 5)),
+        l=int(rng.integers(1, 4)),
+        m=int(rng.integers(1, 9)),
+        sigma_x_lower=sx,
+        sigma_x_upper=sx * float(rng.uniform(1.0, 1.5)),
+        sigma_eta_upper=float(rng.uniform(0.1, 3.0)),
+        mu_hat_upper=float(rng.uniform(0.0, 2.0)),
+        theta_norm_upper=float(rng.uniform(0.1, 5.0)),
+        delta=float(rng.uniform(0.01, 0.3)),
+        delta_hat=float(rng.uniform(0.0005, 0.05)),
+        rho=float(rng.uniform(0.05, 0.95)),
+    )
 
 
 def random_connected_weights(rng: np.random.Generator, m: int) -> nr.WeightMatrix:

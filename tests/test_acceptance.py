@@ -15,9 +15,8 @@ import numpy as np
 import netrls as nr
 from netrls.cli import main
 
-from conftest import random_connected_weights, reference_model
+from conftest import agent_sums, random_connected_weights, random_inputs, reference_model
 from stepwise_oracle import AgentState
-from test_bounds import _random_inputs
 
 CONFIGS_DIR = Path(__file__).parent.parent / "configs"
 
@@ -150,7 +149,7 @@ def test_criterion_5_property_suites(capsys):
     # bounds decrease in t and in T over 100 random valid inputs
     ok_mono = True
     for _ in range(100):
-        inputs = _random_inputs(rng)
+        inputs = random_inputs(rng)
         start = int(np.ceil(max(nr.burn_in(inputs, inputs.delta),
                                 nr.burn_in(inputs, inputs.delta_hat)))) + 1
         ts = [start + 41 * k for k in range(4)]
@@ -175,16 +174,10 @@ def test_criterion_6_bound_coverage(paper_inputs, capsys):
     start = time.perf_counter()
     model = reference_model()
     bound = nr.local_bound(paper_inputs, 400).value
-    violations = 0
-    total = 0
-    for run_index in range(200):
-        x_all, y_all = nr.sample_block(model, 777, run_index, 1, 400)
-        for agent in range(model.m):
-            x, y = x_all[:, agent], y_all[:, agent]
-            theta_hat = (y.T @ x) @ np.linalg.inv(x.T @ x)
-            err = np.linalg.norm(theta_hat - model.theta, 2)
-            violations += int(err > bound)
-            total += 1
+    alphas, betas = agent_sums(model, 777, 200, [400])
+    theta_hat = alphas @ np.linalg.inv(betas)
+    errs = np.linalg.norm(theta_hat - model.theta, 2, axis=(-2, -1))
+    violations, total = int(np.sum(errs > bound)), errs.size
     elapsed = time.perf_counter() - start
     freq = violations / total
     ok = freq <= 0.20 and elapsed < 120.0

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import netrls as nr
 
+from conftest import agent_sums, random_inputs
+
 # frozen from a 40-digit arbitrary-precision evaluation of the closed forms
 T1_AT_005 = 75.02207126582298
 T1_AT_0001 = 137.61443935267332
@@ -31,23 +33,6 @@ NET_140_37 = 0.011112993763771776
 NET_1620_38 = 0.0067022091171698566
 TOTAL_1620_38 = 0.49979987162391847
 TOTAL_1600_38 = 0.5028739936133553
-
-
-def _random_inputs(rng: np.random.Generator) -> nr.BoundInputs:
-    sx = float(rng.uniform(0.5, 4.0))
-    return nr.BoundInputs(
-        n=int(rng.integers(1, 5)),
-        l=int(rng.integers(1, 4)),
-        m=int(rng.integers(1, 9)),
-        sigma_x_lower=sx,
-        sigma_x_upper=sx * float(rng.uniform(1.0, 1.5)),
-        sigma_eta_upper=float(rng.uniform(0.1, 3.0)),
-        mu_hat_upper=float(rng.uniform(0.0, 2.0)),
-        theta_norm_upper=float(rng.uniform(0.1, 5.0)),
-        delta=float(rng.uniform(0.01, 0.3)),
-        delta_hat=float(rng.uniform(0.0005, 0.05)),
-        rho=float(rng.uniform(0.05, 0.95)),
-    )
 
 
 def test_burn_in_frozen_values(paper_inputs):
@@ -191,7 +176,7 @@ def test_zero_rho_comm_equals_global(paper_model):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_bounds_decrease_in_time_and_steps(seed):
-    inputs = _random_inputs(np.random.default_rng(seed))
+    inputs = random_inputs(np.random.default_rng(seed))
     start = max(
         nr.burn_in(inputs, inputs.delta), nr.burn_in(inputs, inputs.delta_hat)
     )
@@ -209,7 +194,7 @@ def test_bounds_decrease_in_time_and_steps(seed):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_comm_dominates_global_and_converges(seed):
-    inputs = _random_inputs(np.random.default_rng(seed))
+    inputs = random_inputs(np.random.default_rng(seed))
     t = math.ceil(max(
         nr.burn_in(inputs, inputs.delta), nr.burn_in(inputs, inputs.delta_hat)
     )) + 3
@@ -376,19 +361,11 @@ def test_global_and_comm_bound_coverage(paper_model, ring6, paper_inputs):
     # 200 runs of the reference setup, the pooled errors exceed the global
     # bound in at most a fraction delta of runs, and the errors after a phase
     # of 38 rounds exceed the communicated bound in at most a fraction
-    # delta_hat of (run, agent) pairs
+    # delta_hat of (run, agent) pairs and, since delta_hat is a network-wide
+    # confidence, at the worst agent in at most a fraction delta_hat of runs
     times, steps, runs, m = (140, 400, 1620), 38, 200, paper_model.m
     theta = paper_model.theta
-    # running sums indexed by (run, agent, time)
-    alphas = np.empty((runs, m, len(times), paper_model.l, paper_model.n))
-    betas = np.empty((runs, m, len(times), paper_model.n, paper_model.n))
-    for run in range(runs):
-        x_all, y_all = nr.sample_block(paper_model, 777, run, 1, times[-1])
-        for agent in range(m):
-            x, y = x_all[:, agent], y_all[:, agent]
-            for k, t in enumerate(times):
-                alphas[run, agent, k] = y[:t].T @ x[:t]
-                betas[run, agent, k] = x[:t].T @ x[:t]
+    alphas, betas = agent_sums(paper_model, 777, runs, times)
     for k, t in enumerate(times):
         a, b = alphas[:, :, k], betas[:, :, k]
         pooled = a.sum(axis=1) @ np.linalg.inv(b.sum(axis=1))
@@ -397,12 +374,13 @@ def test_global_and_comm_bound_coverage(paper_model, ring6, paper_inputs):
         assert global_violations <= paper_inputs.delta * runs, (t, global_violations)
 
         comm_limit = nr.comm_bound(paper_inputs, t, steps).value
-        comm_violations = 0
-        for run in range(runs):
-            mixed_a, mixed_b = nr.run_comm_phase(ring6, a[run], b[run], steps)
-            errors = nr.spectral_norms(mixed_a @ np.linalg.pinv(mixed_b) - theta)
-            comm_violations += int(np.sum(errors > comm_limit))
+        # the phase mixes along the agent axis, so agents go first
+        mixed_a, mixed_b = nr.run_comm_phase(ring6, a.swapaxes(0, 1), b.swapaxes(0, 1), steps)
+        errors = nr.spectral_norms(mixed_a @ np.linalg.pinv(mixed_b) - theta)
+        comm_violations = int(np.sum(errors > comm_limit))
         assert comm_violations <= paper_inputs.delta_hat * runs * m, (t, comm_violations)
+        network_violations = int(np.sum(errors.max(axis=0) > comm_limit))
+        assert network_violations <= paper_inputs.delta_hat * runs, (t, network_violations)
 
 
 def _unit_mean(kind: str, m: int) -> nr.ConstantMean | nr.SinusoidMean:
@@ -433,16 +411,7 @@ def test_bound_coverage_with_nonzero_means(ring6, kind):
     }
     times = sorted({*first.values(), planned.S})
     runs, m, theta = 200, model.m, model.theta
-    # running sums indexed by (run, agent, time)
-    alphas = np.empty((runs, m, len(times), model.l, model.n))
-    betas = np.empty((runs, m, len(times), model.n, model.n))
-    for run in range(runs):
-        x_all, y_all = nr.sample_block(model, 777, run, 1, times[-1])
-        for agent in range(m):
-            x, y = x_all[:, agent], y_all[:, agent]
-            for k, t in enumerate(times):
-                alphas[run, agent, k] = y[:t].T @ x[:t]
-                betas[run, agent, k] = x[:t].T @ x[:t]
+    alphas, betas = agent_sums(model, 777, runs, times)
     for k, t in enumerate(times):
         a, b = alphas[:, :, k], betas[:, :, k]
         if t >= first["local"]:

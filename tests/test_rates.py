@@ -49,20 +49,20 @@ import netrls as nr
 from netrls import simnet
 from netrls.config import load_config
 
+from conftest import agent_sums
+
 HORIZON, RUNS = 500, 100
 
 
 @pytest.fixture(scope="module")
-def past_burn_in():
-    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6)
-    weights = nr.ring_weights(6)
-    inputs = nr.BoundInputs.from_model(model, weights, delta=0.05, delta_hat=0.001)
+def past_burn_in(paper_model, ring6, paper_inputs):
     # no phase: the local and pooled estimates do not depend on the schedule
-    config = nr.SimConfig(model=model, weights=weights, schedule=nr.Schedule(zeta=20, T=1, S=0),
+    config = nr.SimConfig(model=paper_model, weights=ring6,
+                          schedule=nr.Schedule(zeta=20, T=1, S=0),
                           horizon=HORIZON, runs=RUNS, seed=1008)
     trace = nr.run(config)
-    past = trace.t >= nr.local_bound(inputs, HORIZON).valid_from
-    return model.m, trace.t[past], trace.local_err[past], trace.global_err[past]
+    past = trace.t >= nr.local_bound(paper_inputs, HORIZON).valid_from
+    return paper_model.m, trace.t[past], trace.local_err[past], trace.global_err[past]
 
 
 def test_local_error_falls_like_one_over_sqrt_t(past_burn_in):
@@ -76,20 +76,18 @@ def test_pooling_divides_the_local_error_by_sqrt_m(past_burn_in):
     assert local.mean() / pooled.mean() == pytest.approx(math.sqrt(m), rel=0.08)
 
 
-def test_network_gap_falls_like_rho_to_the_2T():
-    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6)
-    weights = nr.ring_weights(6)
+def test_network_gap_falls_like_rho_to_the_2T(paper_model, ring6):
     steps = (1, 2, 4, 8, 16, 38)
     gaps = []
     for T in steps:
         # the same draws for every T; the first phase fires at t = 100
-        config = nr.SimConfig(model=model, weights=weights,
+        config = nr.SimConfig(model=paper_model, weights=ring6,
                               schedule=nr.Schedule(zeta=100, T=T, S=200),
                               horizon=200, runs=40, seed=1008)
         trace = nr.run(config)
         gaps.append(trace.comm_err[99] - trace.global_err[99])
     slope = np.polyfit(steps[:4], np.log(gaps[:4]), 1)[0]
-    assert slope == pytest.approx(2 * math.log(weights.rho), abs=0.1)
+    assert slope == pytest.approx(2 * math.log(ring6.rho), abs=0.1)
     assert abs(gaps[-1]) < 1e-12
 
 
@@ -111,48 +109,43 @@ def test_planned_stopping_time_meets_epsilon_at_every_agent():
     cfg = load_config(str(Path(__file__).parent.parent / "configs" / "paper.json"))
     planned = nr.plan(cfg.bound_inputs, **cfg.plan)
     assert (planned.T, planned.S) == (38, 1620) and planned.S % planned.zeta == 0
-    model, runs = cfg.model, 40
-    worst = np.empty(runs)
-    for run in range(runs):
-        x, y = nr.sample_block(model, cfg.run.seed, run, 1, planned.S)
-        alphas = np.einsum("tik,tij->ikj", y, x)
-        betas = np.einsum("tik,tij->ikj", x, x)
-        mixed_a, mixed_b = nr.run_comm_phase(cfg.weights, alphas, betas, planned.T)
-        worst[run] = nr.spectral_norms(mixed_a @ np.linalg.inv(mixed_b) - model.theta).max()
+    alphas, betas = agent_sums(cfg.model, cfg.run.seed, 40, [planned.S])
+    # the phase mixes along the agent axis, so agents go first
+    mixed_a, mixed_b = nr.run_comm_phase(cfg.weights, alphas[:, :, 0].swapaxes(0, 1),
+                                         betas[:, :, 0].swapaxes(0, 1), planned.T)
+    worst = nr.spectral_norms(mixed_a @ np.linalg.inv(mixed_b) - cfg.model.theta).max(axis=0)
     assert np.mean(worst <= cfg.plan["epsilon"]) >= 1 - cfg.bound_inputs.delta
 
 
-def test_global_bound_holds_with_confidence_1_minus_delta_and_a_flat_slack():
-    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6)
-    weights = nr.ring_weights(6)
-    inputs = nr.BoundInputs.from_model(model, weights, delta=0.05, delta_hat=0.001)
-    config = nr.SimConfig(model=model, weights=weights, schedule=nr.Schedule(zeta=20, T=1, S=0),
+def test_global_bound_holds_with_confidence_1_minus_delta_and_a_flat_slack(
+        paper_model, ring6, paper_inputs):
+    config = nr.SimConfig(model=paper_model, weights=ring6,
+                          schedule=nr.Schedule(zeta=20, T=1, S=0),
                           horizon=400, runs=100, seed=1008)
     # past the global burn-in of 12.5 steps; global_err is per run (the
     # pooled lane), so each run is one draw of the bound's event
     times = np.array([20, 50, 100, 200, 400])
     errs = np.array([simnet._simulate_run(config, r).global_err[times - 1]
                      for r in range(config.runs)])
-    bound = nr.global_bound(inputs, times).value
-    assert ((errs > bound).sum(axis=0) <= inputs.delta * config.runs).all()
-    slack = bound / np.quantile(errs, 1 - inputs.delta, axis=0)
+    bound = nr.global_bound(paper_inputs, times).value
+    assert ((errs > bound).sum(axis=0) <= paper_inputs.delta * config.runs).all()
+    slack = bound / np.quantile(errs, 1 - paper_inputs.delta, axis=0)
     assert slack.max() / slack.min() < 1.3
 
 
-def test_comm_bound_holds_with_confidence_1_minus_delta_hat_and_a_flat_slack():
-    model = nr.ModelSpec(theta=[[1.6, 0.3], [0.8, 0.3]], sigma_x=3.0, sigma_eta=1.0, m=6)
-    weights = nr.ring_weights(6)
-    inputs = nr.BoundInputs.from_model(model, weights, delta=0.05, delta_hat=0.001)
-    T, t_first = nr.plan_T(inputs, 20, 0.01)
+def test_comm_bound_holds_with_confidence_1_minus_delta_hat_and_a_flat_slack(
+        paper_model, ring6, paper_inputs):
+    T, t_first = nr.plan_T(paper_inputs, 20, 0.01)
     assert (T, t_first) == (38, 140)
-    config = nr.SimConfig(model=model, weights=weights, schedule=nr.Schedule(zeta=20, T=T, S=800),
+    config = nr.SimConfig(model=paper_model, weights=ring6,
+                          schedule=nr.Schedule(zeta=20, T=T, S=800),
                           horizon=800, runs=100, seed=1008)
     # the phase times past the delta_hat burn-in; comm_err is the mean over
     # the agents, so each run is one draw of the agent-mean error
     times = np.arange(t_first, config.horizon + 1, 20)
     errs = np.array([simnet._simulate_run(config, r).comm_err[times - 1]
                      for r in range(config.runs)])
-    bound = nr.comm_bound(inputs, times, T).value
-    assert ((errs > bound).sum(axis=0) <= inputs.delta_hat * config.runs).all()
-    slack = bound / np.quantile(errs, 1 - inputs.delta, axis=0)
+    bound = nr.comm_bound(paper_inputs, times, T).value
+    assert ((errs > bound).sum(axis=0) <= paper_inputs.delta_hat * config.runs).all()
+    slack = bound / np.quantile(errs, 1 - paper_inputs.delta, axis=0)
     assert slack.max() / slack.min() < 1.35
