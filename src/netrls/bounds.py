@@ -13,18 +13,19 @@ A bound holds once ``t`` reaches its burn-in, the sample count
 local and global bounds, ``delta_hat`` for the communicated one. The global
 bound's burn-in is divided by ``m``.
 
-The three bounds share one noise term, ``C1 / (sqrt(k t) sigma_x^2)`` for
-``k`` pooled agents: the local bound is it with ``k = 1``, the global bound
-with ``k = m``, and the communicated bound adds the network term
-``rho**T C0`` to the global one.
+The three bounds share one noise term, ``noise / sqrt(k t)`` for ``k``
+pooled agents: the local bound is it with ``k = 1``, the global bound with
+``k = m``, and the communicated bound after ``T`` consensus steps adds the
+network term ``r (A + r B)(c1 + c2/sqrt(t))``, ``r = rho**T``.
 
 The time ``t`` of ``local_bound``, ``global_bound`` and ``comm_bound`` may be
 a scalar or a numpy array of finite times; each element of an array result
 equals the scalar evaluation at that time, bit for bit. A report carries
 what depends on ``t``, ``value``, ``network_term`` and ``noise_term``, and the
 burn-in ``valid_from``, which depends only on the inputs. The constants
-``C1``, ``c1``, ``c2`` and ``c3`` do not depend on ``t``; they are computed
-once per inputs, as ``inputs.C1`` and so on.
+``C1``, ``c1``, ``c2``, ``c3``, ``network`` (the pair ``(A, B)``) and
+``noise`` do not depend on ``t``; they are computed once per inputs, as
+``inputs.C1`` and so on, and the planner's inverses read the same ones.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ class BoundInputs:
     rho: float
 
     def __post_init__(self):
+        for name in ("n", "l", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1 or self.l < 1 or self.m < 1:
             raise ValueError("dimensions must be >= 1")
         if not self.sigma_x_lower > 0:
@@ -84,9 +89,10 @@ class BoundInputs:
         # underflow a power of sigma_x_lower that a bound divides by
         try:
             with np.errstate(over="ignore", invalid="ignore"):
+                A, B = self.network
                 finite = all(map(math.isfinite, (
                     burn_in(self, self.delta), burn_in(self, self.delta_hat),
-                    self.C1 / self.sigma_x_lower**2, _C0(self, 1, 0))))
+                    self.noise, (A + B) * (self.c1 + self.c2))))
         except (OverflowError, ZeroDivisionError):
             finite = False
         if not finite:
@@ -124,6 +130,17 @@ class BoundInputs:
         root = math.sqrt(5.0 * self.n)
         return (152.0 * m32 * root / self.sigma_x_lower**2
                 + 64.0 * m32 * root * self.mu_hat_upper**2 / self.sigma_x_lower**4)
+
+    @cached_property
+    def network(self) -> tuple[float, float]:
+        """``(A, B)`` of the network term ``r (A + r B)(c1 + c2/sqrt(t))``, ``r = rho**steps``."""
+        m32_rl = self.m**1.5 * math.sqrt(self.l)
+        return self.c3 + 8.0 * m32_rl / self.sigma_x_lower**2, m32_rl * self.c3
+
+    @cached_property
+    def noise(self) -> float:
+        """Scale of the noise term ``noise / (sqrt(k t) lambda_min)`` of ``k`` pooled agents."""
+        return self.C1 / self.sigma_x_lower**2
 
     @classmethod
     def from_model(cls, model, weights, delta: float = 0.05, delta_hat: float = 0.001,
@@ -196,18 +213,6 @@ def burn_in(inputs: BoundInputs, delta: float) -> float:
     return max(t1, t2, t3)
 
 
-# planner._network_steps and planner._stopping_time solve the conservative
-# local and communicated bounds for t and steps: change them with _C0 and _report
-
-def _C0(inputs: BoundInputs, t, steps: int):
-    """Amplitude of the network-convergence error before the rho**T decay."""
-    g = inputs.c1 + inputs.c2 / np.sqrt(t)
-    m32_rl = inputs.m**1.5 * math.sqrt(inputs.l)
-    return (inputs.c3 * g
-            + 8.0 * m32_rl * g / inputs.sigma_x_lower**2
-            + inputs.rho**steps * m32_rl * inputs.c3 * g)
-
-
 def _check_burn_in(t, threshold: float, regime: str) -> int:
     """First valid time of a bound; raises if any of ``t`` is not finite or below ``threshold``."""
     valid_from = max(1, math.ceil(threshold))
@@ -230,7 +235,7 @@ def _report(inputs: BoundInputs, t, samples: int, mu_bar_lambda_min: float,
     samples each, plus the bound's ``network`` term."""
     if mu_bar_lambda_min < 1.0:
         raise ValueError("lambda_min(I + mu_bar) is always >= 1")
-    noise = inputs.C1 / (np.sqrt(samples * t) * inputs.sigma_x_lower**2 * mu_bar_lambda_min)
+    noise = inputs.noise / (np.sqrt(samples * t) * mu_bar_lambda_min)
     return BoundReport(value=network + noise, network_term=network, noise_term=noise,
                        valid_from=valid_from)
 
@@ -257,13 +262,15 @@ def comm_bound(inputs: BoundInputs, t, steps: int,
     """Error bound for the post-communication estimate after ``steps``
     consensus rounds.
 
-    Sum of a network term ``rho**steps * C0`` (incomplete mixing, decays
-    geometrically in ``steps``) and the global noise term. Burn-in is gated
-    at ``delta_hat`` because the mixing analysis must hold across all
-    agents simultaneously.
+    Sum of a network term ``r (A + r B)(c1 + c2/sqrt(t))``, ``r = rho**steps``
+    (incomplete mixing, decays geometrically in ``steps``), and the global
+    noise term. Burn-in is gated at ``delta_hat`` because the mixing
+    analysis must hold across all agents simultaneously.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     valid_from = _check_burn_in(t, burn_in(inputs, inputs.delta_hat), "communicated")
-    network = inputs.rho**steps * _C0(inputs, t, steps)
+    r = inputs.rho**steps
+    A, B = inputs.network
+    network = r * (A + r * B) * (inputs.c1 + inputs.c2 / np.sqrt(t))
     return _report(inputs, t, inputs.m, mu_bar_lambda_min, valid_from, network)

@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import BoundInputs, burn_in, comm_bound, local_bound
 
 __all__ = [
@@ -43,6 +45,10 @@ class Schedule:
     S: int
 
     def __post_init__(self):
+        for name in ("zeta", "T", "S"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.zeta < 1:
             raise ValueError("zeta must be >= 1")
         if self.T < 1:
@@ -86,23 +92,17 @@ def _first_multiple_at_or_after(value: float, step: int) -> int:
     return max(1, math.ceil(value / step)) * step
 
 
-# The closed-form inverses of the conservative bounds that the searches
-# evaluate (bounds._C0 and bounds._report), in Python floats. Where the
-# algebra fails they raise ArithmeticError or ValueError or return inf or
-# NaN; they only start the searches and never decide their answers.
-
 def _network_steps(inputs: BoundInputs, t: float, epsilon_N: float) -> float:
     """The real ``steps`` at which ``comm_bound``'s network term at time
     ``t`` equals ``epsilon_N``; at most 0 when one step meets it.
 
-    With ``r = rho**steps`` the term is ``r (A + r B)``. Its positive root
-    in ``r`` is taken without cancellation and as a logarithm, so that a
-    tiny ``epsilon_N`` does not underflow it.
+    The term is ``r (A + r B) g`` with ``(A, B) = inputs.network``. Its
+    positive root in ``r`` is taken without cancellation and as a logarithm,
+    so that a tiny ``epsilon_N`` does not underflow it.
     """
     g = inputs.c1 + inputs.c2 / math.sqrt(t)
-    m32_rl = inputs.m**1.5 * math.sqrt(inputs.l)
-    a = inputs.c3 * g + 8.0 * m32_rl * g / inputs.sigma_x_lower**2
-    b = m32_rl * inputs.c3 * g
+    A, B = inputs.network
+    a, b = A * g, B * g
     log_r = math.log(2.0 * epsilon_N) - math.log(a + math.hypot(a, 2.0 * math.sqrt(b * epsilon_N)))
     return log_r / math.log(inputs.rho)
 
@@ -111,22 +111,23 @@ def _stopping_time(inputs: BoundInputs, steps: int, epsilon: float) -> float:
     """The time past which the smaller of ``local_bound`` and ``comm_bound``
     after ``steps`` rounds is below ``epsilon``.
 
-    The local bound is ``C1 / (sqrt(t) sigma_x^2)``. The communicated one is
-    ``a + b/sqrt(t)``, which never gets below an ``epsilon <= a``.
+    The local bound is ``noise / sqrt(t)``. The communicated one,
+    ``r (A + r B)(c1 + c2/sqrt(t)) + noise / sqrt(m t)`` in the attributes
+    of ``inputs``, is ``a + b/sqrt(t)``, never below an ``epsilon <= a``.
     """
-    sx2 = inputs.sigma_x_lower**2
-    local = inputs.C1 / (sx2 * epsilon)
     r = inputs.rho**steps
-    m32_rl = inputs.m**1.5 * math.sqrt(inputs.l)
-    k = inputs.c3 + 8.0 * m32_rl / sx2 + r * m32_rl * inputs.c3
-    a = r * k * inputs.c1
-    b = r * k * inputs.c2 + inputs.C1 / (math.sqrt(inputs.m) * sx2)
+    A, B = inputs.network
+    k = r * (A + r * B)
+    a = k * inputs.c1
+    b = k * inputs.c2 + inputs.noise / math.sqrt(inputs.m)
+    local = inputs.noise / epsilon
     comm = b / (epsilon - a) if epsilon > a else math.inf
     return min(local * local, comm * comm)
 
 
 def _guess(inverse) -> int:
-    """``ceil(inverse())`` floored at 0, or 0 where the closed form fails."""
+    """``ceil(inverse())`` floored at 0, or 0 where the closed form fails:
+    raises ArithmeticError or ValueError, or gives inf or NaN."""
     try:
         x = inverse()
     except (ArithmeticError, ValueError):

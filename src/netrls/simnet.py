@@ -151,6 +151,10 @@ class RunParams:
     seed: int
 
     def __post_init__(self):
+        for name in ("horizon", "runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 1 <= self.runs <= 2**32:

@@ -28,6 +28,9 @@ LOCAL_AT_400 = 2.4307264152721405
 C1_SMALL_REF = 39.19776256889905  # c1
 C2_REF = 72.41870198532540
 C3_REF = 784.9246248313698
+NETWORK_A_REF = 803.3998334454379  # c3 + 8 m^1.5 sqrt(l) / sigma_x^2
+NETWORK_B_REF = 16314.351963838468  # m^1.5 sqrt(l) c3
+NOISE_REF = 48.61452830544281  # C1 / sigma_x^2
 NET_140_38 = 0.007408647202629223
 NET_140_37 = 0.011112993763771776
 NET_1620_38 = 0.0067022091171698566
@@ -100,6 +103,9 @@ def test_comm_bound_frozen_values(paper_inputs):
     assert paper_inputs.c1 == pytest.approx(C1_SMALL_REF, rel=1e-12)
     assert paper_inputs.c2 == pytest.approx(C2_REF, rel=1e-12)
     assert paper_inputs.c3 == pytest.approx(C3_REF, rel=1e-12)
+    # the coefficients that the bounds and the planner's inverses share
+    assert paper_inputs.network == pytest.approx((NETWORK_A_REF, NETWORK_B_REF), rel=1e-12)
+    assert paper_inputs.noise == pytest.approx(NOISE_REF, rel=1e-12)
     rep = nr.comm_bound(paper_inputs, 1620, 38)
     assert rep.network_term == pytest.approx(NET_1620_38, rel=1e-12)
     assert rep.noise_term == pytest.approx(GLOBAL_AT_1620, rel=1e-12)
@@ -244,6 +250,15 @@ def test_scaling_structure(paper_inputs):
     assert nr.comm_bound(scaled, t, 9).value == pytest.approx(
         nr.comm_bound(base, t, 9).value, rel=1e-10
     )
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n", 2.5), ("l", True), ("m", 6.0), ("l", np.float64(2.0)), ("n", "2"),
+])
+def test_inputs_reject_dimensions_that_are_not_integers(paper_inputs, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        replace(paper_inputs, **{name: value})
+    assert replace(paper_inputs, **{name: np.int64(getattr(paper_inputs, name))}) == paper_inputs
 
 
 def test_inputs_validation_and_from_model(paper_model, ring6, paper_inputs):

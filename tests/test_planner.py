@@ -152,6 +152,16 @@ def test_schedule_validation():
         nr.Schedule(zeta=5, T=1, S=-1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("zeta", 2.5), ("T", 1.5), ("S", 1620.0), ("T", True), ("zeta", np.float64(20.0)),
+])
+def test_schedule_rejects_fields_that_are_not_integers(paper_schedule, name, value):
+    # a float T or S would reach simnet.run's slices
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        replace(paper_schedule, **{name: value})
+    assert replace(paper_schedule, **{name: np.int64(getattr(paper_schedule, name))}) == paper_schedule
+
+
 def test_slow_mixing_plans_past_one_hundred_thousand_steps(paper_inputs, monkeypatch):
     counts = _count_bound_calls(monkeypatch)
     for rho, expected in [(0.9999, 151070), (0.99999999, 1510773817)]:
@@ -254,9 +264,10 @@ def _plan_cases():
 
 
 def test_searches_start_at_the_closed_form_answers(monkeypatch):
-    # the bounds' inverses put each search on its answer, which it confirms
-    # with at most two evaluations: a bound changed without its inverse
-    # fails here on the count while T and S stay right
+    # the inverses read the bounds' own coefficients (inputs.network and
+    # inputs.noise) and put each search on its answer, which it confirms
+    # with at most two evaluations: a bound whose form changes without its
+    # inverse fails here on the count while T and S stay right
     cases = list(_plan_cases())
     counts = _count_bound_calls(monkeypatch)
     for name, inputs, plan in cases:

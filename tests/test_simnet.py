@@ -332,6 +332,16 @@ def test_config_validation():
         _small_config(weights=nr.ring_weights(5))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("horizon", 40.0), ("runs", True), ("seed", 1.5), ("seed", np.float64(7.0)),
+])
+def test_run_params_reject_fields_that_are_not_integers(name, value):
+    params = simnet.RunParams(horizon=40, runs=2, seed=7)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        dataclasses.replace(params, **{name: value})
+    assert dataclasses.replace(params, **{name: np.int64(getattr(params, name))}) == params
+
+
 def test_reference_trace_statistics(paper_sim):
     _, averaged, _ = paper_sim
     t = averaged.t
